@@ -19,8 +19,9 @@ and shot sampling has two fast paths:
   randomness is pre-drawn shot-major, which keeps seeded counts
   bit-identical to the per-shot fork loop this replaced (and to full
   per-shot replays).  The batch size comes from the ``batch=`` backend
-  option (``Program.run(..., batch=N)``), defaulting to a memory-bounded
-  auto size.
+  option (``Program.run(..., batch=N)``), defaulting to the largest ``B``
+  with ``B * 2**peak <= 2**16``, *peak* being the most qubits the suffix
+  ever holds live at once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.circuit import BCircuit
-from ..core.gates import Discard, Gate, Init, Measure
+from ..core.gates import Discard, Gate, Init, Measure, Term
 from ..core.stream import StreamConsumer
 from ..core.wires import QUANTUM
 from ..obs import core as _obs
@@ -38,13 +39,34 @@ from .base import Backend, BackendError, RunResult, outcome_key
 from .registry import register_backend
 
 #: Auto-sized fork batches target this many amplitudes in flight (one
-#: MiB of complex128), sized from the *live* suffix width at the fork
-#: point.  Batching multiplies throughput where per-dispatch overhead
+#: MiB of complex128), sized from the suffix's peak qubit liveness.
+#: Batching multiplies throughput where per-dispatch overhead
 #: dominates (a compact post-Term state replaying a stochastic suffix)
 #: and is memory-bound where it does not (a full-width dense suffix), so
 #: the auto size backs off to per-shot forking as the live state grows.
 #: ``batch=`` overrides it in either direction.
 _AUTO_BATCH_AMPLITUDES = 1 << 16
+
+
+def suffix_peak_and_events(live: int, suffix: list[Gate]) -> tuple[int, int]:
+    """Peak qubit count and stochastic event count of a forked suffix.
+
+    Walked from the *live* qubits at the fork: an ``Init`` adds a state
+    axis, a ``Term``/``Measure``/``Discard`` removes one, and the last
+    two each consume one draw of randomness.
+    """
+    peak = live
+    events = 0
+    for gate in suffix:
+        if isinstance(gate, Init):
+            live += 1
+            peak = max(peak, live)
+        elif isinstance(gate, Term):
+            live -= 1
+        elif isinstance(gate, (Measure, Discard)):
+            live -= 1
+            events += 1
+    return peak, events
 
 
 def _load_inputs(sim: StateVector, bc: BCircuit,
@@ -131,17 +153,18 @@ class StatevectorBackend(Backend):
             metadata=metadata,
         )
 
-    def _fork_batch(self, shots: int, live_width: int) -> int:
+    def _fork_batch(self, shots: int, peak: int) -> int:
         """How many shots one forked batch advances in lockstep.
 
-        *live_width* is the suffix's peak qubit count -- the live state
-        at the fork plus every suffix ``Init`` -- not the circuit's
-        overall width: a 16-qubit circuit that uncomputes down to a
-        4-qubit measured core batches thousands of shots per dispatch.
+        *peak* is the most qubits the suffix holds live at once (see
+        :func:`suffix_peak_and_events`), not the circuit's overall width:
+        a 16-qubit circuit that uncomputes down to a 3-qubit measured
+        core, or a teleportation chain that allocates two qubits per hop
+        and measures two, batches thousands of shots per dispatch.
         """
         if self.batch is not None:
             return max(1, min(self.batch, shots))
-        return max(1, min(shots, _AUTO_BATCH_AMPLITUDES >> live_width))
+        return max(1, min(shots, _AUTO_BATCH_AMPLITUDES >> peak))
 
     # -- shots=None: expose the final state --------------------------------
 
@@ -198,13 +221,9 @@ class StatevectorBackend(Backend):
             base.execute(gate)
         suffix = gates[split:]
         outputs = bc.circuit.outputs
-        live_width = base.num_qubits + sum(
-            1 for g in suffix if isinstance(g, Init)
-        )
-        batch_size = self._fork_batch(shots, live_width)
-        events = sum(
-            1 for g in suffix if isinstance(g, (Measure, Discard))
-        ) + sum(1 for _, t in outputs if t == QUANTUM)
+        peak, events = suffix_peak_and_events(base.num_qubits, suffix)
+        batch_size = self._fork_batch(shots, peak)
+        events += sum(1 for _, t in outputs if t == QUANTUM)
         counts: dict[str, int] = {}
         done = 0
         while done < shots:

@@ -688,13 +688,16 @@ class Program:
         # The statevector shots=None path streams lazily on purpose
         # (arbitrarily large hierarchies) and is left unprimed, as is
         # any circuit the backend would reject on width (it errors out
-        # before compiling; keep that cheap).
-        if backend == "clifford" or (
-            backend == "statevector" and shots is not None
-            and self.bcircuit.check() <= options.get("max_width", 26)
+        # before compiling; keep that cheap).  A warm memo skips the
+        # width check: the backend makes its own.
+        sampled = backend == "statevector" and shots is not None
+        if backend != "clifford" and not sampled:
+            return
+        bc = self.bcircuit
+        if getattr(bc, "_compiled_flat", None) is None and (
+            not sampled or bc.check() <= options.get("max_width", 26)
         ):
-            if getattr(self.bcircuit, "_compiled_flat", None) is None:
-                self.compiled()
+            self.compiled()
 
     def equivalent_to(self, other, **options):
         """Decide whether this program equals *other* up to global phase.

@@ -24,32 +24,3 @@ with :class:`~repro.service.client.ServiceClient` (or bare ``curl``);
 see ``docs/service.md`` for the endpoint reference, deployment notes,
 and the operating & failure-modes runbook.
 """
-
-from .client import ServiceClient, ServiceClientError
-from .faults import FaultPlan, InjectedFault, PoolUnavailable
-from .jobs import Job, JobManager
-from .registry import (
-    ParamSpec,
-    ServiceError,
-    list_programs,
-    register_program,
-)
-from .server import ServiceServer, main
-from .workers import ShardedPool
-
-__all__ = [
-    "FaultPlan",
-    "InjectedFault",
-    "Job",
-    "JobManager",
-    "ParamSpec",
-    "PoolUnavailable",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceError",
-    "ServiceServer",
-    "ShardedPool",
-    "list_programs",
-    "main",
-    "register_program",
-]

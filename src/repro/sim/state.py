@@ -231,7 +231,8 @@ class StateVector:
 
         ``outcomes`` is a host bool array of shape ``(batch,)``; member i
         keeps the slice where the wire's bit equals ``outcomes[i]``,
-        gathered in one ``take_along_axis`` over the batch.
+        gathered in one advanced-index read that returns a fresh
+        C-contiguous ``(batch, left, right)`` array.
         """
         axis = self.axes.pop(wire)
         n = len(self.axes) + 1
@@ -239,11 +240,9 @@ class StateVector:
         view = self.data.reshape(
             self.batch, 1 << axis, 2, 1 << (n - 1 - axis)
         )
-        idx = xpm.asarray(outcomes.astype(np.int64)).reshape(
-            self.batch, 1, 1, 1
-        )
-        kept = xpm.take_along_axis(view, idx, axis=2)
-        self.data = xpm.ascontiguousarray(kept).reshape(self.batch, -1)
+        picks = xpm.asarray(outcomes.astype(np.intp))
+        kept = view[xpm.arange(self.batch), :, picks, :]
+        self.data = kept.reshape(self.batch, -1)
         for other, other_axis in self.axes.items():
             if other_axis > axis:
                 self.axes[other] = other_axis - 1

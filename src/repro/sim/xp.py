@@ -108,10 +108,9 @@ def probe_capabilities(mod) -> frozenset[str]:
     except Exception:  # pragma: no cover
         pass
     try:  # row_gather: per-member outcome selection (batched collapse)
-        a = mod.arange(8, dtype=complex).reshape(2, 2, 2)
-        idx = mod.asarray([1, 0]).reshape(2, 1, 1)
-        got = mod.take_along_axis(a, idx, axis=1)
-        if complex(got[0, 0, 1]) == 3.0 and complex(got[1, 0, 0]) == 4.0:
+        a = mod.arange(16, dtype=complex).reshape(2, 2, 2, 2)
+        got = a[mod.arange(2), :, mod.asarray([1, 0]), :]
+        if complex(got[0, 1, 0]) == 6.0 and complex(got[1, 0, 1]) == 9.0:
             passed.add("row_gather")
     except Exception:  # pragma: no cover
         pass

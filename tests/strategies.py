@@ -85,16 +85,19 @@ def random_gates(
     cinit_p=0.10,
     classical_control_p=0.3,
     measure_p=0.5,
+    fresh_p=0.0,
 ):
     """A random gate list over the whole extended circuit model.
 
     Starts from :func:`superpose`, then draws *steps* events: vocabulary
     gates with random quantum/classical controls and inversion
     (probability *gate_p*), Init/controlled-T/Term ancilla triples
-    (*ancilla_p*), fresh classical wires via ``CInit`` (*cinit_p*), and
-    otherwise mid-circuit ``Measure``/``Discard`` of a live qubit.  The
-    probabilities are the knobs the historical per-suite copies differed
-    by; the structure is shared.
+    (*ancilla_p*), fresh classical wires via ``CInit`` (*cinit_p*),
+    fresh qubits via ``Init`` that stay live until measured or discarded
+    (*fresh_p*, off by default), and otherwise mid-circuit
+    ``Measure``/``Discard`` of a live qubit.  The probabilities are the
+    knobs the historical per-suite copies differed by; the structure is
+    shared.
     """
     gates = list(superpose(n_qubits))
     next_wire = n_qubits
@@ -103,6 +106,7 @@ def random_gates(
     gate_t = gate_p
     ancilla_t = gate_p + ancilla_p
     cinit_t = gate_p + ancilla_p + cinit_p
+    fresh_t = cinit_t + fresh_p
     for _ in range(steps):
         kind = rnd.random()
         if kind < gate_t and len(live) >= 2:
@@ -143,6 +147,10 @@ def random_gates(
         elif kind < cinit_t:
             classical.append(next_wire)
             gates.append(CInit(next_wire, rnd.random() < 0.5))
+            next_wire += 1
+        elif kind < fresh_t:
+            live.append(next_wire)
+            gates.append(Init(next_wire, rnd.random() < 0.5))
             next_wire += 1
         elif len(live) > 2:
             # Mid-circuit measurement / discard.

@@ -28,14 +28,17 @@ import pytest
 
 from repro import Program, build, get_backend, qubit
 from repro.backends.base import BackendError, outcome_key
-from repro.core.gates import Control, Discard, Measure, NamedGate
+from repro.backends.statevector import suffix_peak_and_events
+from repro.core.circuit import BCircuit, Circuit
+from repro.core.gates import Control, Discard, Init, Measure, NamedGate
 from repro.core.errors import SimulationError
-from repro.core.wires import QUANTUM
+from repro.core.wires import CLASSICAL, QUANTUM
 from repro.obs import core as obs_core
 from repro.sim import xp as sim_xp
 from repro.sim.kernels import DENSE, DIAGONAL, PERMUTE, PHASE, gate_kernel
 from repro.sim.matrices import gate_matrix_cached
 from repro.sim.state import LegacyStateVector, StateVector, simulate
+from repro.transform.inline import CompiledCircuit
 from strategies import (
     PARAMETRIZED as _PARAMETRIZED,
     VOCABULARY as _VOCABULARY,
@@ -327,6 +330,102 @@ class TestSeededBackendSampling:
         occupancy = rec.histograms["sim.batch.occupancy"]
         assert occupancy.count == 3
         assert occupancy.total == 48
+
+
+def _teleport_chain(hops, bit):
+    """Teleport ``H|bit>`` along *hops* Bell pairs, then undo the ``H``.
+
+    A compute/uncompute ladder first widens the circuit and returns its
+    ancillas to ``|0>``; each hop then allocates two fresh qubits and
+    measures two, so the live core stays at three qubits however many
+    hops the chain makes.
+    """
+
+    def chain(qc):
+        src = qc.qinit_qubit(bit)
+        qc.hadamard(src)
+        anc = [qc.qinit_qubit(False) for _ in range(4)]
+        for a in anc:
+            qc.qnot(a, controls=src)
+        for a in reversed(anc):
+            qc.qnot(a, controls=src)
+        for a in anc:
+            qc.qterm(a)
+        for _ in range(hops):
+            half = qc.qinit_qubit(False)
+            dst = qc.qinit_qubit(False)
+            qc.hadamard(half)
+            qc.qnot(dst, controls=half)
+            qc.qnot(half, controls=src)
+            qc.hadamard(src)
+            z_bit = qc.measure(src)
+            x_bit = qc.measure(half)
+            qc.qnot(dst, controls=x_bit)
+            qc.gate_Z(dst, controls=z_bit)
+            qc.cdiscard((z_bit, x_bit))
+            src = dst
+        qc.hadamard(src)
+        return qc.measure(src)
+
+    return Program.capture(chain, name=f"teleport(hops={hops})")
+
+
+class TestForkBatchSizing:
+    """Auto fork batches are sized by the suffix's peak qubit liveness."""
+
+    def test_teleport_chain_batches_every_shot(self):
+        # 3 live qubits at the fork and 14 suffix Inits: counting every
+        # Init would size batches as 2**16 >> 17 = 0, i.e. one shot each.
+        for bit in (False, True):
+            result = _teleport_chain(8, bit).run(shots=1024, seed=5)
+            assert result.metadata["batch"] == 1024
+            assert result.counts == {str(int(bit)): 1024}
+
+    def test_suffix_peak_matches_replayed_width(self):
+        # Differential: the peak counted from the gate list equals the
+        # widest state a batch-1 StateVector holds replaying the suffix
+        # from the fork, and the backend's auto batch is sized from it.
+        above_fork = below_init_count = 0
+        for trial in range(24):
+            rnd = random.Random(7100 + trial)
+            n = rnd.randint(3, 5)
+            gates = random_gates(
+                rnd, n, gate_p=0.50, ancilla_p=0.12, cinit_p=0.08,
+                fresh_p=0.15, measure_p=0.5,
+            )
+            split = CompiledCircuit(gates).prefix_len
+            suffix = gates[split:]
+            sim = StateVector(rng=np.random.default_rng(trial))
+            for w in range(n):
+                sim.add_qubit(w, False)
+            for gate in gates[:split]:
+                sim.execute(gate)
+            fork = widest = sim.num_qubits
+            for gate in suffix:
+                sim.execute(gate)
+                widest = max(widest, sim.num_qubits)
+            peak, events = suffix_peak_and_events(fork, suffix)
+            assert peak == widest, trial
+            assert events == _stochastic_events(suffix), trial
+            above_fork += widest > fork
+            below_init_count += widest < fork + sum(
+                isinstance(g, Init) for g in suffix
+            )
+
+            outputs = tuple(
+                [(w, QUANTUM) for w in sim.axes]
+                + [(w, CLASSICAL) for w in sim.bits]
+            )
+            bc = BCircuit(Circuit(
+                tuple((w, QUANTUM) for w in range(n)), gates, outputs,
+            ))
+            result = get_backend("statevector").run(bc, shots=2048, seed=1)
+            assert result.metadata["batch"] == min(
+                2048, 1 << max(0, 16 - widest)
+            ), trial
+        # Non-vacuous: liveness climbed past the fork width, and counting
+        # every suffix Init on top of the fork width would overestimate it.
+        assert above_fork and below_init_count
 
 
 class TestSimulateBatchParameter:

@@ -27,7 +27,10 @@ import functools
 import importlib
 import json
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +38,7 @@ from contextlib import asynccontextmanager
 
 import pytest
 
+import repro
 from repro.service.cache import CompileCache
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.digest import canonical_json, digest_text, spec_digest
@@ -82,6 +86,27 @@ def client_for(server: ServiceServer, **kwargs) -> ServiceClient:
 # ---------------------------------------------------------------------------
 # Pure pieces: spec canonicalization, digests, metrics
 # ---------------------------------------------------------------------------
+
+
+class TestImportFootprint:
+    def test_client_import_leaves_server_side_unloaded(self):
+        # A client process needs only the HTTP client: importing it must
+        # not pull in the asyncio server, the job manager or the pool.
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))
+        ))
+        probe = (
+            "import sys, repro.service.client\n"
+            "print(','.join(sorted(m for m in ('repro.service.server', "
+            "'repro.service.workers', 'asyncio') if m in sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == ""
 
 
 class TestCanonicalSpec:
