@@ -15,14 +15,9 @@ from __future__ import annotations
 from ..core.circuit import BCircuit
 from ..core.errors import QuipperError
 from ..core.gates import BoxCall, Comment
-from ..core.stream import StreamConsumer
-from ..transform.count import (
-    StreamingCounter,
-    aggregate_gate_count,
-    total_gates,
-    total_logical_gates,
-)
-from ..transform.depth import StreamingDepth, circuit_depth, t_depth
+from ..core.stream import StreamConsumer, replay_bcircuit
+from ..transform.count import StreamingCounter, total_gates, total_logical_gates
+from ..transform.depth import StreamingDepth
 from .base import Backend, RunResult
 from .registry import register_backend
 
@@ -42,18 +37,8 @@ class ResourceBackend(Backend):
         in_values: dict[int, bool] | None = None,
         seed: int | None = None,
     ) -> RunResult:
-        counts = aggregate_gate_count(bc)
-        resources = {
-            "gate_counts": dict(counts),
-            "total_gates": total_gates(counts),
-            "logical_gates": total_logical_gates(counts),
-            "depth": circuit_depth(bc),
-            "t_depth": t_depth(bc),
-            "width": bc.check(),
-            "inputs": bc.circuit.in_arity,
-            "outputs": bc.circuit.out_arity,
-            "subroutines": len(bc.namespace),
-        }
+        bc.check()  # a caller's circuit is validated before it is costed
+        resources = replay_bcircuit(bc, StreamingResources())
         return RunResult(backend=self.name, shots=shots, resources=resources)
 
 
@@ -61,12 +46,14 @@ class StreamingResources(StreamConsumer):
     """The ``resources`` backend's cost report, computed over a stream.
 
     Fans each streamed gate out to the streaming counter, both depth
-    consumers, and a width (liveness high-water mark) tracker, producing
-    the exact dict of :class:`ResourceBackend` without the main circuit
-    ever existing.  Boxed subroutine calls are costed symbolically --
-    counts and depths from per-name memos, the transient width from
-    :meth:`~repro.core.circuit.Subroutine.width` -- so repeated-subroutine
-    streams of any logical size finish in O(subroutine size) memory.
+    consumers, and a width (liveness high-water mark) tracker.  It is the
+    one implementation of the :class:`ResourceBackend` report, which
+    replays a stored circuit through it; over a generating stream no
+    main circuit ever exists.  Boxed subroutine calls are costed
+    symbolically -- counts and depths from per-name memos, the transient
+    width from :meth:`~repro.core.circuit.Subroutine.width` -- so
+    repeated-subroutine streams of any logical size finish in
+    O(subroutine size) memory.
     """
 
     def begin(self, inputs, namespace) -> None:

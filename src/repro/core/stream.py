@@ -203,19 +203,23 @@ def replay_bcircuit(bc: BCircuit, consumer: StreamConsumer,
     """Stream an already-built hierarchy's top-level gates to *consumer*.
 
     Gives every circuit -- loaded, transformed, or built -- the same
-    consumer surface as a generating stream.  Returns whatever
-    ``consumer.finish`` returns.
+    consumer surface as a generating stream; the materialized counters,
+    depths, printers and exporters are such replays.  Returns whatever
+    ``consumer.finish`` returns.  Under telemetry the pass is one
+    ``replay`` span naming the consumer class.
     """
-    consumer.begin(bc.circuit.inputs, bc.namespace)
-    for gate in bc.circuit.gates:
-        consumer.gate(gate)
-    return consumer.finish(StreamEnd(
-        inputs=bc.circuit.inputs,
-        outputs=bc.circuit.outputs,
-        namespace=bc.namespace,
-        out_struct=out_struct,
-        emitted=len(bc.circuit.gates),
-    ))
+    with _obs.span("replay", consumer=type(consumer).__name__):
+        consumer.begin(bc.circuit.inputs, bc.namespace)
+        gate = consumer.gate
+        for each in bc.circuit.gates:
+            gate(each)
+        return consumer.finish(StreamEnd(
+            inputs=bc.circuit.inputs,
+            outputs=bc.circuit.outputs,
+            namespace=bc.namespace,
+            out_struct=out_struct,
+            emitted=len(bc.circuit.gates),
+        ))
 
 
 __all__ = [

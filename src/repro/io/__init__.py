@@ -33,10 +33,12 @@ equivalent to the original.
 from __future__ import annotations
 
 import os
+from io import StringIO
 
 from ..core.circuit import BCircuit
-from ..output.ascii import format_circuit
-from .ascii_parser import AsciiParseError, encode_shape, parse_bcircuit
+from ..core.stream import replay_bcircuit
+from ..output.ascii import AsciiStreamWriter
+from .ascii_parser import AsciiParseError, parse_bcircuit
 from .qasm import QasmExportError, QasmStreamWriter, bcircuit_to_qasm
 from .qasm_parser import QasmParseError, parse_qasm
 
@@ -60,17 +62,11 @@ def dumps(bc: BCircuit) -> str:
     The output is :func:`repro.output.ascii.format_bcircuit` plus a
     ``Shape:`` line per subroutine, and is accepted by :func:`loads` such
     that ``loads(dumps(bc)) == bc`` for any builder-produced circuit.
+    It is the interchange :class:`~repro.output.ascii.AsciiStreamWriter`
+    replayed into a string.
     """
-    parts = [format_circuit(bc.circuit)]
-    for name in bc.subroutine_names():
-        sub = bc.namespace[name]
-        parts.append(f'\nSubroutine: "{name}"')
-        parts.append(
-            f"Shape: {encode_shape(sub.in_shape)} -> "
-            f"{encode_shape(sub.out_shape)}"
-        )
-        parts.append(format_circuit(sub.circuit))
-    return "\n".join(parts) + "\n"
+    writer = AsciiStreamWriter(StringIO(), interchange=True)
+    return replay_bcircuit(bc, writer).getvalue()
 
 
 def loads(text: str, check: bool = True) -> BCircuit:

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import math
 import re
+from io import StringIO
+from typing import Callable
 
 from ..core.circuit import BCircuit
 from ..core.errors import QuipperError
@@ -53,9 +55,9 @@ from ..core.gates import (
     NamedGate,
     Term,
 )
-from ..core.stream import StreamConsumer
+from ..core.stream import StreamConsumer, replay_bcircuit
 from ..core.wires import QUANTUM
-from ..transform.inline import StreamExpander, iter_flat_gates
+from ..transform.inline import StreamExpander
 
 
 class QasmExportError(QuipperError):
@@ -73,8 +75,10 @@ _CONTROLLED = {"X": "cx", "not": "cx", "Z": "cz", "Y": "cy", "H": "ch"}
 
 
 class _QasmWriter:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
+    """Register bookkeeping plus a line sink for the statement body."""
+
+    def __init__(self, emit: Callable[[str], None]) -> None:
+        self.emit = emit
         self.qubit_index: dict[int, int] = {}
         self.cregs: dict[int, str] = {}
         self.opaques: dict[str, str] = {}
@@ -107,9 +111,6 @@ class _QasmWriter:
             self.emit(f"opaque {ident} {args};")
             self.opaques[name] = ident
         return self.opaques[name]
-
-    def emit(self, line: str) -> None:
-        self.lines.append(line)
 
 
 def _fmt_angle(value: float) -> str:
@@ -303,23 +304,10 @@ def bcircuit_to_qasm(bc: BCircuit) -> str:
 
     Boxed subroutines are inlined (QASM 2 ``gate`` bodies cannot contain
     measurement or ancilla management, so inlining is the only faithful
-    encoding of the extended model).
+    encoding of the extended model).  This is a
+    :class:`QasmStreamWriter` replay into a string.
     """
-    writer = _QasmWriter()
-    for wire, wtype in bc.circuit.inputs:
-        if wtype == QUANTUM:
-            writer.qubit(wire)
-        else:
-            raise QasmExportError(
-                "OpenQASM 2 cannot accept classical input wires; bind "
-                f"wire {wire} to a value first"
-            )
-    for gate in iter_flat_gates(bc):
-        _emit_gate(writer, gate)
-    header = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    decls = [f"qreg q[{max(len(writer.qubit_index), 1)}];"]
-    decls.extend(f"creg {name}[1];" for name in writer.cregs.values())
-    return "\n".join(header + decls + writer.lines) + "\n"
+    return replay_bcircuit(bc, QasmStreamWriter(StringIO())).getvalue()
 
 
 class QasmStreamWriter(StreamConsumer):
@@ -342,29 +330,28 @@ class QasmStreamWriter(StreamConsumer):
     def begin(self, inputs, namespace) -> None:
         import tempfile
 
-        self._expander = StreamExpander(namespace)
-        self._body = tempfile.TemporaryFile(
-            "w+", encoding="utf-8", prefix="repro-qasm-"
-        )
-        body = self._body
-
-        class _SpoolingWriter(_QasmWriter):
-            def emit(self, line: str) -> None:
-                body.write(line + "\n")
-
-        self.writer = _SpoolingWriter()
         for wire, wtype in inputs:
-            if wtype == QUANTUM:
-                self.writer.qubit(wire)
-            else:
+            if wtype != QUANTUM:
                 raise QasmExportError(
                     "OpenQASM 2 cannot accept classical input wires; "
                     f"bind wire {wire} to a value first"
                 )
+        self._expander = StreamExpander(namespace)
+        self._body = tempfile.TemporaryFile(
+            "w+", encoding="utf-8", prefix="repro-qasm-"
+        )
+        write = self._body.write
+        self.writer = _QasmWriter(lambda line: write(line + "\n"))
+        for wire, _ in inputs:
+            self.writer.qubit(wire)
 
     def gate(self, gate) -> None:
-        for flat in self._expander.expand(gate):
-            _emit_gate(self.writer, flat)
+        try:
+            for flat in self._expander.expand(gate):
+                _emit_gate(self.writer, flat)
+        except BaseException:
+            self._body.close()  # a refused export leaves no spool file open
+            raise
 
     def finish(self, end):
         import shutil

@@ -14,6 +14,8 @@ paper's "boxed subcircuits ... with a separate definition on the side".
 
 from __future__ import annotations
 
+from io import StringIO
+
 from ..core.circuit import BCircuit, Circuit
 from ..core.gates import (
     BoxCall,
@@ -31,7 +33,7 @@ from ..core.gates import (
     NamedGate,
     Term,
 )
-from ..core.stream import StreamConsumer
+from ..core.stream import StreamConsumer, replay_bcircuit
 from ..core.wires import QUANTUM
 
 
@@ -109,13 +111,13 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def format_bcircuit(bc: BCircuit) -> str:
-    """Render a hierarchical circuit: main circuit then subroutines."""
-    parts = [format_circuit(bc.circuit)]
-    for name in bc.subroutine_names():
-        sub = bc.namespace[name]
-        parts.append(f"\nSubroutine: \"{name}\"")
-        parts.append(format_circuit(sub.circuit))
-    return "\n".join(parts)
+    """Render a hierarchical circuit: main circuit then subroutines.
+
+    The :class:`AsciiStreamWriter` text of a replay, less its final
+    newline.
+    """
+    writer = AsciiStreamWriter(StringIO())
+    return replay_bcircuit(bc, writer).getvalue()[:-1]
 
 
 class AsciiStreamWriter(StreamConsumer):
@@ -124,10 +126,10 @@ class AsciiStreamWriter(StreamConsumer):
     One line per gate, written the moment the gate is emitted, so the
     text of circuits too large to hold in memory lands on disk in O(1)
     memory.  The boxed subroutine definitions (small by construction) are
-    appended after the main circuit, exactly like
-    :func:`format_bcircuit`; with ``interchange`` a ``Shape:`` line is
-    added per subroutine, matching :func:`repro.io.dumps` so the file
-    round-trips through :func:`repro.io.loads`.
+    appended after the main circuit.  With ``interchange`` a ``Shape:``
+    line is added per subroutine, so the file round-trips through
+    :func:`repro.io.loads`.  :func:`format_bcircuit` and
+    :func:`repro.io.dumps` are this writer replayed into a string.
     """
 
     def __init__(self, fp, interchange: bool = False):

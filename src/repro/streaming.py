@@ -163,7 +163,7 @@ class GateStream:
         return total_logical_gates(self.count())
 
     def depth(self) -> int:
-        """Critical-path depth of the stream (O(live width) memory)."""
+        """Critical-path depth of the stream (O(top-level wire ids) memory)."""
         return self._produce(StreamingDepth())
 
     def t_depth(self) -> int:

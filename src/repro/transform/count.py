@@ -19,7 +19,7 @@ from collections import Counter
 
 from ..core.circuit import BCircuit, Circuit, Subroutine
 from ..core.errors import QuipperError
-from ..core.stream import StreamConsumer
+from ..core.stream import StreamConsumer, replay_bcircuit
 from ..core.gates import (
     BoxCall,
     CDiscard,
@@ -119,10 +119,11 @@ def make_subroutine_counter(
 ) -> "callable":
     """A memoized ``count_sub(name) -> Counter`` over *namespace*.
 
-    The shared engine of :func:`aggregate_gate_count` and the streaming
-    :class:`StreamingCounter`: a subroutine's aggregated count is computed
-    exactly once and multiplied through every later call site, which is
-    what makes trillion-gate resource estimates cheap.  The namespace may
+    The engine of :class:`StreamingCounter` (and so of
+    :func:`aggregate_gate_count`) and of :func:`subroutine_gate_counts`:
+    a subroutine's aggregated count is computed exactly once and
+    multiplied through every later call site, which is what makes
+    trillion-gate resource estimates cheap.  The namespace may
     keep growing after the counter is created (a live generating stream
     defines boxes as it runs); every lookup sees the current entries.
     """
@@ -169,30 +170,27 @@ def aggregate_gate_count(bc: BCircuit) -> Counter:
     (including their ``repetitions`` factors), so this is fast even for
     circuits whose inlined size is astronomically large.
     """
-    count_sub = make_subroutine_counter(bc.namespace)
-    total: Counter = Counter()
-    for gate in bc.circuit.gates:
-        count_sub.add_gate(total, gate)  # type: ignore[attr-defined]
-    return total
+    return replay_bcircuit(bc, StreamingCounter())
 
 
 class StreamingCounter(StreamConsumer):
     """Gate-count consumer for a gate stream: O(1) memory per gate.
 
-    Produces exactly the Counter of :func:`aggregate_gate_count` without
-    the main circuit ever existing: each streamed gate is classified and
-    dropped; a ``BoxCall`` is costed symbolically (the boxed body counted
-    once, multiplied by ``repetitions``), so a repeated-subroutine stream
-    of billions of logical gates counts in O(subroutine size) time and
+    The one implementation behind :func:`aggregate_gate_count`, which
+    replays a stored hierarchy through it.  Each streamed gate is
+    classified and dropped, so the main circuit never has to exist; a
+    ``BoxCall`` is costed symbolically (the boxed body counted once,
+    multiplied by ``repetitions``), so a repeated-subroutine stream of
+    billions of logical gates counts in O(subroutine size) time and
     memory.
     """
 
     def begin(self, inputs, namespace) -> None:
         self.counts: Counter = Counter()
-        self._count_sub = make_subroutine_counter(namespace)
+        self._add = make_subroutine_counter(namespace).add_gate  # type: ignore[attr-defined]
 
     def gate(self, gate: Gate) -> None:
-        self._count_sub.add_gate(self.counts, gate)  # type: ignore[attr-defined]
+        self._add(self.counts, gate)
 
     def finish(self, end) -> Counter:
         return self.counts
@@ -202,7 +200,7 @@ def count_circuit_flat(circuit: Circuit) -> Counter:
     """Count the gates of a single flat circuit (no box expansion)."""
     counts: Counter = Counter()
     for gate in circuit.gates:
-        key = None if isinstance(gate, Comment) else classify(gate)
+        key = classify(gate)
         if key is not None:
             counts[key] += 1
     return counts
@@ -230,10 +228,9 @@ def total_logical_gates(counts: Counter) -> int:
 
 
 def subroutine_gate_counts(bc: BCircuit) -> dict[str, Counter]:
-    """Aggregated (fully-inlined) counts for each subroutine by name."""
-    result: dict[str, Counter] = {}
-    for name, sub in bc.namespace.items():
-        result[name] = aggregate_gate_count(
-            BCircuit(sub.circuit, bc.namespace)
-        )
-    return result
+    """Aggregated (fully-inlined) counts for each subroutine by name.
+
+    One memo serves every name, so each callee body is counted once.
+    """
+    count_sub = make_subroutine_counter(bc.namespace)
+    return {name: count_sub(name) for name in bc.namespace}

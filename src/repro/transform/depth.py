@@ -9,55 +9,21 @@ multiply, since iterations of an in-place subroutine are sequential).
 
 This is conservative for box calls (a call synchronizes all its wires,
 so parallelism *across* a subroutine boundary is not exploited), which is
-the standard trade for hierarchy-preserving estimation.
+the standard trade for hierarchy-preserving estimation.  A *controlled*
+call is the exception: the body is costed at its own depth, as if the
+control were fanned out, while inlining hands the control wire to every
+body gate and so serializes them.
+
+:class:`StreamingDepth` is the one implementation; :func:`circuit_depth`
+and :func:`t_depth` replay a stored hierarchy through it.
 """
 
 from __future__ import annotations
 
-from ..core.circuit import BCircuit, Circuit
+from ..core.circuit import BCircuit
 from ..core.errors import QuipperError
 from ..core.gates import BoxCall, Comment, Gate, NamedGate
-from ..core.stream import StreamConsumer
-
-
-def _gate_span(gate: Gate, namespace, memo) -> tuple[list[int], int]:
-    """The wires a gate occupies and the number of steps it takes."""
-    if isinstance(gate, BoxCall):
-        steps = _sub_depth(gate.name, namespace, memo) * gate.repetitions
-        wires = [w for w, _ in gate.in_wires]
-        wires += [w for w, _ in gate.out_wires if (w, "_") and w not in wires]
-        wires += [c.wire for c in gate.controls]
-        return wires, max(steps, 1)
-    ins = [w for w, _ in gate.wires_in()]
-    outs = [w for w, _ in gate.wires_out() if w not in ins]
-    return ins + outs, 1
-
-
-def _sub_depth(name: str, namespace, memo) -> int:
-    if name not in memo:
-        sub = namespace.get(name)
-        if sub is None:
-            raise QuipperError(f"undefined subroutine {name!r}")
-        memo[name] = None  # cycle guard
-        memo[name] = _circuit_depth(sub.circuit, namespace, memo)
-    if memo[name] is None:
-        raise QuipperError(f"recursive subroutine {name!r}")
-    return memo[name]
-
-
-def _circuit_depth(circuit: Circuit, namespace, memo) -> int:
-    frontier: dict[int, int] = {w: 0 for w, _ in circuit.inputs}
-    total = 0
-    for gate in circuit.gates:
-        if isinstance(gate, Comment):
-            continue
-        wires, steps = _gate_span(gate, namespace, memo)
-        start = max((frontier.get(w, 0) for w in wires), default=0)
-        finish = start + steps
-        for wire in wires:
-            frontier[wire] = finish
-        total = max(total, finish)
-    return total
+from ..core.stream import StreamConsumer, replay_bcircuit
 
 
 def circuit_depth(bc: BCircuit) -> int:
@@ -68,48 +34,7 @@ def circuit_depth(bc: BCircuit) -> int:
     on its bound wires.  Exact big-integer arithmetic throughout, so the
     depth of trillion-gate circuits is as cheap to compute as their count.
     """
-    memo: dict[str, int | None] = {}
-    return _circuit_depth(bc.circuit, bc.namespace, memo)
-
-
-def _t_gate_span(gate: Gate, namespace, memo) -> tuple[list[int], int]:
-    """The wires a gate occupies and its T-step cost (T-depth model)."""
-    if isinstance(gate, BoxCall):
-        steps = _sub_t_depth(gate.name, namespace, memo) * gate.repetitions
-        wires = [w for w, _ in gate.in_wires]
-        wires += [c.wire for c in gate.controls]
-        return wires, steps
-    is_t = isinstance(gate, NamedGate) and gate.name == "T"
-    wires = [w for w, _ in gate.wires_in()]
-    wires += [w for w, _ in gate.wires_out() if w not in wires]
-    return wires, 1 if is_t else 0
-
-
-def _sub_t_depth(name: str, namespace, memo) -> int:
-    if name not in memo:
-        sub = namespace.get(name)
-        if sub is None:
-            raise QuipperError(f"undefined subroutine {name!r}")
-        memo[name] = None  # cycle guard
-        memo[name] = _circuit_t_depth(sub.circuit, namespace, memo)
-    if memo[name] is None:
-        raise QuipperError(f"recursive subroutine {name!r}")
-    return memo[name]
-
-
-def _circuit_t_depth(circuit: Circuit, namespace, memo) -> int:
-    frontier: dict[int, int] = {w: 0 for w, _ in circuit.inputs}
-    total = 0
-    for gate in circuit.gates:
-        if isinstance(gate, Comment):
-            continue
-        wires, steps = _t_gate_span(gate, namespace, memo)
-        start = max((frontier.get(w, 0) for w in wires), default=0)
-        finish = start + steps
-        for wire in wires:
-            frontier[wire] = finish
-        total = max(total, finish)
-    return total
+    return replay_bcircuit(bc, StreamingDepth())
 
 
 def t_depth(bc: BCircuit) -> int:
@@ -118,25 +43,28 @@ def t_depth(bc: BCircuit) -> int:
     Clifford gates are treated as free (depth 0); each T or T* costs one
     step.  Useful after a decomposition into a Clifford+T-ish base.
     """
-    memo: dict[str, int | None] = {}
-    return _circuit_t_depth(bc.circuit, bc.namespace, memo)
+    return replay_bcircuit(bc, StreamingDepth(t_only=True))
 
 
 class StreamingDepth(StreamConsumer):
     """Critical-path depth consumer for a gate stream.
 
-    Produces exactly :func:`circuit_depth` (or :func:`t_depth` with
-    ``t_only``) without the main circuit existing.  A boxed call costs its
-    memoized body depth on its bound wires, so repeated-subroutine streams
-    stay symbolic.  Wires that die (their gate consumes but does not
-    re-emit them) are pruned from the frontier: since the builder never
-    reuses a wire id, a dead wire's finish time can only matter through
-    the running maximum, which has already absorbed it.  Memory is
-    therefore O(live width), not O(wires ever used).
+    Every gate occupies ``wires_in() | wires_out()`` and starts once the
+    last of those wires is free.  A gate costs one step (with ``t_only``:
+    one step for T/T*, none otherwise); a boxed call costs its body's
+    depth times its repetitions, and at least one step for full depth.
+    Bodies run through the same :meth:`gate`, once per name, so
+    repeated-subroutine streams stay symbolic.
+
+    Finish times are kept for every wire id seen, live or dead, because
+    ids do come back: ``with_computed`` uncomputes by replaying its
+    compute block, re-creating an ancilla under its old id, and a QASM
+    import re-initializes a terminated column.  A re-used id starts
+    after its previous life ends.  Memory is O(top-level wire ids).
     """
 
     def __init__(self, t_only: bool = False):
-        self._span = _t_gate_span if t_only else _gate_span
+        self.t_only = t_only
 
     def begin(self, inputs, namespace) -> None:
         self.namespace = namespace
@@ -147,17 +75,40 @@ class StreamingDepth(StreamConsumer):
     def gate(self, gate: Gate) -> None:
         if isinstance(gate, Comment):
             return
-        wires, steps = self._span(gate, self.namespace, self._memo)
+        if isinstance(gate, BoxCall):
+            steps = self._body_depth(gate.name) * gate.repetitions
+            if not self.t_only:
+                steps = max(steps, 1)
+        elif self.t_only:
+            steps = int(isinstance(gate, NamedGate) and gate.name == "T")
+        else:
+            steps = 1
         frontier = self.frontier
-        start = max((frontier.get(w, 0) for w in wires), default=0)
-        finish = start + steps
+        wires = [w for w, _ in gate.wires_in() + gate.wires_out()]
+        finish = max([frontier.get(w, 0) for w in wires], default=0) + steps
         for wire in wires:
             frontier[wire] = finish
-        self.total = max(self.total, finish)
-        out_ids = {w for w, _ in gate.wires_out()}
-        for wire, _ in gate.wires_in():
-            if wire not in out_ids:
-                frontier.pop(wire, None)
+        if finish > self.total:
+            self.total = finish
+
+    def _body_depth(self, name: str) -> int:
+        """A subroutine body's depth, run through :meth:`gate` once."""
+        memo = self._memo
+        if name not in memo:
+            sub = self.namespace.get(name)
+            if sub is None:
+                raise QuipperError(f"undefined subroutine {name!r}")
+            memo[name] = None  # cycle guard
+            caller = self.frontier, self.total
+            self.frontier = {w: 0 for w, _ in sub.circuit.inputs}
+            self.total = 0
+            for gate in sub.circuit.gates:
+                self.gate(gate)
+            memo[name] = self.total
+            self.frontier, self.total = caller
+        if memo[name] is None:
+            raise QuipperError(f"recursive subroutine {name!r}")
+        return memo[name]
 
     def finish(self, end) -> int:
         return self.total

@@ -485,6 +485,36 @@ class TestQasmExport:
         with pytest.raises(QasmExportError):
             bcircuit_to_qasm(bc)
 
+    def test_refused_exports_leave_no_spool_file_open(self, monkeypatch):
+        import io
+        import tempfile
+
+        from repro.core.stream import replay_bcircuit
+        from repro.io import QasmExportError, QasmStreamWriter
+
+        opened = []
+        real = tempfile.TemporaryFile
+
+        def spy(*args, **kwargs):
+            opened.append(real(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+        classical_input = BCircuit(Circuit(
+            inputs=((0, CLASSICAL),), outputs=((0, CLASSICAL),)
+        ))
+        with pytest.raises(QasmExportError, match="classical input"):
+            replay_bcircuit(classical_input, QasmStreamWriter(io.StringIO()))
+        assert opened == []
+
+        classical_logic = BCircuit(Circuit(
+            gates=[CInit(0, False), CInit(1, False), CGate("and", 2, (0, 1))],
+            outputs=((0, CLASSICAL), (1, CLASSICAL), (2, CLASSICAL)),
+        ))
+        with pytest.raises(QasmExportError):
+            replay_bcircuit(classical_logic, QasmStreamWriter(io.StringIO()))
+        assert len(opened) == 1 and opened[0].closed
+
     def test_rotation_angles(self):
         from repro.io import bcircuit_to_qasm
 

@@ -162,6 +162,24 @@ class TestSpanNesting:
         assert by_name["stream"].tid != by_name["outer"].tid
         assert by_name["outer"].tid == threading.get_ident()
 
+    def test_materialized_consumers_each_open_a_replay_span(self):
+        program = _boxed_program()
+        program.bcircuit
+        with obs.capture() as rec:
+            program.count()
+            program.depth()
+            program.t_depth()
+            program.resources()
+            program.ascii()
+            program.dumps()
+            program.qasm()
+        consumers = {s.attrs["consumer"] for s in rec.spans
+                     if s.name == "replay"}
+        assert consumers == {
+            "StreamingCounter", "StreamingDepth", "StreamingResources",
+            "AsciiStreamWriter", "QasmStreamWriter",
+        }
+
     def test_stream_transformer_stages_report_body_counters(self):
         program = _boxed_program()
         with obs.capture() as rec:

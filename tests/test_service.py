@@ -404,17 +404,17 @@ class TestHttpEndpoints:
             async with service(max_running=1) as server:
                 def work():
                     with client_for(server) as svc:
-                        # The first job occupies the single execution slot
-                        # long enough for the second to be verifiably
-                        # queued when we cancel it.
-                        blocker = svc.submit(program="bwt",
-                                             params={"n": 5}, action="count")
                         victim = svc.submit(program="bell", action="depth")
                         cancelled = svc.cancel(victim["id"])
                         final = svc.wait(victim["id"], timeout=30)
-                        svc.wait(blocker["id"], timeout=60)
                         return cancelled, final
-                return await in_thread(work)
+                # Hold the single execution slot, so the victim is still
+                # queued when the cancel lands.
+                await server.jobs._running.acquire()
+                try:
+                    return await in_thread(work)
+                finally:
+                    server.jobs._running.release()
 
         cancelled, final = asyncio.run(scenario())
         assert final["state"] == "cancelled"

@@ -363,3 +363,37 @@ class TestStreamMechanics:
     def test_stream_repr_names_the_program(self):
         stream = _repeated_subroutine_program(3).stream(to_toffoli)
         assert "repeated" in repr(stream)
+
+
+class TestReusedWireIds:
+    """A wire id can come back after its wire dies; the streamed depth
+    must serialize the new life after the old one, as the materialized
+    depth does."""
+
+    def test_qasm_import_reusing_a_terminated_column(self):
+        text = "\n".join([
+            "OPENQASM 2.0;",
+            'include "qelib1.inc";',
+            "qreg q[2];",
+            *["h q[0];"] * 4,
+            "// assert q[0] == |0> (quipper termination)",
+            "h q[1];",
+            "h q[0];",
+            "cx q[0], q[1];",
+        ]) + "\n"
+        program = Program.loads_qasm(text)
+        assert program.depth() == program.stream().depth() == 8
+
+    def test_with_computed_recreates_its_ancilla(self):
+        def circ(qc, a, b):
+            def compute():
+                with qc.ancilla() as anc:
+                    for _ in range(3):
+                        qc.hadamard(anc)
+
+            qc.with_computed(compute, lambda _: qc.hadamard(b))
+            return a, b
+
+        materialized = Program.capture(circ, qubit, qubit)
+        streamed = Program.capture(circ, qubit, qubit)
+        assert streamed.stream().depth() == materialized.depth() == 10
