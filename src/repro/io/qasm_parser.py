@@ -17,7 +17,8 @@ OpenQASM 2 programs against ``qelib1.inc``:
   (the wire id is preserved and its type flips to classical), and
   ``if (c == v) ...`` becomes a classical :class:`~repro.core.gates.Control`;
 * parameterless ``gate`` definitions become
-  :class:`~repro.core.circuit.Subroutine` entries called through
+  :class:`~repro.core.circuit.Subroutine` entries, and every call to one,
+  at top level or inside another definition, is a
   :class:`~repro.core.gates.BoxCall`; parametrized definitions are
   inlined at each call site with the angle expressions evaluated;
 * the comment dialect written by the exporter (``// assert``,
@@ -29,18 +30,21 @@ OpenQASM 2 programs against ``qelib1.inc``:
 
 Angle expressions support the OpenQASM 2 grammar (``pi``, ``+ - * / ^``,
 ``sin``/``cos``/``tan``/``exp``/``ln``/``sqrt``); plain float literals
-round-trip bit-exactly.  Constructs outside the dialect (``reset``,
-conditioned measurement, conditions on multi-bit registers) raise
+round-trip bit-exactly, and an angle without a finite real value is
+rejected.  Constructs outside the dialect (``reset``, conditioned
+measurement, conditions on multi-bit registers) raise
 :class:`QasmParseError`.  See ``docs/interchange.md`` for the coverage
 table.
 """
 
 from __future__ import annotations
 
-import ast
 import math
+import operator
 import re
+import reprlib
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from ..core.circuit import BCircuit, Circuit, Subroutine
 from ..core.errors import QuipperError
@@ -69,131 +73,237 @@ class QasmParseError(QuipperError):
 # Angle expressions
 # ---------------------------------------------------------------------------
 
-_FUNCTIONS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
+#: Negation (``"u-"``) and the function-call markers (name plus ``"("``).
+_UNARY = {
+    "u-": operator.neg, "sin(": math.sin, "cos(": math.cos,
+    "tan(": math.tan, "exp(": math.exp, "ln(": math.log, "sqrt(": math.sqrt,
+}
+#: ``math.pow`` raises where ``**`` would return a complex number.
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "^": math.pow,
 }
 
-_ALLOWED_NODES = (
-    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
-    ast.Call, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow,
-    ast.USub, ast.UAdd, ast.Load,
+#: Binding strength.  ``^`` is right-associative and binds tighter than
+#: a sign on its left, as Python's ``**`` does (``-2^2 == -4``,
+#: ``2^-1 == 0.5``), so angles keep the floats Python arithmetic gives.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "u-": 3, "^": 4}
+
+#: Longer angle expressions are rejected, not evaluated.
+_MAX_ANGLE_TOKENS = 1000
+
+_ANGLE_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?P<junk>[\w.]*)"
+    r"|(?P<name>[^\W\d]\w*)(?P<call>\s*\()?|(?P<op>[-+*/^()])|(?P<other>.))",
+    re.DOTALL,
 )
 
 
-def _eval_angle(expr: str, env: dict[str, float]) -> float:
-    """Evaluate a QASM angle expression (``pi/2``, ``2*theta``, ...)."""
-    text = expr.strip().replace("^", "**")
+def _compile_angle(expr: str) -> list:
+    """Compile an angle expression to postfix code for :func:`_run_angle`.
+
+    Code items are float constants, parameter names and the operators
+    of :data:`_BINARY` and :data:`_UNARY`.  One shunting-yard pass: no
+    recursion, whatever the nesting.
+    """
+    text = expr.strip()
     if not text:
         raise QasmParseError("empty angle expression")
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise QasmParseError(f"bad angle expression {expr!r}") from exc
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
+    code: list = []
+    ops: list[str] = []
+    operand = True  # an operand or a prefix sign comes next
+    for count, token in enumerate(_ANGLE_TOKEN.finditer(text)):
+        if count == _MAX_ANGLE_TOKENS:
+            raise QasmParseError(
+                f"angle expression longer than {_MAX_ANGLE_TOKENS} tokens"
+            )
+        num, junk, name, call, op, other = token.groups()
+        if other:
             raise QasmParseError(
                 f"unsupported construct in angle expression {expr!r}"
             )
-
-    def run(node):
-        if isinstance(node, ast.Expression):
-            return run(node.body)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
-                return float(node.value)
-            raise QasmParseError(f"bad literal in {expr!r}")
-        if isinstance(node, ast.Name):
-            if node.id == "pi":
-                return math.pi
-            if node.id in env:
-                return float(env[node.id])
-            raise QasmParseError(f"unknown name {node.id!r} in {expr!r}")
-        if isinstance(node, ast.UnaryOp):
-            value = run(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
-        if isinstance(node, ast.BinOp):
-            left, right = run(node.left), run(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                return left / right
-            return left ** right
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.keywords:
+        if op is None or op == "(":
+            if not operand:
+                break
+            if junk:
+                raise QasmParseError(f"bad literal in {expr!r}")
+            if call and name + "(" not in _UNARY:
                 raise QasmParseError(f"bad function call in {expr!r}")
-            fn = _FUNCTIONS.get(node.func.id)
-            if fn is None or len(node.args) != 1:
-                raise QasmParseError(f"bad function call in {expr!r}")
-            return fn(run(node.args[0]))
-        raise QasmParseError(f"unsupported angle expression {expr!r}")
+            if op or call:
+                ops.append(name + "(" if call else "(")
+            else:
+                code.append(float(num) if num else
+                            math.pi if name == "pi" else name)
+                operand = False
+        elif op == ")":
+            if operand:
+                break
+            while ops and ops[-1][-1] != "(":
+                code.append(ops.pop())
+            if not ops:
+                break
+            if ops[-1] != "(":
+                code.append(ops[-1])
+            ops.pop()
+        elif operand:
+            if op not in "+-":
+                break
+            if op == "-":
+                ops.append("u-")
+        else:
+            rank = _PRECEDENCE[op] + (op == "^")  # right-associative
+            while ops and ops[-1][-1] != "(" and _PRECEDENCE[ops[-1]] >= rank:
+                code.append(ops.pop())
+            ops.append(op)
+            operand = True
+    else:
+        if not operand and all(op[-1] != "(" for op in ops):
+            return code + ops[::-1]
+    raise QasmParseError(f"bad angle expression {expr!r}")
 
-    return run(tree)
+
+def _run_angle(code: list, expr: str, env: dict[str, float]) -> float:
+    """Evaluate compiled angle *code*; *env* binds gate parameters."""
+    stack: list[float] = []
+    try:
+        for item in code:
+            if item.__class__ is float:
+                stack.append(item)
+            elif item in _BINARY:
+                right = stack.pop()
+                stack[-1] = _BINARY[item](stack[-1], right)
+            elif item in _UNARY:
+                stack[-1] = _UNARY[item](stack[-1])
+            elif item in env:
+                stack.append(env[item])
+            else:
+                raise QasmParseError(f"unknown name {item!r} in {expr!r}")
+    except (ArithmeticError, ValueError) as exc:
+        raise QasmParseError(f"cannot evaluate angle {expr!r}: {exc}") from None
+    if not math.isfinite(stack[0]):
+        raise QasmParseError(f"angle expression {expr!r} is not finite")
+    return stack[0]
 
 
-def _pi_power(angle: float) -> tuple[float, bool] | None:
-    """Match *angle* against ``+-2pi/2^p`` bit-exactly; ``(p, negated)``."""
-    magnitude = abs(angle)
-    for power in range(64):
-        if 2.0 * math.pi / (2.0 ** power) == magnitude:
-            return float(power), angle < 0
-    return None
+#: ``2pi/2^p -> p``: the ``u1``/``cu1`` angles that read as ``R(2pi/%)``.
+_PI_POWERS = {2.0 * math.pi / (2.0 ** power): float(power)
+              for power in range(64)}
+
+
+class _Builtin(NamedTuple):
+    """A qelib1 gate: arity and ``emit(params, wires, guard tuple, sink)``."""
+
+    n_params: int
+    n_wires: int
+    emit: Callable[[list, list, tuple, list], None]
+
+
+def _named(name: str, n_controls: int = 0, inverted: bool = False):
+    """Emit one NamedGate: the first *n_controls* wires control it."""
+    def emit(params, wires, extra, sink):
+        sink.append(NamedGate(
+            name, tuple(wires[n_controls:]),
+            tuple(map(Control, wires[:n_controls])) + extra, inverted,
+            params[0] if params else None,
+        ))
+    return emit
+
+
+def _u1(params, wires, extra, sink) -> None:
+    angle = params[0]
+    power = _PI_POWERS.get(abs(angle))
+    if power is not None:
+        sink.append(NamedGate("R(2pi/%)", (wires[-1],),
+                              tuple(map(Control, wires[:-1])) + extra,
+                              angle < 0, power))
+    else:
+        # diag(1, e^{i a}) on a wire is exactly a global phase
+        # controlled on that wire (the exporter's encoding of
+        # controlled phase gates, so this round-trips).
+        sink.append(NamedGate("phase", (), tuple(map(Control, wires)) + extra,
+                              param=angle))
+
+
+def _u3(params, wires, extra, sink) -> None:
+    # U(theta, phi, lam) == phase((phi+lam)/2) Rz(phi) Ry(theta) Rz(lam),
+    # exactly (not just up to phase), and u2 is U(pi/2, ...).  The two
+    # angle patterns the exporter emits fold back into single rotations.
+    theta, phi, lam = params if len(params) == 3 else (math.pi / 2.0, *params)
+    target, controls = (wires[-1],), tuple(map(Control, wires[:-1])) + extra
+    if phi == 0.0 and lam == 0.0:
+        sink.append(NamedGate("Ry", target, controls, param=theta))
+    elif phi == -math.pi / 2.0 and lam == math.pi / 2.0:
+        # Rz(-pi/2) Ry(theta) Rz(pi/2) == Rx(theta).
+        sink.append(NamedGate("Rx", target, controls, param=theta))
+    else:
+        if lam != 0.0:
+            sink.append(NamedGate("Rz", target, controls, param=lam))
+        sink.append(NamedGate("Ry", target, controls, param=theta))
+        if phi != 0.0:
+            sink.append(NamedGate("Rz", target, controls, param=phi))
+        if (phi + lam) / 2.0 != 0.0:
+            sink.append(NamedGate("phase", (), controls,
+                                  param=(phi + lam) / 2.0))
+
+
+_BUILTINS = {
+    "x": _Builtin(0, 1, _named("X")), "y": _Builtin(0, 1, _named("Y")),
+    "z": _Builtin(0, 1, _named("Z")), "h": _Builtin(0, 1, _named("H")),
+    "s": _Builtin(0, 1, _named("S")), "t": _Builtin(0, 1, _named("T")),
+    "sdg": _Builtin(0, 1, _named("S", inverted=True)),
+    "tdg": _Builtin(0, 1, _named("T", inverted=True)),
+    "id": _Builtin(0, 1, lambda params, wires, extra, sink: None),
+    "rx": _Builtin(1, 1, _named("Rx")), "ry": _Builtin(1, 1, _named("Ry")),
+    "rz": _Builtin(1, 1, _named("Rz")),
+    "u1": _Builtin(1, 1, _u1), "u2": _Builtin(2, 1, _u3),
+    "u3": _Builtin(3, 1, _u3), "U": _Builtin(3, 1, _u3),
+    "u": _Builtin(3, 1, _u3),
+    "cx": _Builtin(0, 2, _named("X", 1)), "CX": _Builtin(0, 2, _named("X", 1)),
+    "cy": _Builtin(0, 2, _named("Y", 1)), "cz": _Builtin(0, 2, _named("Z", 1)),
+    "ch": _Builtin(0, 2, _named("H", 1)),
+    "ccx": _Builtin(0, 3, _named("X", 2)),
+    "crz": _Builtin(1, 2, _named("Rz", 1)),
+    "cu1": _Builtin(1, 2, _u1), "cu3": _Builtin(3, 2, _u3),
+    "swap": _Builtin(0, 2, _named("swap")),
+    "cswap": _Builtin(0, 3, _named("swap", 1)),
+}
 
 
 # ---------------------------------------------------------------------------
 # Statement splitting
 # ---------------------------------------------------------------------------
 
+_NAME = re.compile(r"([A-Za-z_]\w*)\s*")
+
 
 def _split_call(stmt: str) -> tuple[str, list[str], list[str]]:
     """Split ``name(p1, p2) a, b`` into (name, param exprs, arg tokens)."""
-    match = re.match(r"^([A-Za-z_]\w*)\s*", stmt)
+    match = _NAME.match(stmt)
     if not match:
         raise QasmParseError(f"bad statement {stmt!r}")
-    name = match.group(1)
-    rest = stmt[match.end():].lstrip()
+    rest = stmt[match.end():]
     params: list[str] = []
     if rest.startswith("("):
-        depth, i = 0, 0
-        for i, char in enumerate(rest):
-            if char == "(":
-                depth += 1
-            elif char == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        else:
+        close = rest.rfind(")")
+        inner = rest[1:close]
+        if close < 0 or inner.count("(") != inner.count(")"):
             raise QasmParseError(f"unbalanced parentheses in {stmt!r}")
-        inner = rest[1:i]
         params = [p.strip() for p in inner.split(",")] if inner.strip() else []
-        rest = rest[i + 1:].strip()
+        rest = rest[close + 1:].strip()
     args = [a.strip() for a in rest.split(",")] if rest else []
     if any(not a for a in args):
         raise QasmParseError(f"bad argument list in {stmt!r}")
-    return name, params, args
-
-
-@dataclass
-class _Call:
-    """One statement of a ``gate`` body, unresolved."""
-
-    name: str
-    params: list[str]
-    args: list[str]
+    return match.group(1), params, args
 
 
 @dataclass
 class _GateDef:
     """A parsed custom ``gate`` definition."""
 
-    name: str
     params: tuple[str, ...]
     args: tuple[str, ...]
-    body: list[_Call] = field(default_factory=list)
+    #: (name, callee bound at definition, param exprs, args) per statement.
+    body: list[tuple] = field(default_factory=list)
 
 
 @dataclass
@@ -204,29 +314,20 @@ class _Creg:
     bits: dict[int, int] = field(default_factory=dict)
 
 
-# ---------------------------------------------------------------------------
-# Dialect comments (written by repro.io.qasm, read back here)
-# ---------------------------------------------------------------------------
-
-_TERM_C = re.compile(
-    r"^assert (\w+)\[(\d+)\] == \|([01])> \(quipper termination\)$"
-)
-_DISCARD_C = re.compile(r"^discard (\w+)\[(\d+)\]$")
-_CINIT_C = re.compile(r"^cinit (\w+) = 0$")
-_CTERM_C = re.compile(
-    r"^cterm (\w+) == ([01]) \(quipper classical termination\)$"
-)
-_CDISCARD_C = re.compile(r"^cdiscard (\w+)$")
-_PHASE_C = re.compile(
-    r"^global phase (omega|phase)(?:\(([^)]*)\))?(\*)? omitted$"
-)
-_OPAQUE_C = re.compile(r"^no qelib1 equivalent for '(.*)':$")
-
-_QREG = re.compile(r"^qreg\s+(\w+)\s*\[\s*(\d+)\s*\]$")
-_CREG = re.compile(r"^creg\s+(\w+)\s*\[\s*(\d+)\s*\]$")
-_MEASURE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
-_IF = re.compile(r"^if\s*\(\s*(\w+)\s*==\s*(\d+)\s*\)\s*(.+)$")
+_WORD = re.compile(r"[A-Za-z_]\w*")
+_GATE_WORD = re.compile(r"\s*gate(?:\s|$)")
+_HEADER = re.compile(r"^OPENQASM\s+(\S+)$")
 _ARG = re.compile(r"^(\w+)(?:\[(\d+)\])?$")
+
+#: Entries a per-import memo holds before it starts over, so input that
+#: seldom repeats itself costs bounded memory.
+_MEMO_ENTRIES = 4096
+
+
+def _remember(memo: dict, key: str, value) -> None:
+    if len(memo) >= _MEMO_ENTRIES:
+        memo.clear()
+    memo[key] = value
 
 
 class _Importer:
@@ -236,16 +337,20 @@ class _Importer:
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: dict[str, _Creg] = {}
         self.gates: list = []
-        self.types: dict[int, str] = {}
-        self.alive: list[int] = []  # insertion-ordered live wires
+        self.live: dict[int, str] = {}  # live wire -> its type
         self.gate_defs: dict[str, _GateDef] = {}
         self.opaques: dict[str, tuple[str, bool]] = {}
         self.namespace: dict[str, Subroutine] = {}
         self.pending_opaque: str | None = None
         self.saw_header = False
         self._next_fresh = 0
+        # Per-import memos: operand token -> wire, angle text -> compiled
+        # code, unguarded statement -> (what, wires, gates).
+        self.wires: dict[str, int] = {}
+        self.codes: dict[str, list] = {}
+        self.applied: dict[str, tuple[str, list[int], tuple]] = {}
 
-    # -- wires --------------------------------------------------------
+    # -- wires and angles ---------------------------------------------
 
     def _fresh_wire(self) -> int:
         wire = self._next_fresh
@@ -253,6 +358,9 @@ class _Importer:
         return wire
 
     def _qubit_wire(self, token: str) -> int:
+        wire = self.wires.get(token)
+        if wire is not None:
+            return wire
         match = _ARG.match(token)
         if not match or match.group(2) is None:
             raise QasmParseError(f"expected an indexed qubit, got {token!r}")
@@ -262,14 +370,11 @@ class _Importer:
         offset, size = self.qregs[name]
         if index >= size:
             raise QasmParseError(f"{token}: index out of range (size {size})")
+        self.wires[token] = offset + index
         return offset + index
 
-    def _kill(self, wire: int) -> None:
-        if wire in self.alive:
-            self.alive.remove(wire)
-
-    def _touch_quantum(self, wire: int, sink, what: str) -> None:
-        """Require *wire* to be a live qubit, resurrecting if needed.
+    def _touch(self, wires, what: str) -> None:
+        """Require *wires* to be live qubits, resurrecting dead ones.
 
         The exporter emits ``Init(False)`` silently, and the builder
         reuses wire ids after ``Term``/``Discard`` -- so a qubit column
@@ -278,64 +383,54 @@ class _Importer:
         covered too: the exporter renders it as the silent init plus an
         ``x``.)
         """
-        if wire in self.alive:
-            if self.types.get(wire) != QUANTUM:
+        live = self.live
+        for wire in wires:
+            kind = live.get(wire)
+            if kind is None:
+                self.gates.append(Init(wire, False))
+                live[wire] = QUANTUM
+            elif kind != QUANTUM:
                 raise QasmParseError(f"{what} touches classical wire {wire}")
-            return
-        sink.append(Init(wire, False))
-        self.types[wire] = QUANTUM
-        self.alive.append(wire)
+
+    def _angle(self, expr: str, env: dict[str, float]) -> float:
+        code = self.codes.get(expr)
+        if code is None:
+            code = _compile_angle(expr)
+            _remember(self.codes, expr, code)
+        return _run_angle(code, expr, env)
 
     # -- comment dialect ----------------------------------------------
 
     def comment(self, text: str) -> None:
         """Dispatch one ``//`` comment line (dialect marker or prose)."""
-        match = _OPAQUE_C.match(text)
+        entry = _COMMENTS.get(text.split(" ", 1)[0])
+        match = entry[0].match(text) if entry else None
         if match:
-            self.pending_opaque = match.group(1)
-            return
-        match = _TERM_C.match(text)
-        if match:
-            wire = self._qubit_wire(f"{match.group(1)}[{match.group(2)}]")
-            self.gates.append(Term(wire, match.group(3) == "1"))
-            self._kill(wire)
-            return
-        match = _DISCARD_C.match(text)
-        if match:
-            wire = self._qubit_wire(f"{match.group(1)}[{match.group(2)}]")
-            self.gates.append(Discard(wire))
-            self._kill(wire)
-            return
-        match = _CINIT_C.match(text)
-        if match:
-            creg = self._creg(match.group(1))
-            wire = self._fresh_wire()
-            creg.bits[0] = wire
-            self.gates.append(CInit(wire, False))
-            self.types[wire] = CLASSICAL
-            self.alive.append(wire)
-            return
-        match = _CTERM_C.match(text)
-        if match:
-            wire = self._bound_bit(match.group(1))
-            self.gates.append(CTerm(wire, match.group(2) == "1"))
-            self._kill(wire)
-            return
-        match = _CDISCARD_C.match(text)
-        if match:
-            wire = self._bound_bit(match.group(1))
-            self.gates.append(CDiscard(wire))
-            self._kill(wire)
-            return
-        match = _PHASE_C.match(text)
-        if match:
-            name, param, star = match.groups()
-            value = _parse_number(param) if param is not None else None
-            self.gates.append(
-                NamedGate(name, (), param=value, inverted=star is not None)
-            )
-            return
-        self.gates.append(Comment(text))
+            entry[1](self, *match.groups())
+        else:
+            self.gates.append(Comment(text))
+
+    def _opaque_comment(self, display: str) -> None:
+        self.pending_opaque = display
+
+    def _end(self, gate) -> None:
+        """Append *gate*, which ends the life of its wire."""
+        self.gates.append(gate)
+        self.live.pop(gate.wire, None)
+
+    def _cinit(self, name: str) -> None:
+        creg = self._creg(name)
+        wire = self._fresh_wire()
+        creg.bits[0] = wire
+        self.gates.append(CInit(wire, False))
+        self.live[wire] = CLASSICAL
+
+    def _phase_comment(self, name: str, param, star) -> None:
+        try:
+            value = None if param is None else _parse_number(param)
+        except (ArithmeticError, ValueError):
+            raise QasmParseError(f"bad global phase {param!r}") from None
+        self.gates.append(NamedGate(name, (), param=value, inverted=bool(star)))
 
     def _creg(self, name: str) -> _Creg:
         if name not in self.cregs:
@@ -357,8 +452,13 @@ class _Importer:
 
     def statement(self, stmt: str) -> None:
         """Dispatch one ``;``-terminated statement."""
+        seen = self.applied.get(stmt)
+        if seen is not None:
+            self._touch(seen[1], seen[0])
+            self.gates += seen[2]
+            return
         if not self.saw_header:
-            match = re.match(r"^OPENQASM\s+(\S+)$", stmt)
+            match = _HEADER.match(stmt)
             if not match or not match.group(1).startswith("2"):
                 raise QasmParseError(
                     "expected an 'OPENQASM 2.x;' header, got "
@@ -366,97 +466,66 @@ class _Importer:
                 )
             self.saw_header = True
             return
-        match = re.match(r'^include\s+"([^"]+)"$', stmt)
+        word = _WORD.match(stmt)
+        entry = _STATEMENTS.get(word.group()) if word else None
+        match = entry[0].match(stmt) if entry else None
         if match:
-            if match.group(1) != "qelib1.inc":
-                raise QasmParseError(
-                    f"unsupported include {match.group(1)!r} (only "
-                    "qelib1.inc is built in)"
-                )
-            return
-        match = _QREG.match(stmt)
-        if match:
-            name, size = match.group(1), int(match.group(2))
-            if name in self.qregs or name in self.cregs:
-                raise QasmParseError(f"duplicate register {name!r}")
-            offset = self._next_fresh
-            self.qregs[name] = (offset, size)
-            for i in range(size):
-                self.types[offset + i] = QUANTUM
-                self.alive.append(offset + i)
-            self._next_fresh += size
-            return
-        match = _CREG.match(stmt)
-        if match:
-            name, size = match.group(1), int(match.group(2))
-            if name in self.qregs or name in self.cregs:
-                raise QasmParseError(f"duplicate register {name!r}")
-            self.cregs[name] = _Creg(size)
-            return
-        if stmt.startswith("opaque"):
-            self._opaque_decl(stmt)
-            return
-        match = _MEASURE.match(stmt)
-        if match:
-            self._measure(match.group(1), match.group(2))
-            return
-        match = _IF.match(stmt)
-        if match:
-            self._conditional(*match.groups())
-            return
-        if stmt.startswith("barrier"):
-            return
-        if stmt.startswith("reset"):
-            raise QasmParseError(
-                "'reset' is outside the dialect (no extended-model "
-                "equivalent that preserves the wire)"
-            )
-        self._apply(stmt, guard=None)
-
-    def _opaque_decl(self, stmt: str) -> None:
-        name, params, args = _split_call(stmt[len("opaque"):].strip())
-        del params, args
-        if self.pending_opaque is not None:
-            display = self.pending_opaque
-            self.pending_opaque = None
-            inverted = display.endswith("*")
-            self.opaques[name] = (display.rstrip("*"), inverted)
+            entry[1](self, *match.groups())
         else:
-            base = name[3:] if name.startswith("op_") else name
-            self.opaques[name] = (base, False)
+            self._apply(stmt, None)
+
+    def _include(self, path: str) -> None:
+        if path != "qelib1.inc":
+            raise QasmParseError(
+                f"unsupported include {path!r} (only qelib1.inc is built in)"
+            )
+
+    def _register(self, kind: str, name: str, size: str) -> None:
+        if name in self.qregs or name in self.cregs:
+            raise QasmParseError(f"duplicate register {name!r}")
+        if kind == "c":
+            self.cregs[name] = _Creg(int(size))
+            return
+        offset = self._next_fresh
+        self._next_fresh += int(size)
+        self.qregs[name] = (offset, int(size))
+        self.live.update(dict.fromkeys(range(offset, self._next_fresh),
+                                       QUANTUM))
+
+    def _opaque_decl(self, rest: str) -> None:
+        name = _split_call(rest)[0]
+        display, self.pending_opaque = self.pending_opaque, None
+        if display is None:
+            display = name[3:] if name.startswith("op_") else name
+        self.opaques[name] = (display.rstrip("*"), display.endswith("*"))
+        self.applied.clear()  # the name may shadow a built-in gate
 
     def _measure(self, src: str, dst: str) -> None:
         src_m, dst_m = _ARG.match(src), _ARG.match(dst)
-        if not src_m or not dst_m:
+        if (not src_m or not dst_m
+                or (src_m.group(2) is None) != (dst_m.group(2) is None)):
             raise QasmParseError(f"bad measure operands {src!r} -> {dst!r}")
-        if src_m.group(2) is None and dst_m.group(2) is None:
-            # Whole-register broadcast: measure q -> c;
-            if src_m.group(1) not in self.qregs:
-                raise QasmParseError(
-                    f"undeclared quantum register {src_m.group(1)!r}"
-                )
-            _, size = self.qregs[src_m.group(1)]
-            creg = self._creg(dst_m.group(1))
-            if creg.size != size:
-                raise QasmParseError(
-                    f"measure {src} -> {dst}: register sizes differ"
-                )
-            for i in range(size):
-                self._measure_one(f"{src_m.group(1)}[{i}]",
-                                  dst_m.group(1), i)
+        qname, cname = src_m.group(1), dst_m.group(1)
+        if dst_m.group(2) is not None:
+            self._measure_one(src, cname, int(dst_m.group(2)))
             return
-        if src_m.group(2) is None or dst_m.group(2) is None:
-            raise QasmParseError(f"bad measure operands {src!r} -> {dst!r}")
-        self._measure_one(src, dst_m.group(1), int(dst_m.group(2)))
+        # Whole-register broadcast: measure q -> c;
+        if qname not in self.qregs:
+            raise QasmParseError(f"undeclared quantum register {qname!r}")
+        size = self.qregs[qname][1]
+        if self._creg(cname).size != size:
+            raise QasmParseError(f"measure {src} -> {dst}: register sizes differ")
+        for i in range(size):
+            self._measure_one(f"{qname}[{i}]", cname, i)
 
     def _measure_one(self, src: str, cname: str, bit: int) -> None:
         wire = self._qubit_wire(src)
-        self._touch_quantum(wire, self.gates, f"measure {src}")
+        self._touch((wire,), f"measure {src}")
         creg = self._creg(cname)
         if bit >= creg.size:
             raise QasmParseError(f"{cname}[{bit}]: index out of range")
         self.gates.append(Measure(wire))
-        self.types[wire] = CLASSICAL
+        self.live[wire] = CLASSICAL
         creg.bits[bit] = wire
 
     def _conditional(self, cname: str, value: str, inner: str) -> None:
@@ -473,33 +542,33 @@ class _Importer:
         if 0 not in creg.bits:
             # An unwritten creg reads 0: bind it to a fresh classical
             # wire initialized False so the guard simulates faithfully.
-            wire = self._fresh_wire()
-            creg.bits[0] = wire
-            self.gates.append(CInit(wire, False))
-            self.types[wire] = CLASSICAL
-            self.alive.append(wire)
+            self._cinit(cname)
         inner = inner.strip()
         if inner.startswith("measure") or inner.startswith("if"):
             raise QasmParseError(
                 f"conditioned {inner.split()[0]!r} is outside the dialect"
             )
-        guard = Control(creg.bits[0], int(value) == 1, CLASSICAL)
-        self._apply(inner, guard=guard)
+        self._apply(inner, Control(creg.bits[0], int(value) == 1, CLASSICAL))
+
+    def _reset(self) -> None:
+        raise QasmParseError(
+            "'reset' is outside the dialect (no extended-model "
+            "equivalent that preserves the wire)"
+        )
 
     # -- gate applications --------------------------------------------
 
     def _apply(self, stmt: str, guard: Control | None) -> None:
-        name, param_exprs, arg_tokens = _split_call(stmt)
-        params = [_eval_angle(p, {}) for p in param_exprs]
-        broadcast = [
-            (token, _ARG.match(token)) for token in arg_tokens
-        ]
-        if any(m is None for _, m in broadcast):
+        """Apply one gate statement; whole-register operands broadcast."""
+        name, exprs, tokens = _split_call(stmt)
+        params = [self._angle(p, {}) for p in exprs]
+        operands = [_ARG.match(token) for token in tokens]
+        if None in operands:
             raise QasmParseError(f"bad operand in {stmt!r}")
-        if broadcast and all(m.group(2) is None for _, m in broadcast):
+        if operands and all(m.group(2) is None for m in operands):
             # Whole-register broadcast: h q;  cx a, b;
             sizes = set()
-            for token, m in broadcast:
+            for token, m in zip(tokens, operands):
                 if m.group(1) not in self.qregs:
                     raise QasmParseError(
                         f"undeclared quantum register {token!r}"
@@ -509,174 +578,81 @@ class _Importer:
                 raise QasmParseError(
                     f"broadcast over differently-sized registers in {stmt!r}"
                 )
-            for i in range(sizes.pop()):
-                wires = [
-                    self._qubit_wire(f"{m.group(1)}[{i}]")
-                    for _, m in broadcast
-                ]
-                self._dispatch(name, params, wires, guard, self.gates)
-            return
-        wires = [self._qubit_wire(token) for token in arg_tokens]
-        if len(set(wires)) != len(wires):
-            raise QasmParseError(f"repeated qubit operand in {stmt!r}")
-        self._dispatch(name, params, wires, guard, self.gates)
-
-    def _dispatch(self, name, params, wires, guard, sink) -> None:
-        """Resolve one application into extended-model gates on *sink*."""
-        for wire in wires:
-            self._touch_quantum(wire, sink, f"gate {name!r}")
-        if name in self.gate_defs:
-            self._apply_custom(self.gate_defs[name], params, wires, guard,
-                               sink)
-            return
-        if name in self.opaques:
-            base, inverted = self.opaques[name]
-            extra = (guard,) if guard else ()
-            sink.append(
-                NamedGate(base, tuple(wires), extra, inverted=inverted)
-            )
-            return
-        self._apply_builtin(name, params, wires, guard, sink)
-
-    def _apply_custom(self, define, params, wires, guard, sink) -> None:
-        if len(params) != len(define.params) or len(wires) != len(define.args):
-            raise QasmParseError(
-                f"gate {define.name!r} expects {len(define.params)} "
-                f"params / {len(define.args)} qubits"
-            )
-        if not define.params and sink is self.gates:
-            # Parameterless definitions stay hierarchical: one Subroutine,
-            # called through BoxCall (mirrors Quipper's boxed subcircuits).
-            endpoints = tuple((w, QUANTUM) for w in wires)
-            sink.append(
-                BoxCall(
-                    name=define.name,
-                    in_wires=endpoints,
-                    out_wires=endpoints,
-                    controls=(guard,) if guard else (),
-                )
-            )
-            return
-        # Parametrized definitions (or nested expansion inside another
-        # body) inline with formals substituted.
-        env = dict(zip(define.params, params))
-        wire_map = dict(zip(define.args, wires))
-        for call in define.body:
-            values = [_eval_angle(p, env) for p in call.params]
-            try:
-                mapped = [wire_map[a] for a in call.args]
-            except KeyError as exc:
-                raise QasmParseError(
-                    f"gate {define.name!r} uses undeclared qubit "
-                    f"argument {exc.args[0]!r}"
-                ) from None
-            self._dispatch(call.name, values, mapped, guard, sink)
-
-    def _apply_builtin(self, name, params, wires, guard, sink) -> None:
-        extra = (guard,) if guard else ()
-
-        def put(gname, targets, controls=(), inverted=False, param=None):
-            sink.append(
-                NamedGate(
-                    gname, tuple(targets), tuple(controls) + extra,
-                    inverted=inverted, param=param,
-                )
-            )
-
-        def need(n_params, n_wires):
-            if len(params) != n_params or len(wires) != n_wires:
-                raise QasmParseError(
-                    f"{name} expects {n_params} params / {n_wires} qubits"
-                )
-
-        def u1_like(angle, controls):
-            power = _pi_power(angle)
-            if power is not None:
-                put("R(2pi/%)", wires[-1:], controls, inverted=power[1],
-                    param=power[0])
-            else:
-                # diag(1, e^{i a}) on a wire is exactly a global phase
-                # controlled on that wire (the exporter's encoding of
-                # controlled phase gates, so this round-trips).
-                put("phase", (), tuple(controls) + (Control(wires[-1]),),
-                    param=angle)
-
-        def u3_like(theta, phi, lam, controls):
-            # U(theta, phi, lam) == phase((phi+lam)/2) Rz(phi) Ry(theta)
-            # Rz(lam), exactly (not just up to phase).  The two angle
-            # patterns the exporter itself emits fold back into single
-            # vocabulary rotations.
-            if phi == 0.0 and lam == 0.0:
-                put("Ry", wires[-1:], controls, param=theta)
-                return
-            if phi == -math.pi / 2.0 and lam == math.pi / 2.0:
-                # Rz(-pi/2) Ry(theta) Rz(pi/2) == Rx(theta).
-                put("Rx", wires[-1:], controls, param=theta)
-                return
-            if lam != 0.0:
-                put("Rz", wires[-1:], controls, param=lam)
-            put("Ry", wires[-1:], controls, param=theta)
-            if phi != 0.0:
-                put("Rz", wires[-1:], controls, param=phi)
-            if (phi + lam) / 2.0 != 0.0:
-                put("phase", (), controls, param=(phi + lam) / 2.0)
-
-        simple = {"x": "X", "y": "Y", "z": "Z", "h": "H", "s": "S",
-                  "t": "T", "sdg": "S", "tdg": "T"}
-        rotations = {"rx": "Rx", "ry": "Ry", "rz": "Rz"}
-        controlled = {"cx": "X", "CX": "X", "cy": "Y", "cz": "Z",
-                      "ch": "H"}
-        if name in simple:
-            need(0, 1)
-            put(simple[name], wires, inverted=name in ("sdg", "tdg"))
-        elif name == "id":
-            need(0, 1)
-        elif name in rotations:
-            need(1, 1)
-            put(rotations[name], wires, param=params[0])
-        elif name == "u1":
-            need(1, 1)
-            u1_like(params[0], ())
-        elif name == "u2":
-            need(2, 1)
-            u3_like(math.pi / 2.0, params[0], params[1], ())
-        elif name in ("u3", "U", "u"):
-            need(3, 1)
-            u3_like(params[0], params[1], params[2], ())
-        elif name in controlled:
-            need(0, 2)
-            put(controlled[name], wires[1:], (Control(wires[0]),))
-        elif name == "ccx":
-            need(0, 3)
-            put("X", wires[2:], (Control(wires[0]), Control(wires[1])))
-        elif name == "crz":
-            need(1, 2)
-            put("Rz", wires[1:], (Control(wires[0]),), param=params[0])
-        elif name == "cu1":
-            need(1, 2)
-            u1_like(params[0], (Control(wires[0]),))
-        elif name == "cu3":
-            need(3, 2)
-            u3_like(params[0], params[1], params[2], (Control(wires[0]),))
-        elif name == "swap":
-            need(0, 2)
-            put("swap", wires)
-        elif name == "cswap":
-            need(0, 3)
-            put("swap", wires[1:], (Control(wires[0]),))
+            rows = [[self._qubit_wire(f"{m.group(1)}[{i}]") for m in operands]
+                    for i in range(sizes.pop())]
         else:
+            rows = [[self._qubit_wire(token) for token in tokens]]
+        what = f"gate {name!r}"
+        for wires in rows:
+            if len(set(wires)) != len(wires):
+                raise QasmParseError(f"repeated qubit operand in {stmt!r}")
+            self._touch(wires, what)
+            start = len(self.gates)
+            self._call(self._callee(name), name, params, wires, guard,
+                       self.gates)
+        if guard is None and len(rows) == 1:
+            _remember(self.applied, stmt,
+                      (what, rows[0], tuple(self.gates[start:])))
+
+    def _callee(self, name: str):
+        """What *name* applies: a definition, an opaque or a built-in."""
+        callee = (self.gate_defs.get(name) or self.opaques.get(name)
+                  or _BUILTINS.get(name))
+        if callee is None:
             raise QasmParseError(f"unknown gate {name!r}")
+        return callee
+
+    def _call(self, callee, name, params, wires, guard, sink) -> None:
+        """Resolve one application into extended-model gates on *sink*."""
+        extra = (guard,) if guard else ()
+        if callee.__class__ is _Builtin:
+            if len(params) != callee.n_params or len(wires) != callee.n_wires:
+                raise QasmParseError(
+                    f"{name} expects {callee.n_params} params / "
+                    f"{callee.n_wires} qubits"
+                )
+            callee.emit(params, wires, extra, sink)
+        elif callee.__class__ is _GateDef:
+            if (len(params) != len(callee.params)
+                    or len(wires) != len(callee.args)):
+                raise QasmParseError(
+                    f"gate {name!r} expects {len(callee.params)} "
+                    f"params / {len(callee.args)} qubits"
+                )
+            if callee.params:
+                self._inline(callee, dict(zip(callee.params, params)),
+                             wires, guard, sink)
+            else:
+                # Parameterless definitions stay hierarchical: one
+                # Subroutine, called through BoxCall (Quipper's boxed
+                # subcircuits), from other definitions too.
+                endpoints = tuple((w, QUANTUM) for w in wires)
+                sink.append(BoxCall(name=name, in_wires=endpoints,
+                                    out_wires=endpoints, controls=extra))
+        else:  # opaque: (display name, inverted)
+            sink.append(NamedGate(callee[0], tuple(wires), extra, callee[1]))
+
+    def _inline(self, define, env, wires, guard, sink) -> None:
+        """Expand *define*'s body onto *wires*, parameters bound by *env*."""
+        wire_map = dict(zip(define.args, wires))
+        for name, callee, exprs, args in define.body:
+            self._call(callee, name, [self._angle(p, env) for p in exprs],
+                       [wire_map[a] for a in args], guard, sink)
 
     # -- gate definitions ---------------------------------------------
 
-    def define_gate(self, header: str, body: str) -> None:
-        """Process a ``gate name(params) args { body }`` definition."""
-        name, params, args = _split_call(header)
+    def define_gate(self, source: str) -> None:
+        """Read ``gate name(params) args { body``; body calls bind to the
+        gates defined before it, so a definition cannot reach itself."""
+        brace = source.find("{")
+        if brace < 0:
+            raise QasmParseError(f"gate definition without a body {source!r}")
+        name, params, args = _split_call(source[len("gate"):brace].strip())
         if (name in self.gate_defs or name in self.opaques
                 or name in self.qregs or name in self.cregs):
             raise QasmParseError(f"duplicate definition of {name!r}")
-        define = _GateDef(name, tuple(params), tuple(args))
-        for raw in body.split(";"):
+        define = _GateDef(tuple(params), tuple(args))
+        for raw in source[brace + 1:].split(";"):
             stmt = raw.strip()
             if not stmt or stmt.startswith("barrier"):
                 continue
@@ -686,29 +662,20 @@ class _Importer:
                 raise QasmParseError(
                     f"gate {name!r} body uses undeclared qubits {unknown}"
                 )
-            define.body.append(_Call(cname, cparams, cargs))
-        self.gate_defs[name] = define
+            define.body.append((cname, self._callee(cname), cparams, cargs))
         if not params:
             # Parameterless: build the Subroutine now so call sites can
             # stay hierarchical BoxCalls.
             formals = list(range(len(args)))
             gates: list = []
-            env_def = _GateDef(name, (), tuple(args), define.body)
-            saved_alive, saved_types = self.alive, dict(self.types)
-            self.alive = list(formals)
-            self.types = {w: QUANTUM for w in formals}
-            try:
-                self._apply_custom(env_def, [], formals, None, gates)
-            finally:
-                self.alive, self.types = saved_alive, saved_types
+            self._inline(define, {}, formals, None, gates)
             endpoints = tuple((w, QUANTUM) for w in formals)
+            shape = tuple(Qubit(w) for w in formals)
             self.namespace[name] = Subroutine(
-                name=name,
-                circuit=Circuit(inputs=endpoints, gates=gates,
-                                outputs=endpoints),
-                in_shape=tuple(Qubit(w) for w in formals),
-                out_shape=tuple(Qubit(w) for w in formals),
+                name, Circuit(endpoints, gates, endpoints), shape, shape
             )
+        self.gate_defs[name] = define
+        self.applied.clear()  # the name may shadow a built-in gate
 
     # -- assembly -----------------------------------------------------
 
@@ -716,26 +683,56 @@ class _Importer:
         """Assemble the accumulated program into a checked circuit."""
         if not self.saw_header:
             raise QasmParseError("empty input (no OPENQASM header)")
-        inputs = tuple(
-            (offset + i, QUANTUM)
-            for _, (offset, size) in sorted(
-                self.qregs.items(), key=lambda item: item[1][0]
-            )
-            for i in range(size)
-        )
-        outputs = tuple(
-            (wire, self.types[wire]) for wire in sorted(self.alive)
-        )
-        bc = BCircuit(
-            Circuit(inputs=inputs, gates=self.gates, outputs=outputs),
-            self.namespace,
-        )
+        inputs = tuple((wire, QUANTUM)
+                       for offset, size in sorted(self.qregs.values())
+                       for wire in range(offset, offset + size))
+        outputs = tuple(sorted(self.live.items()))
+        bc = BCircuit(Circuit(inputs, self.gates, outputs), self.namespace)
         if check:
             bc.check()
         return bc
 
 
-_GATE_HEADER = re.compile(r"^gate\s+(.+)$", re.DOTALL)
+_ALWAYS = re.compile("")
+
+#: Keyword -> (statement pattern, handler taking the pattern's groups).
+#: A statement that misses its pattern is read as a gate application.
+_STATEMENTS = {
+    "include": (re.compile(r'^include\s+"([^"]+)"$'), _Importer._include),
+    "qreg": (re.compile(r"^([qc])reg\s+(\w+)\s*\[\s*(\d+)\s*\]$"),
+             _Importer._register),
+    "opaque": (re.compile(r"^opaque\s+(.*)$"), _Importer._opaque_decl),
+    "measure": (re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$"),
+                _Importer._measure),
+    "if": (re.compile(r"^if\s*\(\s*(\w+)\s*==\s*(\d+)\s*\)\s*(.+)$"),
+           _Importer._conditional),
+    "barrier": (_ALWAYS, lambda importer: None),
+    "reset": (_ALWAYS, _Importer._reset),
+}
+_STATEMENTS["creg"] = _STATEMENTS["qreg"]
+
+#: First word of a dialect comment -> (exact pattern, reader).
+_COMMENTS = {
+    "no": (re.compile(r"^no qelib1 equivalent for '(.*)':$"),
+           _Importer._opaque_comment),
+    "assert": (
+        re.compile(r"^assert (\w+\[\d+\]) == \|([01])> "
+                   r"\(quipper termination\)$"),
+        lambda imp, token, bit: imp._end(
+            Term(imp._qubit_wire(token), bit == "1"))),
+    "discard": (re.compile(r"^discard (\w+\[\d+\])$"),
+                lambda imp, token: imp._end(Discard(imp._qubit_wire(token)))),
+    "cinit": (re.compile(r"^cinit (\w+) = 0$"), _Importer._cinit),
+    "cterm": (
+        re.compile(r"^cterm (\w+) == ([01]) "
+                   r"\(quipper classical termination\)$"),
+        lambda imp, name, bit: imp._end(
+            CTerm(imp._bound_bit(name), bit == "1"))),
+    "cdiscard": (re.compile(r"^cdiscard (\w+)$"),
+                 lambda imp, name: imp._end(CDiscard(imp._bound_bit(name)))),
+    "global": (re.compile(r"^global phase (omega|phase)(?:\(([^)]*)\))?"
+                          r"(\*)? omitted$"), _Importer._phase_comment),
+}
 
 
 def parse_qasm(text: str, check: bool = True) -> BCircuit:
@@ -745,51 +742,41 @@ def parse_qasm(text: str, check: bool = True) -> BCircuit:
     with :meth:`~repro.core.circuit.BCircuit.check`, so malformed input
     is rejected rather than producing an inconsistent hierarchy.  Raises
     :class:`QasmParseError` for syntax errors and for constructs outside
-    the supported dialect.
+    the supported dialect.  One pass over the lines: a statement spread
+    over several lines is collected and joined once.
     """
     importer = _Importer()
-    buffer = ""
+    parts: list[str] = []  # an unfinished statement, one piece per line
+    gate = False  # ... is a gate definition, which ends at "}"
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
-        if not buffer and line.startswith("//"):
-            importer.comment(line[2:].strip())
+        if line.startswith("//"):
+            if not parts:
+                importer.comment(line[2:].strip())
             continue
-        if "//" in line and '"' not in line:
-            line = line.split("//", 1)[0].strip()
-            if not line:
-                continue
-        buffer = f"{buffer} {line}".strip() if buffer else line
         try:
-            buffer = _drain(importer, buffer)
+            cut = line.find("//")
+            if cut >= 0:
+                line = line[:cut].rstrip()
+            pos = 0
+            while pos < len(line):
+                if not parts:
+                    gate = _GATE_WORD.match(line, pos) is not None
+                end = line.find("}" if gate else ";", pos)
+                if end < 0:
+                    parts.append(line[pos:])
+                    break
+                parts.append(line[pos:end])
+                stmt, parts, pos = " ".join(parts).strip(), [], end + 1
+                if gate:
+                    importer.define_gate(stmt)
+                elif stmt:
+                    importer.statement(stmt)
         except QasmParseError as exc:
             raise QasmParseError(f"line {lineno}: {exc}") from None
-    if buffer:
-        raise QasmParseError(f"unterminated statement {buffer!r}")
+    if parts:  # reprlib shortens what may be the rest of a long file
+        unfinished = reprlib.repr(" ".join(parts).strip())
+        raise QasmParseError(f"unterminated statement {unfinished}")
     return importer.finish(check)
-
-
-def _drain(importer: _Importer, buffer: str) -> str:
-    """Consume complete statements from *buffer*; return the remainder."""
-    while buffer:
-        if _GATE_HEADER.match(buffer):
-            open_brace = buffer.find("{")
-            if open_brace < 0:
-                return buffer
-            close_brace = buffer.find("}", open_brace)
-            if close_brace < 0:
-                return buffer
-            header = buffer[len("gate"):open_brace].strip()
-            body = buffer[open_brace + 1:close_brace]
-            importer.define_gate(header, body)
-            buffer = buffer[close_brace + 1:].strip()
-            continue
-        semi = buffer.find(";")
-        if semi < 0:
-            return buffer
-        stmt = buffer[:semi].strip()
-        buffer = buffer[semi + 1:].strip()
-        if stmt:
-            importer.statement(stmt)
-    return buffer

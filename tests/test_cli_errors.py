@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.bwt.main import main as bwt_main
+from repro.algorithms.gse.main import main as gse_main
 from repro.algorithms.tf.main import main as tf_main
 
 
@@ -57,6 +58,21 @@ class TestTfCli:
     def test_valid_invocation_still_exits_0(self, capsys):
         assert tf_main(["-s", "pow17", "-l", "2", "-f", "gatecount"]) == 0
         assert "error" not in capsys.readouterr().err
+
+
+class TestQasmInputCli:
+    def test_malformed_angle_exits_2_with_one_line(self, tmp_path, capsys):
+        # 5,000 signs once overflowed the recursive angle evaluator.
+        source = tmp_path / "signs.qasm"
+        source.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+                          f"qreg q[1];\nrz({'-' * 5000}1) q[0];\n")
+        status = gse_main(["-i", str(source), "-f", "gatecount"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "Traceback" not in captured.err
+        lines = [line for line in captured.err.splitlines() if line]
+        assert len(lines) == 1
+        assert ": error: line 4: angle expression" in lines[0]
 
 
 class TestArgparseErrorsUnchanged:
