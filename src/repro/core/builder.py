@@ -34,13 +34,11 @@ import warnings
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
-from .circuit import BCircuit, Circuit, Subroutine
+from .circuit import BCircuit, Circuit, Subroutine, track_gate
 from .errors import (
     BoxError,
-    CloningError,
     DanglingWiresError,
     DanglingWiresWarning,
-    DeadWireError,
     DynamicLiftingError,
     QuipperError,
     ScopeError,
@@ -162,54 +160,12 @@ class Circ:
 
     # -- gate emission ------------------------------------------------------
 
-    def _check_ins(self, gate: Gate) -> None:
-        seen: set[int] = set()
-        for wire, wtype in gate.wires_in():
-            if wire in seen and wtype == QUANTUM:
-                # No-cloning applies to qubits; classical wires (e.g. the
-                # inputs of a CGate) may be fanned out freely.
-                raise CloningError(f"wire {wire} used twice in {gate}")
-            seen.add(wire)
-            if wire not in self._live:
-                raise DeadWireError(f"gate {gate} uses dead wire {wire}")
-            if self._live[wire] != wtype:
-                raise WireTypeError(
-                    f"gate {gate} expects type {wtype} on wire {wire}, "
-                    f"found {self._live[wire]}"
-                )
-
-    def _track(self, gate: Gate) -> None:
-        """Validate a gate against the live-wire map and apply its effects.
-
-        This is the bookkeeping half of :meth:`_emit_raw`: the fused
-        transformer pipeline (:mod:`repro.transform.pipeline`) uses it to
-        thread liveness through a stage without re-emitting the gate.
-        """
-        self._check_ins(gate)
-        ins = gate.wires_in()
-        outs = gate.wires_out()
-        out_ids = {w for w, _ in outs}
-        in_ids = {w for w, _ in ins}
-        if isinstance(gate, BoxCall):
-            sub = self.namespace.get(gate.name)
-            if sub is None:
-                raise BoxError(f"undefined subroutine {gate.name!r}")
-            transient = len(self._live) - len(gate.in_wires) + sub.width(
-                self.namespace
-            )
-            self._max_live = max(self._max_live, transient)
-        for wire, _ in ins:
-            if wire not in out_ids:
-                del self._live[wire]
-        for wire, wtype in outs:
-            if wire not in in_ids and wire in self._live:
-                raise CloningError(f"gate {gate} re-creates live wire {wire}")
-            self._live[wire] = wtype
-        self._max_live = max(self._max_live, len(self._live))
-
     def _emit_raw(self, gate: Gate) -> None:
-        """Emit a gate verbatim (no block controls added)."""
-        self._track(gate)
+        """Emit a gate verbatim (no block controls added), validated and
+        applied to the live wires by :func:`~repro.core.circuit.track_gate`."""
+        width = track_gate(self._live, gate, self.namespace)
+        if width > self._max_live:
+            self._max_live = width
         self.gates.append(gate)
 
     def _emit(self, gate: Gate) -> None:
@@ -228,11 +184,8 @@ class Circ:
 
     def qinit_qubit(self, value: bool = False) -> Qubit:
         """Allocate one fresh qubit initialized to |value> (``0 |-``)."""
-        wid = self._fresh_id()
-        gate = Init(wid, bool(value))
-        self._live[wid] = QUANTUM
-        self._max_live = max(self._max_live, len(self._live))
-        self.gates.append(gate)
+        wid = self._birth(QUANTUM)
+        self.gates.append(Init(wid, bool(value)))
         return Qubit(wid)
 
     def qinit(self, value):
@@ -284,9 +237,7 @@ class Circ:
             self._emit_raw(Discard(leaf.wire_id))
 
     def cinit_bit(self, value: bool = False) -> Bit:
-        wid = self._fresh_id()
-        self._live[wid] = CLASSICAL
-        self._max_live = max(self._max_live, len(self._live))
+        wid = self._birth(CLASSICAL)
         self.gates.append(CInit(wid, bool(value)))
         return Bit(wid)
 
@@ -469,11 +420,7 @@ class Circ:
         """Compute a named boolean function of Bits into a fresh Bit."""
         input_ids = tuple(b.wire_id for b in inputs)
         wid = self._fresh_id()
-        gate = CGate(name, wid, input_ids)
-        self._check_ins(gate)
-        self._live[wid] = CLASSICAL
-        self._max_live = max(self._max_live, len(self._live))
-        self.gates.append(gate)
+        self._emit_raw(CGate(name, wid, input_ids))
         return Bit(wid)
 
     def cgate_xor(self, *inputs: Bit) -> Bit:

@@ -36,7 +36,7 @@ class Control(NamedTuple):
     wire_type: str = QUANTUM
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """Abstract base class for gates; use the concrete subclasses."""
 
@@ -153,7 +153,7 @@ def acts_diagonally_on(gate: Gate, wire: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NamedGate(Gate):
     """A named (pseudo-)unitary gate applied to quantum target wires.
 
@@ -248,7 +248,7 @@ def _fmt_param(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Init(Gate):
     """Allocate a fresh qubit in state |value> (the paper's ``0 |-``)."""
 
@@ -265,7 +265,7 @@ class Init(Gate):
         return Term(self.wire, self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term(Gate):
     """Assertively terminate a qubit, asserting it is in state |value>.
 
@@ -287,7 +287,7 @@ class Term(Gate):
         return Init(self.wire, self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Discard(Gate):
     """Drop a qubit without asserting its state (yields a mixed state)."""
 
@@ -303,7 +303,7 @@ class Discard(Gate):
         raise IrreversibleError("cannot reverse a Discard gate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CInit(Gate):
     """Allocate a fresh classical wire holding *value*."""
 
@@ -320,7 +320,7 @@ class CInit(Gate):
         return CTerm(self.wire, self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CTerm(Gate):
     """Assertively terminate a classical wire asserted to equal *value*."""
 
@@ -337,7 +337,7 @@ class CTerm(Gate):
         return CInit(self.wire, self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CDiscard(Gate):
     """Drop a classical wire."""
 
@@ -353,7 +353,7 @@ class CDiscard(Gate):
         raise IrreversibleError("cannot reverse a CDiscard gate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measure(Gate):
     """Measure a qubit in the computational basis, turning it into a Bit.
 
@@ -379,7 +379,7 @@ class Measure(Gate):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CGate(Gate):
     """A classical logic gate writing f(inputs) into a fresh classical wire.
 
@@ -410,7 +410,7 @@ class CGate(Gate):
         return replace(self, uncompute=not self.uncompute)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CNot(Gate):
     """In-place classical NOT of a classical wire, possibly controlled."""
 
@@ -433,7 +433,7 @@ class CNot(Gate):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comment(Gate):
     """A no-op annotation, optionally labelling wires (Section 5.3.1)."""
 
@@ -450,7 +450,7 @@ class Comment(Gate):
         return replace(self, inverted=not self.inverted)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxCall(Gate):
     """Invocation of a boxed subcircuit (Section 4.4.4).
 

@@ -330,6 +330,14 @@ def _remember(memo: dict, key: str, value) -> None:
     memo[key] = value
 
 
+def _check_arity(define: _GateDef, name: str, params, wires) -> None:
+    if len(params) != len(define.params) or len(wires) != len(define.args):
+        raise QasmParseError(
+            f"gate {name!r} expects {len(define.params)} "
+            f"params / {len(define.args)} qubits"
+        )
+
+
 class _Importer:
     """Single-pass OpenQASM 2 reader building the extended circuit model."""
 
@@ -613,12 +621,7 @@ class _Importer:
                 )
             callee.emit(params, wires, extra, sink)
         elif callee.__class__ is _GateDef:
-            if (len(params) != len(callee.params)
-                    or len(wires) != len(callee.args)):
-                raise QasmParseError(
-                    f"gate {name!r} expects {len(callee.params)} "
-                    f"params / {len(callee.args)} qubits"
-                )
+            _check_arity(callee, name, params, wires)
             if callee.params:
                 self._inline(callee, dict(zip(callee.params, params)),
                              wires, guard, sink)
@@ -633,11 +636,26 @@ class _Importer:
             sink.append(NamedGate(callee[0], tuple(wires), extra, callee[1]))
 
     def _inline(self, define, env, wires, guard, sink) -> None:
-        """Expand *define*'s body onto *wires*, parameters bound by *env*."""
-        wire_map = dict(zip(define.args, wires))
-        for name, callee, exprs, args in define.body:
-            self._call(callee, name, [self._angle(p, env) for p in exprs],
-                       [wire_map[a] for a in args], guard, sink)
+        """Expand *define*'s body onto *wires*, parameters bound by *env*.
+
+        Parametrized callees expand on an explicit stack of bodies, not
+        by recursion, so a chain of definitions of any depth inlines.
+        """
+        stack = [(iter(define.body), env, dict(zip(define.args, wires)))]
+        while stack:
+            body, env, wire_map = stack[-1]
+            for name, callee, exprs, args in body:
+                params = [self._angle(p, env) for p in exprs]
+                wires = [wire_map[a] for a in args]
+                if callee.__class__ is _GateDef and callee.params:
+                    _check_arity(callee, name, params, wires)
+                    stack.append((iter(callee.body),
+                                  dict(zip(callee.params, params)),
+                                  dict(zip(callee.args, wires))))
+                    break
+                self._call(callee, name, params, wires, guard, sink)
+            else:
+                stack.pop()
 
     # -- gate definitions ---------------------------------------------
 

@@ -6,9 +6,12 @@ measurement are simulated in polynomial time, which is "especially useful
 in testing oracles" (Section 4.4.5) and for checking the statevector
 simulator against an independent implementation.
 
-Because the builder never reuses wire ids, initialization is handled by
-pre-allocating one tableau column per wire ever used; Term measures the
-qubit and checks the programmer's assertion.
+Initialization is handled by pre-allocating one tableau column per wire
+id ever used; Term measures the qubit and checks the programmer's
+assertion.  Ids do come back (``with_computed`` re-creates an ancilla
+under its old id, a QASM import re-initializes a terminated column), so
+an Init on a column that a Term, Discard or Measure released measures
+it and flips it into the requested state.
 """
 
 from __future__ import annotations
@@ -180,6 +183,9 @@ class CliffordState:
         self.index = {w: i for i, w in enumerate(wires)}
         self.tableau = Tableau(len(wires), rng=rng)
         self.bits: dict[int, bool] = {}
+        #: Columns measured out by Term, Discard or Measure: each holds
+        #: a basis state that a later Init must overwrite.
+        self.released: set[int] = set()
 
     def execute(self, gate: Gate) -> None:
         tab = self.tableau
@@ -189,22 +195,25 @@ class CliffordState:
             self._named(gate)
             return
         if isinstance(gate, Init):
-            if gate.value:
-                tab.x_gate(self.index[gate.wire])
+            column = self.index[gate.wire]
+            held = False
+            if column in self.released:
+                self.released.discard(column)
+                held = tab.measure(column)  # deterministic: measured out
+            if held != gate.value:
+                tab.x_gate(column)
             return
-        if isinstance(gate, Term):
-            outcome = tab.measure(self.index[gate.wire])
-            if outcome != gate.value:
+        if isinstance(gate, (Term, Discard, Measure)):
+            column = self.index[gate.wire]
+            outcome = tab.measure(column)
+            self.released.add(column)
+            if isinstance(gate, Measure):
+                self.bits[gate.wire] = outcome
+            elif isinstance(gate, Term) and outcome != gate.value:
                 raise AssertionFailedError(
                     f"qubit {gate.wire} terminated asserting "
                     f"|{int(gate.value)}> but measured {int(outcome)}"
                 )
-            return
-        if isinstance(gate, Discard):
-            tab.measure(self.index[gate.wire])
-            return
-        if isinstance(gate, Measure):
-            self.bits[gate.wire] = tab.measure(self.index[gate.wire])
             return
         if isinstance(gate, CInit):
             self.bits[gate.wire] = gate.value

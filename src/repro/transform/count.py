@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..core.circuit import BCircuit, Circuit, Subroutine
+from ..core.circuit import BCircuit, Circuit, Subroutine, callees_first
 from ..core.errors import QuipperError
 from ..core.stream import StreamConsumer, replay_bcircuit
 from ..core.gates import (
@@ -130,15 +130,18 @@ def make_subroutine_counter(
     memo: dict[str, Counter] = {}
 
     def count_sub(name: str) -> Counter:
-        if name not in memo:
+        counts = memo.get(name)
+        if counts is None:
             sub = namespace.get(name)
             if sub is None:
                 raise QuipperError(f"undefined subroutine {name!r}")
-            memo[name] = None  # type: ignore[assignment]  # cycle guard
-            memo[name] = count_circuit(sub.circuit)
-        if memo[name] is None:
-            raise QuipperError(f"recursive subroutine {name!r}")
-        return memo[name]
+            # Callees first, so counting a body finds every callee's
+            # count memoized and never recurses.
+            for callee in callees_first(sub.circuit, namespace,
+                                        memo.__contains__):
+                memo[callee] = count_circuit(namespace[callee].circuit)
+            counts = memo[name] = count_circuit(sub.circuit)
+        return counts
 
     def count_circuit(circuit: Circuit) -> Counter:
         total: Counter = Counter()

@@ -20,7 +20,7 @@ and :func:`t_depth` replay a stored hierarchy through it.
 
 from __future__ import annotations
 
-from ..core.circuit import BCircuit
+from ..core.circuit import BCircuit, callees_first
 from ..core.errors import QuipperError
 from ..core.gates import BoxCall, Comment, Gate, NamedGate
 from ..core.stream import StreamConsumer, replay_bcircuit
@@ -68,7 +68,7 @@ class StreamingDepth(StreamConsumer):
 
     def begin(self, inputs, namespace) -> None:
         self.namespace = namespace
-        self._memo: dict[str, int | None] = {}
+        self._memo: dict[str, int] = {}
         self.frontier: dict[int, int] = {w: 0 for w, _ in inputs}
         self.total = 0
 
@@ -84,7 +84,10 @@ class StreamingDepth(StreamConsumer):
         else:
             steps = 1
         frontier = self.frontier
-        wires = [w for w, _ in gate.wires_in() + gate.wires_out()]
+        if gate.__class__ is NamedGate:  # in place: these are all its wires
+            wires = [*gate.targets, *[c.wire for c in gate.controls]]
+        else:
+            wires = [w for w, _ in gate.wires_in() + gate.wires_out()]
         finish = max([frontier.get(w, 0) for w in wires], default=0) + steps
         for wire in wires:
             frontier[wire] = finish
@@ -92,23 +95,32 @@ class StreamingDepth(StreamConsumer):
             self.total = finish
 
     def _body_depth(self, name: str) -> int:
-        """A subroutine body's depth, run through :meth:`gate` once."""
+        """A subroutine body's depth, run through :meth:`gate` once.
+
+        Callees are run first, so a body finds every callee's depth
+        memoized and never recurses.
+        """
         memo = self._memo
-        if name not in memo:
+        depth = memo.get(name)
+        if depth is None:
             sub = self.namespace.get(name)
             if sub is None:
                 raise QuipperError(f"undefined subroutine {name!r}")
-            memo[name] = None  # cycle guard
-            caller = self.frontier, self.total
-            self.frontier = {w: 0 for w, _ in sub.circuit.inputs}
-            self.total = 0
-            for gate in sub.circuit.gates:
-                self.gate(gate)
-            memo[name] = self.total
-            self.frontier, self.total = caller
-        if memo[name] is None:
-            raise QuipperError(f"recursive subroutine {name!r}")
-        return memo[name]
+            for callee in callees_first(sub.circuit, self.namespace,
+                                        memo.__contains__):
+                memo[callee] = self._run_body(self.namespace[callee].circuit)
+            depth = memo[name] = self._run_body(sub.circuit)
+        return depth
+
+    def _run_body(self, circuit) -> int:
+        caller = self.frontier, self.total
+        self.frontier = {w: 0 for w, _ in circuit.inputs}
+        self.total = 0
+        for gate in circuit.gates:
+            self.gate(gate)
+        depth = self.total
+        self.frontier, self.total = caller
+        return depth
 
     def finish(self, end) -> int:
         return self.total

@@ -26,6 +26,7 @@ from ..core.gates import (
     Discard,
     Gate,
     Measure,
+    NamedGate,
     map_gate_wires,
     with_extra_controls,
 )
@@ -41,17 +42,13 @@ STREAM_EXPANSION_BASE = 1 << 60
 
 
 def _max_wire_id(circuit: Circuit) -> int:
-    top = -1
-    for wire, _ in circuit.inputs:
-        top = max(top, wire)
-
-    def visit(wid: int) -> int:
-        nonlocal top
-        top = max(top, wid)
-        return wid
-
+    top = max((wire for wire, _ in circuit.inputs), default=-1)
     for gate in circuit.gates:
-        map_gate_wires(gate, visit)
+        if gate.__class__ is NamedGate:  # in place: these are all its wires
+            wires = [*gate.targets, *[c.wire for c in gate.controls]]
+        else:
+            wires = [w for w, _ in gate.wires_in() + gate.wires_out()]
+        top = max([top, *wires])
     return top
 
 

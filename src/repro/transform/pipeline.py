@@ -36,7 +36,7 @@ from typing import Callable
 from ..core.builder import Circ
 from ..core.circuit import BCircuit, Circuit, Subroutine
 from ..core.errors import QuipperError
-from ..core.gates import BoxCall, Gate, map_gate_wires
+from ..core.gates import BoxCall, Gate, NamedGate, map_gate_wires
 from ..core.stream import StreamConsumer
 from ..obs import core as _obs
 from ..optimize.stream import StreamOptimizer
@@ -164,7 +164,10 @@ class _StageCirc(Circ):
         them at emission -- so the redundant per-stage re-validation the
         sequential transformer pays on every pass is skipped; only the
         liveness effects (which later rule emissions consult) are applied.
+        A named gate has none: its outputs are its inputs.
         """
+        if gate.__class__ is NamedGate:
+            return
         outs = gate.wires_out()
         out_ids = {w for w, _ in outs}
         live = self._live

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,17 @@ from repro import (
     run_generic,
 )
 from repro.backends import Backend, marginal_counts
+from repro.core.circuit import BCircuit, Circuit
+from repro.core.gates import (
+    CDiscard,
+    Control,
+    Discard,
+    Init,
+    Measure,
+    NamedGate,
+    Term,
+)
+from repro.program import Program
 
 
 def bell(qc, a, b):
@@ -171,6 +184,79 @@ class TestCliffordBackend:
         bc, _ = build(flip, qubit)
         result = get_backend("clifford").run(bc)
         assert list(result.bits.values()) == [True]
+
+
+def _reinit_circuit(seed: int):
+    """A seeded circuit that re-initializes columns after a Term, a
+    Discard or a Measure, with a single possible outcome.
+
+    Scrambled qubits (H, S, CNOT among themselves) are released by a
+    Discard or a Measure; basis-state qubits by a Term asserting their
+    tracked value.  Every released id is then initialized again to a
+    random value, permuted by X and CNOT, and measured, so the outcome
+    depends only on the re-initialized columns being reset.
+    """
+    rnd = random.Random(f"clifford-reinit/{seed}")
+    n = rnd.randint(2, 5)
+    gates, values, released = [], {}, []
+    scrambled = [w for w in range(n) if rnd.random() < 0.6]
+    for w in range(n):
+        values[w] = rnd.random() < 0.5
+        gates.append(Init(w, values[w]))
+    for w in scrambled:
+        gates.append(NamedGate("H", (w,)))
+        if rnd.random() < 0.5:
+            gates.append(NamedGate("S", (w,)))
+    for a, b in zip(scrambled, scrambled[1:]):
+        gates.append(NamedGate("not", (b,), (Control(a),)))
+    for w in range(n):
+        kind = rnd.choice(("discard", "measure", "term"))
+        if w in scrambled and kind == "term":
+            kind = "discard"
+        if kind == "term":
+            gates.append(Term(w, values[w]))
+        elif kind == "discard":
+            gates.append(Discard(w))
+        else:
+            gates += [Measure(w), CDiscard(w)]
+        released.append(w)
+    for w in released:
+        values[w] = rnd.random() < 0.5
+        gates.append(Init(w, values[w]))
+    for _ in range(rnd.randint(0, 6)):
+        a, b = rnd.sample(range(n), 2)
+        if rnd.random() < 0.5:
+            gates.append(NamedGate("X", (a,)))
+            values[a] = not values[a]
+        else:
+            gates.append(NamedGate("not", (b,), (Control(a),)))
+            values[b] ^= values[a]
+    gates += [Measure(w) for w in range(n)]
+    key = "".join(str(int(values[w])) for w in range(n))
+    return BCircuit(Circuit((), gates, tuple((w, "C") for w in range(n)))), key
+
+
+class TestCliffordReinitialization:
+    """A column released by Term, Discard or Measure and initialized
+    again holds the new value, as on the statevector backend."""
+
+    def test_init_after_term_one(self):
+        bc = BCircuit(Circuit(
+            (), [Init(0, True), Term(0, True), Init(0, False), Measure(0)],
+            ((0, "C"),)))
+        for backend in ("clifford", "statevector"):
+            assert get_backend(backend).run(bc, shots=32, seed=1).counts \
+                == {"0": 32}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_reinitializations_agree(self, seed):
+        bc, key = _reinit_circuit(seed)
+        for backend in ("clifford", "statevector"):
+            assert get_backend(backend).run(bc, shots=16, seed=seed).counts \
+                == {key: 16}, backend
+        stream = Program.from_bcircuit(bc).stream()
+        assert stream.run("clifford", shots=16, seed=seed).counts \
+            == {key: 16}
 
 
 class TestClassicalBackend:

@@ -13,8 +13,10 @@ The expected ``repro.io.dumps()`` text of each corpus program lives in
 regenerate one only when a change to the importer's output is intended.
 
 The later classes cover what the corpus cannot: malformed angles are
-rejected, nested parameterless definitions stay boxed, reading time is
-linear in the input, the per-import memos stay bounded, and corrupted
+rejected, nested parameterless definitions stay boxed, chains of
+definitions deeper than the Python stack import, count and pass through
+the CLI, reading time is linear in the input, the per-import memos stay
+bounded, and corrupted
 input never escapes as anything but a
 :class:`~repro.core.errors.QuipperError`.
 """
@@ -29,8 +31,10 @@ import time
 
 import pytest
 
+from repro.algorithms.gse.main import main as gse_main
+from repro.core.circuit import BCircuit, Circuit, Subroutine
 from repro.core.errors import QuipperError
-from repro.core.gates import Control, NamedGate
+from repro.core.gates import BoxCall, Control, NamedGate
 from repro.io import QasmParseError, dumps, parse_qasm, qasm_parser
 from repro.program import Program
 
@@ -589,6 +593,72 @@ class TestNestedDefinitions:
         text = HEAD + "gate g a { h a; g a; }\n"
         with pytest.raises(QasmParseError, match="unknown gate 'g'"):
             parse_qasm(text)
+
+
+def _doubling_chain(levels: int) -> str:
+    """``gate gk a { g(k-1) a; g(k-1) a; }``: 2**(levels-1) ``h`` gates."""
+    lines = [HEAD + "gate g0 a { h a; }"]
+    for k in range(1, levels):
+        lines.append(f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}")
+    lines.append(f"qreg q[1];\ng{levels - 1} q[0];")
+    return "\n".join(lines) + "\n"
+
+
+def _rotation_chain(levels: int) -> str:
+    """``gate gk(t) a { g(k-1)(t) a; }``: one ``rz`` after inlining."""
+    lines = [HEAD + "gate g0(t) a { rz(t) a; }"]
+    for k in range(1, levels):
+        lines.append(f"gate g{k}(t) a {{ g{k - 1}(t) a; }}")
+    lines.append(f"qreg q[1];\ng{levels - 1}(0.5) q[0];")
+    return "\n".join(lines) + "\n"
+
+
+class TestDeepChains:
+    """Chains of boxes far deeper than the Python stack: every memo is
+    filled callee-first and parametrized definitions inline on an
+    explicit stack, so no consumer recurses once per level."""
+
+    LEVELS = 2000
+
+    def test_doubling_chain_is_costed_without_recursion(self):
+        program = Program.loads_qasm(_doubling_chain(self.LEVELS))
+        hs = 2 ** (self.LEVELS - 1)
+        assert program.count() == {("H", 0, 0): hs}
+        assert program.stream().count() == {("H", 0, 0): hs}
+        assert program.depth() == hs
+        assert program.t_depth() == 0
+        assert program.width() == 1
+        report = program.resources()
+        assert (report["total_gates"], report["depth"], report["width"]) \
+            == (hs, hs, 1)
+
+    def test_rotation_chain_imports_as_one_rotation(self):
+        program = Program.loads_qasm(_rotation_chain(self.LEVELS))
+        assert program.bcircuit.circuit.gates == [
+            NamedGate("Rz", (0,), param=0.5)
+        ]
+        assert program.bcircuit.namespace == {}
+
+    def test_a_cycle_is_still_reported(self):
+        def calling(callee):
+            ends = ((0, "Q"),)
+            return Circuit(ends, [BoxCall(callee, ends, ends)], ends)
+
+        namespace = {"a": Subroutine("a", calling("b")),
+                     "b": Subroutine("b", calling("a"))}
+        program = Program.from_bcircuit(BCircuit(calling("a"), namespace))
+        for measure in (program.count, program.depth, program.width):
+            with pytest.raises(QuipperError, match="recursive subroutine"):
+                measure()
+
+    @pytest.mark.parametrize("chain", [_doubling_chain, _rotation_chain])
+    def test_cli_exits_0(self, chain, tmp_path, capsys):
+        source = tmp_path / "chain.qasm"
+        source.write_text(chain(self.LEVELS))
+        assert gse_main(["-i", str(source), "-f", "gatecount"]) == 0
+        out = capsys.readouterr().out
+        if chain is _doubling_chain:
+            assert str(2 ** (self.LEVELS - 1)) in out
 
 
 #: The golden exports small enough to fuzz many times.

@@ -1,10 +1,14 @@
 """Unit tests for wires and the gate IR."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.errors import IrreversibleError
 from repro.core.gates import (
     BoxCall,
+    CDiscard,
     CGate,
     CInit,
     CNot,
@@ -20,6 +24,22 @@ from repro.core.gates import (
     with_extra_controls,
 )
 from repro.core.wires import Bit, Qubit
+
+#: One gate of every kind.
+ALL_KINDS = [
+    NamedGate("H", (0,)),
+    Init(1),
+    Term(1),
+    Discard(2),
+    CInit(3),
+    CTerm(3),
+    CDiscard(3),
+    Measure(4),
+    CGate("or", 5, (3,)),
+    CNot(3, (Control(0),)),
+    Comment("c", ((0, "Q", "a"),)),
+    BoxCall("b", ((0, "Q"),), ((0, "Q"),)),
+]
 
 
 class TestWires:
@@ -128,21 +148,31 @@ class TestMapWires:
         assert mapped.labels == ((4, "Q", "x"),)
 
     def test_all_kinds_round_trip(self):
-        gates = [
-            NamedGate("H", (0,)),
-            Init(1),
-            Term(1),
-            Discard(2),
-            CInit(3),
-            CTerm(3),
-            Measure(4),
-            CGate("or", 5, (3,)),
-            CNot(3, (Control(0),)),
-            Comment("c", ((0, "Q", "a"),)),
-            BoxCall("b", ((0, "Q"),), ((0, "Q"),)),
-        ]
-        for gate in gates:
+        for gate in ALL_KINDS:
             assert map_gate_wires(gate, lambda w: w) == gate
+
+
+class TestSlottedGates:
+    """Gates are slotted: no per-instance ``__dict__``, and everything a
+    frozen dataclass offers still holds."""
+
+    @pytest.mark.parametrize("gate", ALL_KINDS, ids=lambda g: type(g).__name__)
+    def test_no_instance_dict_and_a_faithful_pickle(self, gate):
+        assert not hasattr(gate, "__dict__")
+        clone = pickle.loads(pickle.dumps(gate))
+        assert clone == gate and hash(clone) == hash(gate)
+        assert repr(clone) == repr(gate)
+        assert clone.wires_in() == gate.wires_in()
+        assert clone.wires_out() == gate.wires_out()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(clone, dataclasses.fields(clone)[0].name, None)
+
+    def test_repr_is_unchanged(self):
+        assert repr(NamedGate("T", (2,), (Control(0),), inverted=True)) == (
+            "NamedGate['T*'](targets=(2,), controls=(Control(wire=0, "
+            "positive=True, wire_type='Q'),))"
+        )
+        assert repr(Init(1, True)) == "Init(wire=1, value=True)"
 
 
 class TestExtraControls:
