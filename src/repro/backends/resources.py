@@ -12,9 +12,7 @@ by changing one string.
 
 from __future__ import annotations
 
-from ..core.circuit import BCircuit
-from ..core.errors import QuipperError
-from ..core.gates import BoxCall, Comment
+from ..core.circuit import BCircuit, body_widths, track_gate
 from ..core.stream import StreamConsumer, replay_bcircuit
 from ..transform.count import StreamingCounter, total_gates, total_logical_gates
 from ..transform.depth import StreamingDepth
@@ -46,26 +44,25 @@ class StreamingResources(StreamConsumer):
     """The ``resources`` backend's cost report, computed over a stream.
 
     Fans each streamed gate out to the streaming counter, both depth
-    consumers, and a width (liveness high-water mark) tracker.  It is the
-    one implementation of the :class:`ResourceBackend` report, which
-    replays a stored circuit through it; over a generating stream no
-    main circuit ever exists.  Boxed subroutine calls are costed
-    symbolically -- counts and depths from per-name memos, the transient
-    width from :meth:`~repro.core.circuit.Subroutine.width` -- so
+    consumers, and the liveness rule
+    (:func:`~repro.core.circuit.track_gate`), whose high-water mark is
+    the width.  It is the one implementation of the
+    :class:`ResourceBackend` report, which replays a stored circuit
+    through it; over a generating stream no main circuit ever exists.
+    Boxed subroutine calls are costed symbolically -- counts, depths and
+    transient widths from per-body memos of this stream -- so
     repeated-subroutine streams of any logical size finish in
     O(subroutine size) memory.
     """
 
     def begin(self, inputs, namespace) -> None:
-        self.namespace = namespace
-        #: Names whose width caches have been re-validated this stream.
-        self._width_fresh: set[str] = set()
         self._counter = StreamingCounter()
         self._depth = StreamingDepth()
         self._t_depth = StreamingDepth(t_only=True)
         self._counter.begin(inputs, namespace)
         self._depth.begin(inputs, namespace)
         self._t_depth.begin(inputs, namespace)
+        self._widths = body_widths(namespace)
         self._live: dict[int, str] = dict(inputs)
         self._peak = len(self._live)
 
@@ -73,61 +70,9 @@ class StreamingResources(StreamConsumer):
         self._counter.gate(gate)
         self._depth.gate(gate)
         self._t_depth.gate(gate)
-        if isinstance(gate, Comment):
-            return
-        live = self._live
-        if isinstance(gate, BoxCall):
-            transient = (
-                len(live) - len(gate.in_wires) + self._sub_width(gate.name)
-            )
-            self._peak = max(self._peak, transient)
-        outs = gate.wires_out()
-        out_ids = {w for w, _ in outs}
-        for wire, _ in gate.wires_in():
-            if wire not in out_ids:
-                live.pop(wire, None)
-        for wire, wtype in outs:
-            live[wire] = wtype
-        self._peak = max(self._peak, len(live))
-
-    def _sub_width(self, name: str) -> int:
-        """A subroutine's width with stale-cache protection.
-
-        ``Subroutine._width`` memos are only trustworthy for the
-        namespace state they were computed against; a replayed (or
-        rule-streamed) hierarchy may carry caches from before an
-        in-place edit or from a pre-transform namespace.
-        ``BCircuit.check`` handles this by invalidating *everything* up
-        front -- impossible here, because a stream's namespace keeps
-        growing.  Instead, the first time each subroutine is
-        encountered, its whole transitive callee closure is invalidated
-        before its width is computed; bodies are immutable for the rest
-        of the stream, so the recomputed caches stay valid.
-        """
-        namespace = self.namespace
-        sub = namespace.get(name)
-        if sub is None:
-            raise QuipperError(f"undefined subroutine {name!r}")
-        if name not in self._width_fresh:
-            stack, seen = [name], set()
-            while stack:
-                current = stack.pop()
-                if current in seen or current in self._width_fresh:
-                    continue
-                seen.add(current)
-                dep = namespace.get(current)
-                if dep is None:
-                    raise QuipperError(
-                        f"undefined subroutine {current!r}"
-                    )
-                dep.invalidate_width()
-                stack.extend(
-                    g.name
-                    for g in dep.circuit.gates
-                    if isinstance(g, BoxCall)
-                )
-            self._width_fresh.update(seen)
-        return sub.width(namespace)
+        width = track_gate(self._live, gate, self._widths)
+        if width > self._peak:
+            self._peak = width
 
     def finish(self, end) -> dict:
         counts = self._counter.finish(end)

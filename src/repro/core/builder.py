@@ -34,7 +34,7 @@ import warnings
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
-from .circuit import BCircuit, Circuit, Subroutine, track_gate
+from .circuit import BCircuit, Circuit, Subroutine, body_widths, track_gate
 from .errors import (
     BoxError,
     DanglingWiresError,
@@ -122,6 +122,9 @@ class Circ:
         self._control_stack: list[tuple[Control, ...]] = []
         self._inputs: tuple[tuple[int, str], ...] = ()
         self._max_live = 0
+        #: Body widths for box calls, shared with scratch sub-builders:
+        #: a build only ever adds names, so its memo cannot go stale.
+        self._widths = body_widths(self.namespace)
         #: Optional hook enabling dynamic lifting (set by the QRAM executor).
         self.lifting_handler: Callable[["Circ", Bit], bool] | None = None
 
@@ -163,7 +166,7 @@ class Circ:
     def _emit_raw(self, gate: Gate) -> None:
         """Emit a gate verbatim (no block controls added), validated and
         applied to the live wires by :func:`~repro.core.circuit.track_gate`."""
-        width = track_gate(self._live, gate, self.namespace)
+        width = track_gate(self._live, gate, self._widths)
         if width > self._max_live:
             self._max_live = width
         self.gates.append(gate)
@@ -538,6 +541,7 @@ class Circ:
         builder's namespace (nested boxes land in the same namespace).
         """
         scratch = Circ(namespace=self.namespace)
+        scratch._widths = self._widths
         args = [scratch.fresh_like(a) for a in shape_args]
         scratch.snapshot_inputs()
         outs = fn(scratch, *args)
@@ -655,8 +659,8 @@ class Circ:
                 circuit=circuit,
                 in_shape=in_struct,
                 out_shape=out_struct,
+                signature=signature,
             )
-            self.namespace[key]._signature = signature  # type: ignore[attr-defined]
         sub = self.namespace[key]
         return self._call_box(sub, args, repetitions=repetitions)
 
@@ -664,8 +668,7 @@ class Circ:
         key = name
         suffix = 1
         while key in self.namespace:
-            existing = getattr(self.namespace[key], "_signature", None)
-            if existing == signature:
+            if self.namespace[key].signature == signature:
                 return key
             suffix += 1
             key = f"{name}#{suffix}"

@@ -12,6 +12,7 @@ gates without materializing them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import (BoxError, CloningError, DeadWireError, QuipperError,
                      WireTypeError)
@@ -20,23 +21,25 @@ from .wires import CLASSICAL, QUANTUM
 
 
 def track_gate(live: dict[int, str], gate: Gate,
-               namespace: dict[str, "Subroutine"]) -> int:
+               widths: dict[str, int]) -> int:
     """Validate *gate* against the live-wire map *live* and apply it.
 
     The one liveness rule of :meth:`Circuit.check`, the builder and the
     pipeline stages.  Returns the width reached, a box call's transient
-    width included.  A named gate whose wires are live, typed right and
-    distinct changes nothing (its outputs are its inputs), so it is read
-    in place; anything else, anomalies included, goes through its wire
-    lists in :func:`_track_wires`, which raises the errors.
+    width included: *widths* maps a subroutine name to its body width,
+    usually the walk's :func:`body_widths` memo.  A named gate whose
+    wires are live, typed right and distinct changes nothing (its
+    outputs are its inputs), so it is read in place; anything else,
+    anomalies included, goes through its wire lists in
+    :func:`_track_wires`, which raises the errors.
     """
     if gate.__class__ is NamedGate and _in_place(live, gate):
         return len(live)
-    return _track_wires(live, gate, namespace)
+    return _track_wires(live, gate, widths)
 
 
 def _track_wires(live: dict[int, str], gate: Gate,
-                 namespace: dict[str, "Subroutine"]) -> int:
+                 widths: dict[str, int]) -> int:
     """:func:`track_gate` for any gate, through its wire lists."""
     ins = gate.wires_in()
     seen: set[int] = set()
@@ -63,10 +66,7 @@ def _track_wires(live: dict[int, str], gate: Gate,
                 raise CloningError(f"duplicate output wire {wire} in {gate}")
     width = 0
     if gate.__class__ is BoxCall:
-        sub = namespace.get(gate.name)
-        if sub is None:
-            raise BoxError(f"undefined subroutine {gate.name!r}")
-        width = len(live) - len(gate.in_wires) + sub.width(namespace)
+        width = len(live) - len(gate.in_wires) + widths[gate.name]
     for wire in seen.difference(out_ids):
         del live[wire]
     for wire, wtype in outs:
@@ -135,6 +135,48 @@ def _callee_names(circuit: "Circuit") -> list[str]:
     return [g.name for g in circuit.gates if g.__class__ is BoxCall]
 
 
+class SubroutineMemo(dict):
+    """One fact per subroutine of *namespace*, computed on first lookup.
+
+    ``memo[name]`` is ``fact(namespace[name])``.  A missing name has its
+    callees filled first, in :func:`callees_first` order, so a fact that
+    reads its callees' entries finds them all and never recurses, however
+    deep the chain of boxes.  Raises :class:`~repro.core.errors.BoxError`
+    on an undefined or recursive subroutine.
+
+    A memo belongs to the one walk that asks -- a check, a build, a
+    transform, a stream consumer -- and is dropped with it; nothing is
+    cached on a :class:`Subroutine`, which hierarchies share with their
+    transformed and optimized copies.
+    """
+
+    def __init__(self, namespace: dict[str, "Subroutine"],
+                 fact: Callable[["Subroutine"], object]):
+        super().__init__()
+        self.namespace = namespace
+        self.fact = fact
+
+    def __missing__(self, name: str):
+        namespace = self.namespace
+        sub = namespace.get(name)
+        if sub is None:
+            raise BoxError(f"undefined subroutine {name!r}")
+        for callee in callees_first(sub.circuit, namespace, self.__contains__):
+            self[callee] = self.fact(namespace[callee])
+        value = self[name] = self.fact(sub)
+        return value
+
+
+def body_widths(namespace: dict[str, "Subroutine"]) -> SubroutineMemo:
+    """A width memo over *namespace* for :func:`track_gate`.
+
+    ``widths[name]`` validates the body of subroutine *name* and gives
+    its width, as :meth:`Circuit.check` would.
+    """
+    widths = SubroutineMemo(namespace, lambda sub: sub.circuit._check(widths))
+    return widths
+
+
 @dataclass
 class Circuit:
     """A gate sequence with typed endpoints.
@@ -169,13 +211,16 @@ class Circuit:
         wires, counting the transient internal wires of boxed subroutine
         calls.
         """
-        namespace = namespace or {}
+        return self._check(body_widths(namespace or {}))
+
+    def _check(self, widths: dict[str, int]) -> int:
+        """:meth:`check`, reading box-call widths from *widths*."""
         live: dict[int, str] = dict(self.inputs)
         if len(live) != len(self.inputs):
             raise CloningError("duplicate wire in circuit inputs")
         peak = len(live)
         for gate in self.gates:
-            width = track_gate(live, gate, namespace)
+            width = track_gate(live, gate, widths)
             if width > peak:
                 peak = width
         if dict(self.outputs) != live or len(self.outputs) != len(live):
@@ -199,32 +244,13 @@ class Subroutine:
     circuit: Circuit
     in_shape: object = None
     out_shape: object = None
-    #: Memoized body width.  Excluded from equality: two subroutines with
-    #: the same circuit are the same subroutine whether or not one has had
-    #: its width computed.  The cache is only trustworthy for a fixed
-    #: namespace; :meth:`BCircuit.check` invalidates it before validating,
-    #: so a stale width cannot survive a namespace mutation.
-    _width: int | None = field(default=None, compare=False, repr=False)
+    #: The builder's shape signature of the arguments the body was traced
+    #: on, which tells a re-entered ``box`` name apart by shape.
+    signature: str | None = field(default=None, compare=False, repr=False)
 
     def width(self, namespace: dict[str, "Subroutine"]) -> int:
-        """Width of the subroutine body (memoized; see :attr:`_width`).
-
-        Callee widths are filled first, deepest first, so a long chain
-        of boxes never recurses through :meth:`Circuit.check`.
-        """
-        if self._width is None:
-            for name in callees_first(
-                self.circuit, namespace,
-                lambda name: namespace[name]._width is not None,
-            ):
-                callee = namespace[name]
-                callee._width = callee.circuit.check(namespace)
-            self._width = self.circuit.check(namespace)
-        return self._width
-
-    def invalidate_width(self) -> None:
-        """Drop the memoized width (call after mutating the namespace)."""
-        self._width = None
+        """Width of the subroutine body: its :meth:`Circuit.check`."""
+        return self.circuit.check(namespace)
 
 
 @dataclass
@@ -237,15 +263,12 @@ class BCircuit:
     def check(self) -> int:
         """Validate the whole hierarchy; return the main circuit's width.
 
-        Memoized subroutine widths are invalidated first, so a width cached
-        against an earlier version of the namespace can never leak into the
-        result of a later check.
+        Every body is validated, called or not, each once.
         """
-        for sub in self.namespace.values():
-            sub.invalidate_width()
-        for sub in self.namespace.values():
-            sub.width(self.namespace)
-        return self.circuit.check(self.namespace)
+        widths = body_widths(self.namespace)
+        for name in self.namespace:
+            widths[name]
+        return self.circuit._check(widths)
 
     def subroutine_names(self) -> list[str]:
         return sorted(self.namespace)

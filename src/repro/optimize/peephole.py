@@ -21,16 +21,17 @@ Boxed subroutine bodies are optimized **once** and shared across call
 sites: :func:`optimize_bcircuit` rewrites each namespace entry
 independently (a ``BoxCall`` is an opaque barrier in the window), and a
 body the passes leave untouched keeps its original
-:class:`~repro.core.circuit.Subroutine` object -- cached width and all
--- exactly like the fused transformer pipeline.
+:class:`~repro.core.circuit.Subroutine` object, exactly like the fused
+transformer pipeline.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 from ..core.circuit import BCircuit, Circuit, Subroutine
-from ..core.gates import BoxCall, Comment, Gate
+from ..core.gates import Comment, Gate
 from ..obs import core as _obs
 from .passes import (
     PeepholePass,
@@ -250,44 +251,13 @@ def optimize_circuit(circuit: Circuit,
     )
 
 
-def _callees(circuit: Circuit) -> set[str]:
-    return {g.name for g in circuit.gates if isinstance(g, BoxCall)}
-
-
-def rebuilt_subroutine(sub: Subroutine, new_gates: list[Gate]) -> Subroutine:
-    """A fresh Subroutine shell around *new_gates*, interface preserved."""
-    shell = Subroutine(
-        name=sub.name,
-        circuit=Circuit(
-            inputs=sub.circuit.inputs,
-            gates=new_gates,
-            outputs=sub.circuit.outputs,
-        ),
-        in_shape=sub.in_shape,
-        out_shape=sub.out_shape,
-    )
-    shell._signature = getattr(sub, "_signature", None)
-    return shell
-
-
-def width_fresh_clone(sub: Subroutine) -> Subroutine:
-    """A shell sharing *sub*'s circuit but with its own width cache.
-
-    Used when a reused (unoptimized) body's cached width went stale
-    because a transitive callee was rewritten: the original Subroutine
-    must NOT be mutated -- it still serves the unoptimized hierarchy,
-    where its cached width remains correct -- so the optimized namespace
-    gets a clone whose width will be recomputed against the *optimized*
-    callees on first query.
-    """
-    shell = Subroutine(
-        name=sub.name,
-        circuit=sub.circuit,
-        in_shape=sub.in_shape,
-        out_shape=sub.out_shape,
-    )
-    shell._signature = getattr(sub, "_signature", None)
-    return shell
+def _optimized_body(sub: Subroutine, passes: tuple[PeepholePass, ...],
+                    window: int) -> Subroutine:
+    """*sub* with its body optimized: itself if the passes change nothing."""
+    circuit = optimize_circuit(sub.circuit, passes, window=window)
+    if circuit.gates == sub.circuit.gates:
+        return sub
+    return dataclasses.replace(sub, circuit=circuit)
 
 
 def optimize_bcircuit(bc: BCircuit,
@@ -297,10 +267,7 @@ def optimize_bcircuit(bc: BCircuit,
 
     Every subroutine body is optimized exactly once and shared across
     its call sites.  A body the passes leave untouched keeps its
-    original :class:`~repro.core.circuit.Subroutine` object -- and its
-    memoized width -- unless a (transitive) callee's body was rewritten,
-    in which case the cached width is dropped (an optimized callee can
-    shrink the caller's transient width).
+    original :class:`~repro.core.circuit.Subroutine` object.
 
     Bodies are optimized with the *body-safe* form of the pass chain
     (:func:`~repro.optimize.passes.body_safe_passes`): a ``BoxCall`` may
@@ -310,44 +277,12 @@ def optimize_bcircuit(bc: BCircuit,
     """
     passes = resolve_passes(tuple(passes or ()))
     body_passes = body_safe_passes(passes)
-    new_namespace: dict[str, Subroutine] = {}
-    changed: set[str] = set()
-    for name, sub in bc.namespace.items():
-        new_gates = optimize_gates_fixpoint(
-            sub.circuit.gates, body_passes, window=window
-        )
-        if new_gates == sub.circuit.gates:
-            new_namespace[name] = sub
-            continue
-        changed.add(name)
-        new_namespace[name] = rebuilt_subroutine(sub, new_gates)
-    # Width staleness: same discipline as the fused transformer pipeline.
-    stale: dict[str, bool] = {}
-
-    def callee_changed(name: str) -> bool:
-        if name not in stale:
-            stale[name] = False  # cycle guard
-            stale[name] = any(
-                c in changed or callee_changed(c)
-                for c in _callees(new_namespace[name].circuit)
-            )
-        return stale[name]
-
-    for name in bc.namespace:
-        if name not in changed and callee_changed(name):
-            # A rewritten callee changes this reused body's transient
-            # width in the *optimized* namespace only; clone instead of
-            # invalidating, so the original hierarchy's cached width
-            # (still correct there) is untouched.
-            new_namespace[name] = width_fresh_clone(bc.namespace[name])
-    main = Circuit(
-        inputs=bc.circuit.inputs,
-        gates=optimize_gates_fixpoint(
-            bc.circuit.gates, passes, window=window
-        ),
-        outputs=bc.circuit.outputs,
-    )
-    return BCircuit(main, new_namespace)
+    namespace = {
+        name: _optimized_body(sub, body_passes, window)
+        for name, sub in bc.namespace.items()
+    }
+    return BCircuit(optimize_circuit(bc.circuit, passes, window=window),
+                    namespace)
 
 
 __all__ = [
@@ -358,6 +293,4 @@ __all__ = [
     "optimize_circuit",
     "optimize_gates",
     "optimize_gates_fixpoint",
-    "rebuilt_subroutine",
-    "width_fresh_clone",
 ]

@@ -13,30 +13,21 @@ upstream of this consumer, so replayed uncompute gates arrive as
 ordinary stream elements.
 
 Boxed subroutine bodies are optimized **once, on demand**, the first
-time a ``BoxCall`` naming them arrives -- bodies the passes leave
-untouched are reused (cached width preserved unless a transitive callee
-was rewritten), the same identity-reuse discipline as
-:class:`~repro.transform.pipeline.StreamTransformer`.
+time a ``BoxCall`` naming them arrives (their callees first) -- bodies
+the passes leave untouched are reused, the same identity-reuse
+discipline as :class:`~repro.transform.pipeline.StreamTransformer`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..core.circuit import Subroutine
-from ..core.errors import QuipperError
+from ..core.circuit import Subroutine, SubroutineMemo
 from ..core.gates import BoxCall, Gate
 from ..core.stream import StreamConsumer
 from ..obs import core as _obs
 from .passes import PeepholePass, body_safe_passes, resolve_passes
-from .peephole import (
-    DEFAULT_WINDOW,
-    PeepholeOptimizer,
-    _callees,
-    optimize_gates_fixpoint,
-    rebuilt_subroutine,
-    width_fresh_clone,
-)
+from .peephole import DEFAULT_WINDOW, PeepholeOptimizer, _optimized_body
 
 
 class StreamOptimizer(StreamConsumer):
@@ -67,10 +58,8 @@ class StreamOptimizer(StreamConsumer):
 
     def begin(self, inputs, namespace) -> None:
         """Open the window; hand the downstream the live output namespace."""
-        self.src_ns = namespace
         self.out_ns: dict[str, Subroutine] = {}
-        #: name -> transitively-changed flag (None while in progress).
-        self._state: dict[str, bool | None] = {}
+        self._bodies = SubroutineMemo(namespace, self._optimize_body)
         self.downstream.begin(inputs, self.out_ns)
         self._optimizer = PeepholeOptimizer(
             self.passes, window=self.window, sink=self.downstream.gate
@@ -79,56 +68,27 @@ class StreamOptimizer(StreamConsumer):
     def gate(self, gate: Gate) -> None:
         """Feed one streamed gate through the window (bodies on demand)."""
         if isinstance(gate, BoxCall):
-            self._ensure(gate.name)
+            self._bodies[gate.name]
         self._optimizer.feed(gate)
 
-    def _ensure(self, name: str) -> bool:
-        """Optimize subroutine *name* (and its callees) into ``out_ns``.
-
-        Returns whether the body -- or any transitive callee's body --
-        was changed by the passes.
-        """
-        state = self._state
-        if name in state:
-            if state[name] is None:
-                raise QuipperError(f"recursive subroutine {name!r}")
-            return state[name]
-        sub = self.src_ns.get(name)
-        if sub is None:
-            raise QuipperError(f"undefined subroutine {name!r}")
-        state[name] = None  # cycle guard
-        kid_changed = any(
-            [self._ensure(callee) for callee in sorted(_callees(sub.circuit))]
+    def _optimize_body(self, sub: Subroutine) -> Subroutine:
+        """Optimize *sub* into ``out_ns``, where its callees already are."""
+        new = self.out_ns[sub.name] = _optimized_body(
+            sub, self.body_passes, self.window
         )
-        new_gates = optimize_gates_fixpoint(
-            sub.circuit.gates, self.body_passes, window=self.window
-        )
-        body_changed = new_gates != sub.circuit.gates
         if _obs.ENABLED:
-            _obs.add("optimize.bodies.rewritten" if body_changed
-                     else "optimize.bodies.reused")
-        if body_changed:
-            self.out_ns[name] = rebuilt_subroutine(sub, new_gates)
-        elif kid_changed:
-            # An optimized callee can shrink this reused body's
-            # transient width in the optimized namespace; clone rather
-            # than mutate, so the source hierarchy's cached width (still
-            # correct there) survives.
-            self.out_ns[name] = width_fresh_clone(sub)
-        else:
-            self.out_ns[name] = sub
-        state[name] = body_changed or kid_changed
-        return state[name]
+            _obs.add("optimize.bodies.reused" if new is sub
+                     else "optimize.bodies.rewritten")
+        return new
 
     def finish(self, end):
         """Flush the window and finish downstream with the new namespace."""
         self._optimizer.flush()
         # Carry over subroutines the main stream never invoked (bodies
-        # only reachable from other bodies are pulled in by _ensure), so
+        # only reachable from other bodies are filled as callees), so
         # the downstream consumer sees the full namespace.
         for name in end.namespace:
-            if name not in self.out_ns:
-                self._ensure(name)
+            self._bodies[name]
         return self.downstream.finish(
             dataclasses.replace(end, namespace=self.out_ns)
         )

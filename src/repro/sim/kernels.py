@@ -31,7 +31,8 @@ Gates are classified once per ``(name, param, inverted)`` key (LRU) by the
 * **dense** (H, V, E, W, Rx, Ry, ...) -- the residual general case: the
   ``2**k`` target slices are linearly combined per the matrix rows and
   written back, skipping zero entries.  Still no moveaxis and no
-  full-state copy.
+  full-state copy; a one-target gate is combined in place, with at most
+  two half-state temporaries.
 
 Quantum controls are handled by kernel-level index masking: control axes
 are pinned to their required bit value in the index tuple, so every kernel
@@ -198,8 +199,12 @@ def _apply_dense(view, slots, matrix) -> None:
     Reads every (control-masked) slice, forms each output row as a fresh
     sub-block, then writes all rows back -- correct even though rows share
     sources, because nothing is overwritten until every row is computed.
+    One target takes the in-place path of :func:`_apply_dense_1q`.
     """
     dim = len(slots)
+    if dim == 2:
+        _apply_dense_1q(view[slots[0]], view[slots[1]], matrix)
+        return
     olds = [view[slot] for slot in slots]
     news = []
     for row in range(dim):
@@ -215,3 +220,39 @@ def _apply_dense(view, slots, matrix) -> None:
         news.append(acc)
     for slot, new in zip(slots, news):
         view[slot] = new if new is not None else 0.0
+
+
+def _apply_dense_1q(s0, s1, matrix) -> None:
+    """One-target dense unitary, updated in place on its two slices.
+
+    ``s0``/``s1`` are the slices where the target bit is 0/1.  Rows are
+    updated in place where the matrix allows, with at most two sub-block
+    temporaries, where the general path makes one per matrix entry and
+    copies every row back.  A butterfly matrix ``[[a, a], [c, -c]]``
+    (Hadamard) combines sum and difference, with one temporary.
+    Entries within ``_ATOL`` of zero are skipped, as in the general path.
+    """
+    a, b, c, d = (
+        0 if abs(x) <= _ATOL else x
+        for x in (matrix[0, 0], matrix[0, 1], matrix[1, 0], matrix[1, 1])
+    )
+    if a and c and b == a and d == -c:
+        t = s0 - s1
+        s0 += s1
+        s0 *= a
+        t *= c
+        s1[...] = t
+        return
+    t = s0 * c if c else None  # the old s0's share of the new s1
+    if a:
+        s0 *= a
+        if b:
+            s0 += s1 * b
+    else:
+        s0[...] = s1 * b if b else 0.0
+    if d:
+        s1 *= d
+        if t is not None:
+            s1 += t
+    else:
+        s1[...] = t if t is not None else 0.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..core.circuit import BCircuit, Circuit, Subroutine, callees_first
+from ..core.circuit import BCircuit, Circuit, Subroutine, SubroutineMemo
 from ..core.errors import QuipperError
 from ..core.stream import StreamConsumer, replay_bcircuit
 from ..core.gates import (
@@ -110,60 +110,55 @@ def _invert_key(key: GateCountKey) -> GateCountKey:
     return (name + "*", pos, neg)
 
 
-def _invert_counts(counts: Counter) -> Counter:
-    return Counter({_invert_key(k): v for k, v in counts.items()})
+_NON_LOGICAL_PREFIXES = (
+    "Init", "Term", "CInit", "CTerm", "Meas", "Discard", "CDiscard",
+)
+
+#: Count-key prefixes of the gates a call's controls pass over (the ones
+#: :func:`~repro.core.gates.with_extra_controls` leaves unchanged).
+_UNCONTROLLED_PREFIXES = _NON_LOGICAL_PREFIXES + ("CGate:",)
 
 
-def make_subroutine_counter(
-    namespace: dict[str, Subroutine]
-) -> "callable":
-    """A memoized ``count_sub(name) -> Counter`` over *namespace*.
+def body_counts(namespace: dict[str, Subroutine]) -> SubroutineMemo:
+    """A count memo over *namespace* for one walk.
 
-    The engine of :class:`StreamingCounter` (and so of
-    :func:`aggregate_gate_count`) and of :func:`subroutine_gate_counts`:
-    a subroutine's aggregated count is computed exactly once and
-    multiplied through every later call site, which is what makes
-    trillion-gate resource estimates cheap.  The namespace may
-    keep growing after the counter is created (a live generating stream
-    defines boxes as it runs); every lookup sees the current entries.
+    ``counts[name]`` is the aggregated (fully-inlined) count of the body
+    of subroutine *name*: each body is counted once and multiplied
+    through every later call site, which is what makes trillion-gate
+    resource estimates cheap.
     """
-    memo: dict[str, Counter] = {}
+    counts = SubroutineMemo(namespace, lambda sub: _count_body(sub, counts))
+    return counts
 
-    def count_sub(name: str) -> Counter:
-        counts = memo.get(name)
-        if counts is None:
-            sub = namespace.get(name)
-            if sub is None:
-                raise QuipperError(f"undefined subroutine {name!r}")
-            # Callees first, so counting a body finds every callee's
-            # count memoized and never recurses.
-            for callee in callees_first(sub.circuit, namespace,
-                                        memo.__contains__):
-                memo[callee] = count_circuit(namespace[callee].circuit)
-            counts = memo[name] = count_circuit(sub.circuit)
-        return counts
 
-    def count_circuit(circuit: Circuit) -> Counter:
-        total: Counter = Counter()
-        for gate in circuit.gates:
-            add_gate(total, gate)
-        return total
+def _count_body(sub: Subroutine, counts: SubroutineMemo) -> Counter:
+    total: Counter = Counter()
+    for gate in sub.circuit.gates:
+        _add_gate(total, gate, counts)
+    return total
 
-    def add_gate(total: Counter, gate: Gate) -> None:
-        if isinstance(gate, Comment):
-            return
-        if isinstance(gate, BoxCall):
-            sub_counts = count_sub(gate.name)
-            if gate.inverted:
-                sub_counts = _invert_counts(sub_counts)
-            reps = gate.repetitions
-            for key, value in sub_counts.items():
-                total[key] += value * reps
-        else:
-            total[classify(gate)] += 1
 
-    count_sub.add_gate = add_gate  # type: ignore[attr-defined]
-    return count_sub
+def _add_gate(total: Counter, gate: Gate, counts: SubroutineMemo) -> None:
+    """Add *gate* to *total*; a box call adds its body's counts.
+
+    A controlled call's controls reach every body gate that inlining
+    would control (named gates and classical NOTs), so they are added to
+    those keys; inversion swaps keys and repetitions multiply.
+    """
+    if isinstance(gate, Comment):
+        return
+    if not isinstance(gate, BoxCall):
+        total[classify(gate)] += 1
+        return
+    inverted, controls, reps = gate.inverted, gate.controls, gate.repetitions
+    pos = sum(1 for c in controls if c.positive)
+    neg = len(controls) - pos
+    for key, value in counts[gate.name].items():
+        if inverted:
+            key = _invert_key(key)
+        if controls and not key[0].startswith(_UNCONTROLLED_PREFIXES):
+            key = (key[0], key[1] + pos, key[2] + neg)
+        total[key] += value * reps
 
 
 def aggregate_gate_count(bc: BCircuit) -> Counter:
@@ -190,10 +185,10 @@ class StreamingCounter(StreamConsumer):
 
     def begin(self, inputs, namespace) -> None:
         self.counts: Counter = Counter()
-        self._add = make_subroutine_counter(namespace).add_gate  # type: ignore[attr-defined]
+        self._bodies = body_counts(namespace)
 
     def gate(self, gate: Gate) -> None:
-        self._add(self.counts, gate)
+        _add_gate(self.counts, gate, self._bodies)
 
     def finish(self, end) -> Counter:
         return self.counts
@@ -214,11 +209,6 @@ def total_gates(counts: Counter) -> int:
     return sum(counts.values())
 
 
-_NON_LOGICAL_PREFIXES = (
-    "Init", "Term", "CInit", "CTerm", "Meas", "Discard", "CDiscard",
-)
-
-
 def total_logical_gates(counts: Counter) -> int:
     """Total gates excluding Init/Term/Meas, as in the paper's Section 6
     table ("Total refers to the total number of logical gates excluding
@@ -235,5 +225,5 @@ def subroutine_gate_counts(bc: BCircuit) -> dict[str, Counter]:
 
     One memo serves every name, so each callee body is counted once.
     """
-    count_sub = make_subroutine_counter(bc.namespace)
-    return {name: count_sub(name) for name in bc.namespace}
+    counts = body_counts(bc.namespace)
+    return {name: counts[name] for name in bc.namespace}

@@ -20,8 +20,7 @@ and :func:`t_depth` replay a stored hierarchy through it.
 
 from __future__ import annotations
 
-from ..core.circuit import BCircuit, callees_first
-from ..core.errors import QuipperError
+from ..core.circuit import BCircuit, Subroutine, SubroutineMemo
 from ..core.gates import BoxCall, Comment, Gate, NamedGate
 from ..core.stream import StreamConsumer, replay_bcircuit
 
@@ -67,8 +66,7 @@ class StreamingDepth(StreamConsumer):
         self.t_only = t_only
 
     def begin(self, inputs, namespace) -> None:
-        self.namespace = namespace
-        self._memo: dict[str, int] = {}
+        self._depths = SubroutineMemo(namespace, self._run_body)
         self.frontier: dict[int, int] = {w: 0 for w, _ in inputs}
         self.total = 0
 
@@ -76,7 +74,7 @@ class StreamingDepth(StreamConsumer):
         if isinstance(gate, Comment):
             return
         if isinstance(gate, BoxCall):
-            steps = self._body_depth(gate.name) * gate.repetitions
+            steps = self._depths[gate.name] * gate.repetitions
             if not self.t_only:
                 steps = max(steps, 1)
         elif self.t_only:
@@ -94,29 +92,16 @@ class StreamingDepth(StreamConsumer):
         if finish > self.total:
             self.total = finish
 
-    def _body_depth(self, name: str) -> int:
+    def _run_body(self, sub: Subroutine) -> int:
         """A subroutine body's depth, run through :meth:`gate` once.
 
-        Callees are run first, so a body finds every callee's depth
-        memoized and never recurses.
+        The memo fills callees first, so the body finds every callee's
+        depth there and never recurses.
         """
-        memo = self._memo
-        depth = memo.get(name)
-        if depth is None:
-            sub = self.namespace.get(name)
-            if sub is None:
-                raise QuipperError(f"undefined subroutine {name!r}")
-            for callee in callees_first(sub.circuit, self.namespace,
-                                        memo.__contains__):
-                memo[callee] = self._run_body(self.namespace[callee].circuit)
-            depth = memo[name] = self._run_body(sub.circuit)
-        return depth
-
-    def _run_body(self, circuit) -> int:
         caller = self.frontier, self.total
-        self.frontier = {w: 0 for w, _ in circuit.inputs}
+        self.frontier = {w: 0 for w, _ in sub.circuit.inputs}
         self.total = 0
-        for gate in circuit.gates:
+        for gate in sub.circuit.gates:
             self.gate(gate)
         depth = self.total
         self.frontier, self.total = caller

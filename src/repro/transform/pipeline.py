@@ -6,8 +6,7 @@ the resource-estimation follow-up work: one program definition, then a
 *chain* of gate-set transformations and resource counts over it.  The
 legacy entry point :func:`~repro.transform.transformer.transform_bcircuit`
 applies one rule per call, so a chain of k rules costs k full rewrites of
-the box hierarchy -- k traversals, k intermediate namespaces, k width
-recomputations.
+the box hierarchy -- k traversals and k intermediate namespaces.
 
 :func:`transform_bcircuit_fused` instead fuses the rules into a **single
 traversal**: each gate of each subroutine body flows through the rule
@@ -16,9 +15,8 @@ the whole chain costs one pass regardless of k.  Two further economies:
 
 * **Identity memoization** -- a subroutine body that no rule touches is
   detected (the output gate stream compares equal to the input) and the
-  original :class:`~repro.core.circuit.Subroutine` object is reused,
-  preserving its cached width instead of allocating a fresh namespace
-  entry per pass.
+  original :class:`~repro.core.circuit.Subroutine` object is reused
+  instead of allocating a fresh namespace entry per pass.
 * **Fixpoint rules** -- a rule wrapped with :func:`fixpoint_rule` has its
   own emissions fed back through itself until they stabilize, which lets
   self-expanding decompositions (the binary base synthesizes new Toffolis
@@ -34,7 +32,8 @@ import dataclasses
 from typing import Callable
 
 from ..core.builder import Circ
-from ..core.circuit import BCircuit, Circuit, Subroutine
+from ..core.circuit import (BCircuit, Circuit, Subroutine, SubroutineMemo,
+                            body_widths)
 from ..core.errors import QuipperError
 from ..core.gates import BoxCall, Gate, NamedGate, map_gate_wires
 from ..core.stream import StreamConsumer
@@ -43,7 +42,7 @@ from ..optimize.stream import StreamOptimizer
 from .binary import _binary_rule
 from .inline import _max_wire_id
 from .toffoli import _toffoli_rule
-from .transformer import Rule
+from .transformer import Rule, _rewrite_bodies
 
 
 def fixpoint_rule(rule: Rule) -> Rule:
@@ -215,6 +214,7 @@ def _run_chain(
     circuit: Circuit,
     rules: tuple[Rule, ...],
     namespace: dict[str, Subroutine],
+    widths: dict[str, int],
 ) -> list[Gate]:
     """Stream a circuit body through the fused rule chain, once."""
     out_gates: list[Gate] = []
@@ -222,14 +222,27 @@ def _run_chain(
     intake: Callable[[Gate], None] = out_gates.append
     for rule in reversed(rules):
         qc = _StageCirc(namespace, circuit.inputs, shared)
+        qc._widths = widths
         intake = _Stage(rule, qc, intake).process
     for gate in circuit.gates:
         intake(gate)
     return out_gates
 
 
-def _callees(circuit: Circuit) -> set[str]:
-    return {g.name for g in circuit.gates if isinstance(g, BoxCall)}
+def _rewritten(sub: Subroutine, rules: tuple[Rule, ...],
+               namespace: dict[str, Subroutine],
+               widths: dict[str, int]) -> Subroutine:
+    """*sub* through the rule chain: itself if no rule touched its body."""
+    gates = _run_chain(sub.circuit, rules, namespace, widths)
+    if gates == sub.circuit.gates:
+        if _obs.ENABLED:
+            _obs.add("transform.bodies.reused")
+        return sub
+    if _obs.ENABLED:
+        _obs.add("transform.bodies.rewritten")
+    return dataclasses.replace(
+        sub, circuit=dataclasses.replace(sub.circuit, gates=gates)
+    )
 
 
 #: Base of the wire-id range streaming transform stages draw ancillas
@@ -249,10 +262,8 @@ class StreamTransformer(StreamConsumer):
     (a counter, a writer, a simulation feed...).  Boxed subroutine bodies
     are rewritten **once, on demand**, the first time a ``BoxCall``
     naming them arrives (their callees first, transitively); bodies the
-    whole chain leaves untouched are reused, preserving their memoized
-    widths unless a transitive callee was rewritten -- the same
-    identity-reuse and width-staleness discipline as the materializing
-    pipeline.
+    whole chain leaves untouched are reused, the same identity-reuse
+    discipline as the materializing pipeline.
     """
 
     def __init__(self, rules: tuple[Rule, ...], downstream: StreamConsumer):
@@ -260,67 +271,29 @@ class StreamTransformer(StreamConsumer):
         self.downstream = downstream
 
     def begin(self, inputs, namespace) -> None:
-        self.src_ns = namespace
         self.out_ns: dict[str, Subroutine] = {}
-        #: name -> transitively-changed flag (None while in progress).
-        self._state: dict[str, bool | None] = {}
+        self._widths = body_widths(self.out_ns)
+        self._bodies = SubroutineMemo(namespace, self._rewrite)
         self.downstream.begin(inputs, self.out_ns)
         shared = _SharedWires(STREAM_TRANSFORM_BASE)
         intake: Callable[[Gate], None] = self.downstream.gate
         for rule in reversed(self.rules):
             qc = _StageCirc(self.out_ns, inputs, shared)
+            qc._widths = self._widths
             intake = _Stage(rule, qc, intake, retain=False).process
         self._intake = intake
 
     def gate(self, gate: Gate) -> None:
         if isinstance(gate, BoxCall):
-            self._ensure(gate.name)
+            self._bodies[gate.name]
         self._intake(gate)
 
-    def _ensure(self, name: str) -> bool:
-        """Transform subroutine *name* (and its callees) into ``out_ns``.
-
-        Returns whether the body -- or any transitive callee's body --
-        was changed by the chain.
-        """
-        state = self._state
-        if name in state:
-            if state[name] is None:
-                raise QuipperError(f"recursive subroutine {name!r}")
-            return state[name]
-        sub = self.src_ns.get(name)
-        if sub is None:
-            raise QuipperError(f"undefined subroutine {name!r}")
-        state[name] = None  # cycle guard
-        kid_changed = any(
-            [self._ensure(callee) for callee in sorted(_callees(sub.circuit))]
+    def _rewrite(self, sub: Subroutine) -> Subroutine:
+        """Rewrite *sub* into ``out_ns``, where its callees already are."""
+        new = self.out_ns[sub.name] = _rewritten(
+            sub, self.rules, self.out_ns, self._widths
         )
-        new_gates = _run_chain(sub.circuit, self.rules, self.out_ns)
-        body_changed = new_gates != sub.circuit.gates
-        if _obs.ENABLED:
-            _obs.add("transform.bodies.rewritten" if body_changed
-                     else "transform.bodies.reused")
-        if body_changed:
-            shell = Subroutine(
-                name=sub.name,
-                circuit=Circuit(
-                    inputs=sub.circuit.inputs,
-                    gates=new_gates,
-                    outputs=sub.circuit.outputs,
-                ),
-                in_shape=sub.in_shape,
-                out_shape=sub.out_shape,
-            )
-            shell._signature = getattr(sub, "_signature", None)
-            self.out_ns[name] = shell
-        else:
-            self.out_ns[name] = sub
-            if kid_changed:
-                # A rewritten callee changes the caller's transient
-                # width; the reused body's cache must not survive.
-                sub.invalidate_width()
-        state[name] = body_changed or kid_changed
-        return state[name]
+        return new
 
     def finish(self, end):
         return self.downstream.finish(
@@ -337,71 +310,19 @@ def transform_bcircuit_fused(bc: BCircuit, *rules: Rule) -> BCircuit:
     once: each gate is offered to rule 1, whose output feeds rule 2, and so
     on, with liveness tracked per stage.  Subroutine bodies left untouched
     by the whole chain are detected and their original
-    :class:`~repro.core.circuit.Subroutine` objects reused; a reused
-    subroutine keeps its memoized width unless a (transitive) callee was
-    rewritten, in which case the cache is dropped.
+    :class:`~repro.core.circuit.Subroutine` objects reused.
     """
     if not rules:
         return bc
-    # Seed a namespace of provisional subroutine shells so that BoxCall
-    # bookkeeping works while callee bodies are still being rewritten.
-    new_namespace: dict[str, Subroutine] = {}
-    for name, sub in bc.namespace.items():
-        shell = Subroutine(
-            name=sub.name,
-            circuit=None,  # type: ignore[arg-type]  # filled below
-            in_shape=sub.in_shape,
-            out_shape=sub.out_shape,
-        )
-        shell._width = sub.width(bc.namespace)
-        shell._signature = getattr(sub, "_signature", None)
-        new_namespace[name] = shell
-    changed: set[str] = set()
-    for name, sub in bc.namespace.items():
-        new_gates = _run_chain(sub.circuit, rules, new_namespace)
-        if new_gates == sub.circuit.gates:
-            # Identity rewrite: reuse the original Subroutine, preserving
-            # its cached width (satellite bugfix: the legacy transformer
-            # allocated a fresh namespace entry per pass regardless).
-            if _obs.ENABLED:
-                _obs.add("transform.bodies.reused")
-            new_namespace[name] = sub
-        else:
-            if _obs.ENABLED:
-                _obs.add("transform.bodies.rewritten")
-            changed.add(name)
-            new_namespace[name].circuit = Circuit(
-                inputs=sub.circuit.inputs,
-                gates=new_gates,
-                outputs=sub.circuit.outputs,
-            )
-    # Width bookkeeping: rewritten bodies get their provisional width
-    # dropped; a reused body's cached width is only trustworthy if no
-    # transitive callee was rewritten (a callee's ancillas change the
-    # caller's transient width).
-    stale: dict[str, bool] = {}
-
-    def callee_changed(name: str) -> bool:
-        if name not in stale:
-            stale[name] = False  # cycle guard; recursion is rejected later
-            sub = new_namespace[name]
-            stale[name] = any(
-                c in changed or callee_changed(c)
-                for c in _callees(sub.circuit)
-            )
-        return stale[name]
-
-    for name in bc.namespace:
-        if name in changed:
-            new_namespace[name]._width = None
-        elif callee_changed(name):
-            new_namespace[name].invalidate_width()
-    main = Circuit(
-        inputs=bc.circuit.inputs,
-        gates=_run_chain(bc.circuit, rules, new_namespace),
-        outputs=bc.circuit.outputs,
+    namespace: dict[str, Subroutine] = {}
+    widths = body_widths(namespace)
+    _rewrite_bodies(
+        bc.namespace,
+        lambda sub: _rewritten(sub, rules, namespace, widths),
+        namespace,
     )
-    return BCircuit(main, new_namespace)
+    gates = _run_chain(bc.circuit, rules, namespace, widths)
+    return BCircuit(dataclasses.replace(bc.circuit, gates=gates), namespace)
 
 
 def canonicalize_wires(bc: BCircuit) -> BCircuit:
@@ -434,12 +355,8 @@ def canonicalize_wires(bc: BCircuit) -> BCircuit:
 
     return BCircuit(
         canon(bc.circuit),
-        {name: Subroutine(
-            name=sub.name,
-            circuit=canon(sub.circuit),
-            in_shape=sub.in_shape,
-            out_shape=sub.out_shape,
-        ) for name, sub in bc.namespace.items()},
+        {name: dataclasses.replace(sub, circuit=canon(sub.circuit))
+         for name, sub in bc.namespace.items()},
     )
 
 

@@ -11,10 +11,12 @@ replacing one elementary gate set by another").
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Optional
 
 from ..core.builder import Circ
-from ..core.circuit import BCircuit, Circuit, Subroutine
+from ..core.circuit import (BCircuit, Circuit, Subroutine, SubroutineMemo,
+                            body_widths)
 from ..core.gates import Gate
 from .inline import _max_wire_id
 
@@ -25,9 +27,11 @@ Rule = Callable[[Circ, Gate], Optional[bool]]
 
 
 def _rewrite_circuit(
-    circuit: Circuit, rule: Rule, namespace: dict[str, Subroutine]
+    circuit: Circuit, rule: Rule, namespace: dict[str, Subroutine],
+    widths: dict[str, int],
 ) -> Circuit:
     qc = Circ(namespace=namespace)
+    qc._widths = widths
     qc._live = dict(circuit.inputs)
     qc._next_wire = _max_wire_id(circuit) + 1
     qc._max_live = len(qc._live)
@@ -40,6 +44,27 @@ def _rewrite_circuit(
     )
 
 
+def _rewrite_bodies(namespace: dict[str, Subroutine],
+                    rewrite: Callable[[Subroutine], Subroutine],
+                    into: dict[str, Subroutine]) -> None:
+    """Fill *into* with ``rewrite(sub)`` for every subroutine of *namespace*.
+
+    Callees are rewritten first, so a rule's builder writing into *into*
+    finds there every callee of the body it rewrites.  *into* ends in
+    the source's order.
+    """
+
+    def fact(sub: Subroutine) -> Subroutine:
+        new = into[sub.name] = rewrite(sub)
+        return new
+
+    bodies = SubroutineMemo(namespace, fact)
+    for name in namespace:
+        bodies[name]
+    for name in namespace:
+        into[name] = into.pop(name)
+
+
 def _legacy_transform_bcircuit(bc: BCircuit, rule: Rule) -> BCircuit:
     """The pre-pipeline transformer: one full hierarchy rewrite per rule.
 
@@ -48,27 +73,16 @@ def _legacy_transform_bcircuit(bc: BCircuit, rule: Rule) -> BCircuit:
     benchmark.  Rewrites *every* subroutine body and allocates a fresh
     namespace even when the rule touches nothing.
     """
-    new_namespace: dict[str, Subroutine] = {}
-    for name, sub in bc.namespace.items():
-        new_sub = Subroutine(
-            name=sub.name,
-            circuit=None,  # filled below; callees may be referenced first
-            in_shape=sub.in_shape,
-            out_shape=sub.out_shape,
-        )
-        # Seed a provisional width so that builder bookkeeping works while
-        # callee bodies are still being rewritten; recomputed on check().
-        new_sub._width = sub.width(bc.namespace)
-        new_sub._signature = getattr(sub, "_signature", None)
-        new_namespace[name] = new_sub
-    for name, sub in bc.namespace.items():
-        new_namespace[name].circuit = _rewrite_circuit(
-            sub.circuit, rule, new_namespace
-        )
-    main = _rewrite_circuit(bc.circuit, rule, new_namespace)
-    for new_sub in new_namespace.values():
-        new_sub._width = None
-    return BCircuit(main, new_namespace)
+    namespace: dict[str, Subroutine] = {}
+    widths = body_widths(namespace)
+
+    def rewrite(sub: Subroutine) -> Subroutine:
+        circuit = _rewrite_circuit(sub.circuit, rule, namespace, widths)
+        return dataclasses.replace(sub, circuit=circuit)
+
+    _rewrite_bodies(bc.namespace, rewrite, namespace)
+    main = _rewrite_circuit(bc.circuit, rule, namespace, widths)
+    return BCircuit(main, namespace)
 
 
 def transform_bcircuit(bc: BCircuit, rule: Rule) -> BCircuit:
@@ -81,8 +95,8 @@ def transform_bcircuit(bc: BCircuit, rule: Rule) -> BCircuit:
 
     A subroutine body that the rule leaves untouched is detected (the
     rewritten gate stream compares equal to the original) and the original
-    :class:`~repro.core.circuit.Subroutine` is reused, cached width and
-    all, instead of allocating a fresh namespace entry.
+    :class:`~repro.core.circuit.Subroutine` is reused instead of
+    allocating a fresh namespace entry.
 
     This is the single-rule case of the fused pipeline
     (:func:`repro.transform.pipeline.transform_bcircuit_fused`); to apply

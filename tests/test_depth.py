@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import build, qubit
+from repro import build, neg, qubit
 from repro.transform.count import aggregate_gate_count, count_circuit_flat
 from repro.transform.depth import circuit_depth, t_depth
 from repro.transform.inline import inline
@@ -166,10 +166,6 @@ def test_controlled_call_costs_its_body_depth():
     assert circuit_depth(inline(bc)) == 2
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the hierarchical count adds a controlled call's body counts without "
-    "the call's controls; inlining adds them to every controllable gate"
-))
 def test_controlled_call_count_matches_inlined_count():
     def body(qc, a):
         qc.hadamard(a)
@@ -285,3 +281,79 @@ def test_hierarchy_matches_inlined_enumeration(seed):
     assert aggregate_gate_count(bc) == count_circuit_flat(flat.circuit)
     assert circuit_depth(flat) <= circuit_depth(bc)
     assert t_depth(flat) <= t_depth(bc)
+
+
+def _random_controlled_hierarchy(seed):
+    """A small seeded hierarchy whose calls carry positive and negative
+    controls: ``mid`` calls ``leaf`` under a control of its own (nested),
+    and main calls either box, repeated and possibly inverted, under one
+    or two controls."""
+    rnd = random.Random(f"controlled/{seed}")
+    n = rnd.randint(4, 5)
+    leaf_ops = _draw_ops(rnd, 3, rnd.randint(1, 5))
+    mid_ops = _draw_ops(rnd, 3, rnd.randint(0, 3))
+    leaf_reps = rnd.randint(1, 3)
+    mid_positive = rnd.random() < 0.5
+
+    def leaf(qc, qs):
+        with qc.ancilla() as anc:
+            _apply(qc, [*qs, anc], leaf_ops)
+        return qs
+
+    def mid(qc, qs):
+        a, b, c = qs
+        _apply(qc, qs, mid_ops)
+        with qc.controls(c if mid_positive else neg(c)):
+            qc.nbox("leaf", leaf_reps, leaf, [a, b])
+        return qs
+
+    plan = []
+    for _ in range(rnd.randint(1, 4)):
+        name = rnd.choice(("leaf", "mid"))
+        wires = rnd.sample(range(n), n)
+        arity = 2 if name == "leaf" else 3
+        controls = [(w, rnd.random() < 0.5)
+                    for w in wires[arity:arity + rnd.randint(1, 2)]]
+        plan.append((name, wires[:arity], controls, rnd.random() < 0.5,
+                     rnd.randint(1, 3)))
+
+    def main(qc, qs):
+        for name, pick, controls, inverted, reps in plan:
+            fn = leaf if name == "leaf" else mid
+
+            def call(qc2, args, name=name, fn=fn, reps=reps):
+                return qc2.nbox(name, reps, fn, args)
+
+            args = [qs[i] for i in pick]
+            with qc.controls([qs[w] if positive else neg(qs[w])
+                              for w, positive in controls]):
+                if inverted:
+                    qc.reverse_endo(call, args)
+                else:
+                    call(qc, args)
+        return qs
+
+    bc, _ = build(main, [qubit] * n)
+    return bc
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_controlled_calls_count_like_the_inlined_circuit(seed):
+    """A call's controls reach every named gate of its body, nested calls
+    included, whether the call is inverted or repeated."""
+    bc = _random_controlled_hierarchy(seed)
+    assert aggregate_gate_count(bc) == count_circuit_flat(inline(bc).circuit)
+
+
+def test_controlled_draws_cover_every_call_shape():
+    from repro.core.gates import BoxCall
+
+    calls = [g for seed in range(40)
+             for g in _random_controlled_hierarchy(seed).circuit.gates
+             if isinstance(g, BoxCall)]
+    assert any(any(c.positive for c in g.controls) for g in calls)
+    assert any(any(not c.positive for c in g.controls) for g in calls)
+    assert any(g.inverted for g in calls)
+    assert any(g.repetitions > 1 for g in calls)
+    assert any(g.name == "mid" for g in calls)
+    assert all(g.controls for g in calls)

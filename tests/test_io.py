@@ -585,14 +585,6 @@ class TestWidthMemoization:
         bc1.check()  # memoizes widths in bc1 only
         assert bc1.namespace["sub"] == bc2.namespace["sub"]
 
-    def test_invalidate_width_drops_cache(self):
-        bc = self._boxed()
-        sub = bc.namespace["sub"]
-        sub.width(bc.namespace)
-        assert sub._width is not None
-        sub.invalidate_width()
-        assert sub._width is None
-
 
 class TestGoldenQasm:
     """Pin the exact QASM text for every algorithm family.

@@ -170,13 +170,11 @@ class TestIdentityReuse:
 
     def test_noop_rule_reuses_subroutines_and_width(self):
         bc = _boxed_circuit()
-        bc.check()  # populate width caches
+        bc.check()
         inner = bc.namespace["inner"]
-        assert inner._width is not None
         out = transform_bcircuit(bc, lambda qc, gate: False)
         assert out.namespace["inner"] is inner
         assert out.namespace["outer"] is bc.namespace["outer"]
-        assert out.namespace["inner"]._width is not None  # cache preserved
         assert out == bc
 
     def test_changed_callee_invalidates_cached_width_of_reused_caller(self):
@@ -186,25 +184,34 @@ class TestIdentityReuse:
         def touch_s(qc, gate):
             # Rewrites only the S gate, which lives in "inner": "outer"
             # is untouched and must be reused, but its transient width
-            # depends on inner's, so the cache has to drop.
+            # depends on inner's.
             if isinstance(gate, NamedGate) and gate.name == "S":
                 with qc.ancilla():
                     qc._emit_raw(gate)
                 return True
             return False
 
-        original_width = bc.namespace["outer"]._width
+        original_width = bc.namespace["outer"].width(bc.namespace)
         out = transform_bcircuit(bc, touch_s)
         assert out.namespace["inner"] is not bc.namespace["inner"]
         assert out.namespace["outer"] is bc.namespace["outer"]
-        # The stale cache was dropped; if anything recomputed it in the
-        # meantime it reflects the rewritten callee, never the
-        # pre-transform namespace.
-        cached = out.namespace["outer"]._width
-        assert cached is None or cached == (
-            out.namespace["outer"].circuit.check(out.namespace)
-        )
         assert out.check() == original_width + 1  # ancilla widened the peak
+
+    def test_derived_namespace_keeps_the_source_order(self):
+        """Bodies are rewritten callees first, but a derived namespace
+        lists its names in the source's order, callers first included."""
+        from repro.core.circuit import BCircuit
+
+        built = _boxed_circuit()
+        callers_first = BCircuit(
+            built.circuit, dict(reversed(built.namespace.items()))
+        )
+        for bc in (built, callers_first):
+            order = list(bc.namespace)
+            for out in (transform_bcircuit(bc, to_toffoli),
+                        _legacy_transform_bcircuit(bc, to_toffoli)):
+                assert list(out.namespace) == order
+                assert out.check() == bc.check() + 1
 
     def test_rule_touching_only_main_reuses_all_subroutines(self):
         bc = _boxed_circuit()
@@ -214,13 +221,12 @@ class TestIdentityReuse:
 
 
 class TestStreamedWidthCaches:
-    """Satellite bugfix: Subroutine.width caches cannot go stale through
-    the streaming consumers.
+    """Subroutine widths cannot go stale through the streaming
+    consumers.
 
-    ``Subroutine._width`` is only trustworthy for the namespace state it
-    was computed against; ``BCircuit.check`` re-invalidates before every
-    materialized width computation.  The streaming resource consumer must
-    apply the same discipline -- and a boxed function *re-entered with a
+    A width is only right for the namespace state it was computed
+    against: the streamed resource report must see in-place body edits
+    and rewritten callees -- and a boxed function *re-entered with a
     different shape* mid-stream (which mints a new ``name#2`` namespace
     key) must never inherit the width of the earlier shape.
     """
@@ -258,8 +264,7 @@ class TestStreamedWidthCaches:
         from repro.core.gates import Init, Term
 
         bc = _boxed_circuit()
-        bc.check()  # populate every width cache
-        assert bc.namespace["inner"]._width is not None
+        bc.check()
         # Widen "inner" in place: an extra ancilla alive across the body.
         inner = bc.namespace["inner"].circuit
         inner.gates.insert(0, Init(99, False))
@@ -285,6 +290,50 @@ class TestStreamedWidthCaches:
 
         streamed = Program.from_bcircuit(bc).stream(noop).resources()
         assert streamed["width"] == bc.check()
+
+
+class TestSourceWidthAfterDerivedQueries:
+    """Querying a derived hierarchy's width leaves the source's widths
+    alone: ``outer`` calls ``inner``, whose 3-control NOT takes an
+    ancilla in the Toffoli base, so the lowered width is 5 and the
+    source's stays 4 (the two hierarchies share the reused ``outer``)."""
+
+    @staticmethod
+    def _program():
+        from repro import Program
+
+        def inner(qc, a, b, c, d):
+            qc.qnot(d, controls=(a, b, c))
+            return a, b, c, d
+
+        def outer(qc, *qs):
+            return qc.box("inner", inner, *qs)
+
+        def main(qc, *qs):
+            return qc.box("outer", outer, *qs)
+
+        return Program.capture(main, *[qubit] * 4)
+
+    @staticmethod
+    def _assert_source_width(bc):
+        assert bc.namespace["outer"].width(bc.namespace) == 4
+        assert bc.circuit.check(bc.namespace) == 4
+        assert bc.check() == 4
+
+    def test_transformed_width_query(self):
+        program = self._program()
+        lowered = program.transform("toffoli")
+        assert lowered.width() == 5
+        assert lowered.bcircuit.namespace["outer"] is (
+            program.bcircuit.namespace["outer"]
+        )
+        self._assert_source_width(program.bcircuit)
+
+    def test_streamed_resources_of_a_built_program(self):
+        program = self._program()
+        bc = program.bcircuit
+        assert program.stream("toffoli").resources()["width"] == 5
+        self._assert_source_width(bc)
 
 
 class TestStreamTransformer:
@@ -315,9 +364,8 @@ class TestStreamTransformer:
         transformer = StreamTransformer((to_toffoli,), _Probe())
         namespace = replay_bcircuit(bc, transformer)
         # The 2-control H lives in "outer": rewritten.  "inner" is
-        # untouched and the original object (cached width intact) reused.
+        # untouched and the original object reused.
         assert namespace["inner"] is bc.namespace["inner"]
-        assert namespace["inner"]._width is not None
         assert namespace["outer"] is not bc.namespace["outer"]
 
     def test_streamed_chain_invalidates_reused_callers_of_changed_bodies(self):
@@ -326,7 +374,7 @@ class TestStreamTransformer:
 
         bc = _boxed_circuit()
         bc.check()
-        original_outer_width = bc.namespace["outer"]._width
+        original_outer_width = bc.namespace["outer"].width(bc.namespace)
 
         def touch_s(qc, gate):
             if isinstance(gate, NamedGate) and gate.name == "S":
@@ -343,17 +391,45 @@ class TestStreamTransformer:
             bc, StreamTransformer((touch_s,), _Probe())
         )
         # "inner" (holds the S) was rewritten; "outer" is reused but its
-        # transient width depends on inner's, so the cache must be gone
-        # or already consistent with the rewritten callee.
+        # transient width depends on inner's.
         assert namespace["inner"] is not bc.namespace["inner"]
         assert namespace["outer"] is bc.namespace["outer"]
-        cached = namespace["outer"]._width
-        assert cached is None or cached == namespace["outer"].circuit.check(
-            namespace
-        )
         assert namespace["outer"].circuit.check(namespace) == (
             original_outer_width + 1
         )
+
+
+class TestStreamStagesOnDeepChains:
+    """The streamed transform and optimize stages rewrite bodies through
+    the callee-first memo: a chain of boxes deeper than the Python stack
+    streams like any other, and a cycle is still reported."""
+
+    def test_deep_chain_streams_without_recursion(self):
+        from repro import Program
+
+        from test_qasm_import import _doubling_chain
+
+        program = Program.loads_qasm(_doubling_chain(2000))
+        expected = {("H", 0, 0): 2 ** 1999}
+        assert program.stream("toffoli").count() == expected
+        assert program.stream().optimize().count() == expected
+
+    def test_a_cycle_is_reported(self):
+        from repro import Program
+        from repro.core.circuit import BCircuit, Circuit, Subroutine
+        from repro.core.errors import QuipperError
+        from repro.core.gates import BoxCall
+
+        def calling(callee):
+            ends = ((0, "Q"),)
+            return Circuit(ends, [BoxCall(callee, ends, ends)], ends)
+
+        namespace = {"a": Subroutine("a", calling("b")),
+                     "b": Subroutine("b", calling("a"))}
+        program = Program.from_bcircuit(BCircuit(calling("a"), namespace))
+        for stream in (program.stream("toffoli"), program.stream().optimize()):
+            with pytest.raises(QuipperError, match="recursive subroutine"):
+                stream.count()
 
 
 class TestFusedGateBases:
