@@ -162,11 +162,19 @@ def _parse_controls(text: str | None) -> tuple[Control, ...]:
     return tuple(controls)
 
 
+def _wire(text: str, context: str) -> int:
+    """*text* as a wire id; *context* names the offending text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise AsciiParseError(f"bad wire {text!r} in {context!r}") from None
+
+
 def _parse_wire_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    return [int(part) for part in text.split(",")]
+    return [_wire(part, text) for part in text.split(",")]
 
 
 def _parse_endpoint(text: str) -> tuple[tuple[int, str], ...]:
@@ -178,7 +186,8 @@ def _parse_endpoint(text: str) -> tuple[tuple[int, str], ...]:
         wire, _, kind = part.strip().partition(":")
         if kind not in ("Qubit", "Bit"):
             raise AsciiParseError(f"bad endpoint entry {part!r}")
-        wires.append((int(wire), QUANTUM if kind == "Qubit" else CLASSICAL))
+        wires.append((_wire(wire, part),
+                      QUANTUM if kind == "Qubit" else CLASSICAL))
     return tuple(wires)
 
 
@@ -313,7 +322,7 @@ class _ShapeReader:
             start = self.pos
             while self.peek().isdigit():
                 self.pos += 1
-            wire = int(self.text[start:self.pos])
+            wire = _wire(self.text[start:self.pos], self.text)
             return Qubit(wire) if char == "q" else Bit(wire)
         if char == "<":
             return self._read_param()

@@ -23,7 +23,7 @@ import numpy as np
 from ..core.builder import Circ
 from ..core.qdata import qdata_leaves
 from ..core.wires import QUANTUM, Bit, Qubit, Wire
-from ..transform.inline import _WireSource, _expand
+from ..transform.inline import _SharedWires, _expand
 from .state import StateVector
 
 #: Inlined-subroutine scratch wires are allocated in a range disjoint from
@@ -38,7 +38,7 @@ class QRAMExecutor:
         self.qc = qc
         self.sim = StateVector(rng=rng)
         self.position = 0
-        self.source = _WireSource(_INLINE_WIRE_BASE)
+        self.source = _SharedWires(_INLINE_WIRE_BASE)
         qc.lifting_handler = self._lift
 
     def flush(self) -> None:

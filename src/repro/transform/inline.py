@@ -42,18 +42,32 @@ STREAM_EXPANSION_BASE = 1 << 60
 
 
 def _max_wire_id(circuit: Circuit) -> int:
+    """The largest wire id *circuit* names, or -1 if it names none."""
     top = max((wire for wire, _ in circuit.inputs), default=-1)
     for gate in circuit.gates:
         if gate.__class__ is NamedGate:  # in place: these are all its wires
-            wires = [*gate.targets, *[c.wire for c in gate.controls]]
-        else:
-            wires = [w for w, _ in gate.wires_in() + gate.wires_out()]
-        top = max([top, *wires])
+            for wire in gate.targets:
+                if wire > top:
+                    top = wire
+            for control in gate.controls:
+                if control[0] > top:
+                    top = control[0]
+            continue
+        for wire, _ in gate.wires_in() + gate.wires_out():
+            if wire > top:
+                top = wire
     return top
 
 
-class _WireSource:
-    """A monotone supply of fresh wire ids above an existing range."""
+class _SharedWires:
+    """A monotone supply of fresh wire ids above an existing range.
+
+    Everything that allocates into one circuit draws from one supply --
+    the recursive expansions of an inline, every stage of a transform
+    chain -- so ids never collide however the allocations interleave.
+    """
+
+    __slots__ = ("next_wire",)
 
     def __init__(self, start: int):
         self.next_wire = start
@@ -63,12 +77,18 @@ class _WireSource:
         self.next_wire += 1
         return wid
 
+    def take(self, count: int) -> int:
+        """Allocate *count* consecutive ids; return the first."""
+        wid = self.next_wire
+        self.next_wire += count
+        return wid
+
 
 def _expand(
     gate: Gate,
     controls: tuple[Control, ...],
     namespace: dict,
-    source: _WireSource,
+    source: _SharedWires,
 ) -> Iterator[Gate]:
     if isinstance(gate, Comment):
         yield gate
@@ -133,7 +153,7 @@ class StreamExpander:
 
     def __init__(self, namespace: dict):
         self.namespace = namespace
-        self._source = _WireSource(STREAM_EXPANSION_BASE)
+        self._source = _SharedWires(STREAM_EXPANSION_BASE)
 
     def expand(self, gate: Gate) -> Iterator[Gate]:
         if isinstance(gate, BoxCall):
@@ -144,7 +164,7 @@ class StreamExpander:
 
 def iter_flat_gates(bc: BCircuit) -> Iterator[Gate]:
     """Lazily yield the gates of the fully-inlined circuit."""
-    source = _WireSource(_max_wire_id(bc.circuit) + 1)
+    source = _SharedWires(_max_wire_id(bc.circuit) + 1)
     for gate in bc.circuit.gates:
         yield from _expand(gate, (), bc.namespace, source)
 
@@ -153,7 +173,7 @@ def iter_flat_gates_from(
     gates: list[Gate], namespace: dict, next_wire: int
 ) -> Iterator[Gate]:
     """Lazily inline an explicit gate list (used by the QRAM executor)."""
-    source = _WireSource(next_wire)
+    source = _SharedWires(next_wire)
     for gate in gates:
         yield from _expand(gate, (), namespace, source)
 

@@ -11,7 +11,7 @@ the box hierarchy -- k traversals and k intermediate namespaces.
 :func:`transform_bcircuit_fused` instead fuses the rules into a **single
 traversal**: each gate of each subroutine body flows through the rule
 chain once, the rewritten output of rule i feeding rule i+1 directly, so
-the whole chain costs one pass regardless of k.  Two further economies:
+the whole chain costs one pass regardless of k.  Three further economies:
 
 * **Identity memoization** -- a subroutine body that no rule touches is
   detected (the output gate stream compares equal to the input) and the
@@ -22,6 +22,10 @@ the whole chain costs one pass regardless of k.  Two further economies:
   self-expanding decompositions (the binary base synthesizes new Toffolis
   while eliminating old ones) complete in the same single traversal that
   previously required a whole-circuit fixpoint loop.
+* **Lowering by shape** -- what the built-in base rules make of a gate
+  depends only on its shape, so a chain of them lowers each shape once per
+  call into a template with wire and ancilla slots and renames it for every
+  later gate of that shape (see :class:`_Chain`).
 
 The pipeline is the engine behind :meth:`repro.program.Program.transform`.
 """
@@ -33,14 +37,14 @@ from typing import Callable
 
 from ..core.builder import Circ
 from ..core.circuit import (BCircuit, Circuit, Subroutine, SubroutineMemo,
-                            body_widths)
+                            _in_place, body_widths)
 from ..core.errors import QuipperError
-from ..core.gates import BoxCall, Gate, NamedGate, map_gate_wires
+from ..core.gates import BoxCall, Control, Gate, NamedGate, map_gate_wires
 from ..core.stream import StreamConsumer
 from ..obs import core as _obs
 from ..optimize.stream import StreamOptimizer
 from .binary import _binary_rule
-from .inline import _max_wire_id
+from .inline import _SharedWires, _max_wire_id
 from .toffoli import _toffoli_rule
 from .transformer import Rule, _rewrite_bodies
 
@@ -70,24 +74,6 @@ def fixpoint_rule(rule: Rule) -> Rule:
 #: ``decompose_generic(BINARY, bc)``.
 to_toffoli: Rule = _toffoli_rule
 to_binary: Rule = fixpoint_rule(_binary_rule)
-
-
-class _SharedWires:
-    """A mutable wire-id counter shared by every stage of one pipeline.
-
-    All stages rewriting one circuit body allocate ancillas from the same
-    monotone supply, so ids never collide even though the stages interleave.
-    """
-
-    __slots__ = ("next_wire",)
-
-    def __init__(self, start: int):
-        self.next_wire = start
-
-    def fresh(self) -> int:
-        wid = self.next_wire
-        self.next_wire += 1
-        return wid
 
 
 class _TeeGates(list):
@@ -136,6 +122,27 @@ class _LastGateTee:
         )
 
 
+def _track_passthrough(live: dict[int, str], gate: Gate) -> None:
+    """Apply a declined gate's wire effects to *live* without validating.
+
+    Gates that a rule declines to handle arrive from a validated source
+    -- the input circuit, or an upstream stage that checked them at
+    emission -- so the redundant per-stage re-validation the sequential
+    transformer pays on every pass is skipped; only the liveness effects
+    (which later rule emissions consult) are applied.  A named gate has
+    none: its outputs are its inputs.
+    """
+    if gate.__class__ is NamedGate:
+        return
+    outs = gate.wires_out()
+    out_ids = {w for w, _ in outs}
+    for wire, _ in gate.wires_in():
+        if wire not in out_ids:
+            live.pop(wire, None)
+    for wire, wtype in outs:
+        live[wire] = wtype
+
+
 class _StageCirc(Circ):
     """The builder a rule sees inside one fused-pipeline stage.
 
@@ -154,27 +161,6 @@ class _StageCirc(Circ):
 
     def _fresh_id(self) -> int:
         return self._shared.fresh()
-
-    def _track_passthrough(self, gate: Gate) -> None:
-        """Apply a pass-through gate's wire effects without re-validating.
-
-        Gates that a rule declines to handle arrive from a validated
-        source -- the input circuit, or an upstream stage that checked
-        them at emission -- so the redundant per-stage re-validation the
-        sequential transformer pays on every pass is skipped; only the
-        liveness effects (which later rule emissions consult) are applied.
-        A named gate has none: its outputs are its inputs.
-        """
-        if gate.__class__ is NamedGate:
-            return
-        outs = gate.wires_out()
-        out_ids = {w for w, _ in outs}
-        live = self._live
-        for wire, _ in gate.wires_in():
-            if wire not in out_ids:
-                live.pop(wire, None)
-        for wire, wtype in outs:
-            live[wire] = wtype
 
 
 class _Stage:
@@ -200,7 +186,7 @@ class _Stage:
     def process(self, gate: Gate) -> None:
         """Feed one upstream gate through this stage."""
         if not self.rule(self.qc, gate):
-            self.qc._track_passthrough(gate)
+            _track_passthrough(self.qc._live, gate)
             self.downstream(gate)
 
     def _reprocess(self, gate: Gate) -> None:
@@ -210,39 +196,218 @@ class _Stage:
             self.downstream(gate)
 
 
-def _run_chain(
-    circuit: Circuit,
-    rules: tuple[Rule, ...],
-    namespace: dict[str, Subroutine],
-    widths: dict[str, int],
-) -> list[Gate]:
-    """Stream a circuit body through the fused rule chain, once."""
-    out_gates: list[Gate] = []
-    shared = _SharedWires(_max_wire_id(circuit) + 1)
-    intake: Callable[[Gate], None] = out_gates.append
-    for rule in reversed(rules):
-        qc = _StageCirc(namespace, circuit.inputs, shared)
-        qc._widths = widths
-        intake = _Stage(rule, qc, intake).process
-    for gate in circuit.gates:
-        intake(gate)
-    return out_gates
+class _Template:
+    """One gate shape's lowering over wire slots, instantiated by renaming.
+
+    Made from the first gate of the shape and what the per-gate stages
+    emitted for it.  Slot ``i < k`` is the ``i``-th wire of that gate (its
+    targets, then its controls); slot ``k + j`` is the ``j``-th ancilla
+    the rules allocated.  An instance renames the slots to a gate's wires
+    and to a block of fresh ids, and builds each distinct gate and
+    control of the expansion once, however often the expansion repeats
+    it.  A gate of the expansion that carries the first gate's parameter
+    takes the instance's.  The slots are laid out on the first instance,
+    so a shape lowered once costs no more than the per-gate stages.
+    """
+
+    __slots__ = ("source", "gates", "first", "ancillas",
+                 "controls", "named", "others", "order")
+
+    def __init__(self, source: NamedGate, gates: list[Gate], first: int,
+                 ancillas: int):
+        self.source = source
+        self.gates = gates
+        self.first = first
+        self.ancillas = ancillas
+        self.order: tuple[int, ...] | None = None
+
+    def _lay_out(self) -> None:
+        source, gates = self.source, self.gates
+        ends = source.wires_in()
+        # Every gate valid on the source's own wires and its ancillas,
+        # and the live wires unchanged at the end, proven once.
+        Circuit(ends, gates, ends)._check({})
+        slot = {wire: index for index, (wire, _) in enumerate(ends)}
+        slot.update((self.first + j, len(ends) + j)
+                    for j in range(self.ancillas))
+        # An instance builds the named gates first, then the Init/Term
+        # pairs of the ancillas.
+        named = dict.fromkeys(g for g in gates if g.__class__ is NamedGate)
+        others = dict.fromkeys(g for g in gates if g.__class__ is not NamedGate)
+        index = {g: i for i, g in enumerate([*named, *others])}
+        controls: dict[tuple, int] = {}
+        self.named = tuple(
+            (g.name, tuple([slot[w] for w in g.targets]),
+             tuple(controls.setdefault((slot[w], positive, wtype),
+                                       len(controls))
+                   for w, positive, wtype in g.controls),
+             g.inverted, g.param,
+             g.param is not None and g.param is source.param)
+            for g in named
+        )
+        self.others = tuple((g.__class__, slot[g.wire], g.value)
+                            for g in others)
+        self.controls = tuple(controls)
+        self.order = tuple(index[g] for g in gates)
+        self.source = self.gates = None
+
+    def instantiate(self, gate: NamedGate, supply: _SharedWires,
+                    sink: Callable[[Gate], None]) -> None:
+        """Emit the lowering of *gate*, whose wires are live and distinct."""
+        if self.order is None:
+            self._lay_out()
+        wires = [*gate.targets, *[c.wire for c in gate.controls]]
+        first = supply.take(self.ancillas)
+        wires.extend(range(first, first + self.ancillas))
+        controls = [Control(wires[w], positive, wtype)
+                    for w, positive, wtype in self.controls]
+        built = [
+            NamedGate(name, tuple([wires[w] for w in targets]),
+                      tuple([controls[i] for i in picks]), inverted,
+                      gate.param if own_param else param)
+            for name, targets, picks, inverted, param, own_param in self.named
+        ]
+        built += [cls(wires[w], value) for cls, w, value in self.others]
+        for index in self.order:
+            sink(built[index])
 
 
-def _rewritten(sub: Subroutine, rules: tuple[Rule, ...],
-               namespace: dict[str, Subroutine],
-               widths: dict[str, int]) -> Subroutine:
-    """*sub* through the rule chain: itself if no rule touched its body."""
-    gates = _run_chain(sub.circuit, rules, namespace, widths)
-    if gates == sub.circuit.gates:
+#: The built-in base rules.  What they make of a gate depends only on its
+#: shape, they copy its parameter through unread, and they decline every
+#: gate that is not a :class:`NamedGate`.
+_BASE_RULES = (to_toffoli, to_binary)
+
+#: What the shape memo answers for a shape it has not met in this call.
+_UNSEEN = object()
+
+
+class _Chain:
+    """One transform call's rule chain, with its shape memo.
+
+    A chain made only of :data:`_BASE_RULES` lowers each gate shape (name,
+    inverted, whether it has a parameter, target count, each control's
+    sign and wire type) once per call: ``shapes`` maps a shape to ``None``
+    when the rules decline it, or to its :class:`_Template`.  The value
+    of a parameter is not part of the shape, so the memo grows with the
+    distinct shapes a call lowers, not with its distinct angles.  Any
+    other chain runs every gate through its per-gate stages.
+    """
+
+    def __init__(self, rules: tuple[Rule, ...]):
+        self.rules = rules
+        self.namespace: dict[str, Subroutine] = {}
+        self.widths = body_widths(self.namespace)
+        self.shapes: dict[tuple, _Template | None] | None = (
+            {} if all(rule in _BASE_RULES for rule in rules) else None
+        )
+        self.expanded = 0
+        self.reused = 0
+
+    def stages(self, inputs: tuple[tuple[int, str], ...],
+               supply: _SharedWires, sink: Callable[[Gate], None],
+               retain: bool = True) -> Callable[[Gate], None]:
+        """The per-gate stages of the chain, feeding *sink*: the intake."""
+        intake = sink
+        for rule in reversed(self.rules):
+            qc = _StageCirc(self.namespace, inputs, supply)
+            qc._widths = self.widths
+            intake = _Stage(rule, qc, intake, retain).process
+        return intake
+
+    def intake(self, inputs: tuple[tuple[int, str], ...],
+               supply: _SharedWires, sink: Callable[[Gate], None],
+               retain: bool = True) -> Callable[[Gate], None]:
+        """Where one gate stream with live *inputs* enters the chain."""
+        if self.shapes is None:
+            return self.stages(inputs, supply, sink, retain)
+        return _ShapeIntake(self, inputs, supply, sink).process
+
+    def run(self, circuit: Circuit) -> list[Gate]:
+        """Stream a circuit body through the chain, once."""
+        out_gates: list[Gate] = []
+        intake = self.intake(circuit.inputs,
+                             _SharedWires(_max_wire_id(circuit) + 1),
+                             out_gates.append)
+        for gate in circuit.gates:
+            intake(gate)
+        return out_gates
+
+    def rewritten(self, sub: Subroutine) -> Subroutine:
+        """*sub* through the chain: itself if no rule touched its body."""
+        gates = self.run(sub.circuit)
+        if gates == sub.circuit.gates:
+            if _obs.ENABLED:
+                _obs.add("transform.bodies.reused")
+            return sub
         if _obs.ENABLED:
-            _obs.add("transform.bodies.reused")
-        return sub
-    if _obs.ENABLED:
-        _obs.add("transform.bodies.rewritten")
-    return dataclasses.replace(
-        sub, circuit=dataclasses.replace(sub.circuit, gates=gates)
-    )
+            _obs.add("transform.bodies.rewritten")
+        return dataclasses.replace(
+            sub, circuit=dataclasses.replace(sub.circuit, gates=gates)
+        )
+
+    def report(self) -> None:
+        """Count the call's shape memo, once per call."""
+        if _obs.ENABLED and self.shapes is not None:
+            _obs.add("transform.shapes.expanded", self.expanded)
+            _obs.add("transform.shapes.reused", self.reused)
+
+
+class _ShapeIntake:
+    """One gate stream lowered through its chain's shape memo.
+
+    A gate of a declined shape passes with no rule call; a gate of a
+    templated shape whose wires pass the in-place check (live, distinct,
+    typed right) is instantiated.  A gate of a new shape, or one the
+    in-place check refuses, runs through the chain's per-gate stages,
+    built over the wires live at that point; a new shape's result is
+    memoized.  ``live`` follows the stream: the base rules leave it as
+    they find it.
+    """
+
+    __slots__ = ("chain", "live", "supply", "sink")
+
+    def __init__(self, chain: _Chain, inputs: tuple[tuple[int, str], ...],
+                 supply: _SharedWires, sink: Callable[[Gate], None]):
+        self.chain = chain
+        self.live = dict(inputs)
+        self.supply = supply
+        self.sink = sink
+
+    def process(self, gate: Gate) -> None:
+        if gate.__class__ is not NamedGate:
+            _track_passthrough(self.live, gate)
+            self.sink(gate)
+            return
+        chain = self.chain
+        key = (gate.name, gate.inverted, gate.param is None,
+               len(gate.targets), *[c[1:] for c in gate.controls])
+        lowering = chain.shapes.get(key, _UNSEEN)
+        if lowering is None:
+            chain.reused += 1
+            self.sink(gate)
+        elif lowering is not _UNSEEN and _in_place(self.live, gate):
+            chain.reused += 1
+            lowering.instantiate(gate, self.supply, self.sink)
+        else:
+            self._per_gate(gate, key if lowering is _UNSEEN else None)
+
+    def _per_gate(self, gate: NamedGate, key: tuple | None) -> None:
+        """Lower *gate* through the per-gate stages; memoize a new *key*."""
+        supply = self.supply
+        first = supply.next_wire
+        out: list[Gate] = []
+        self.chain.stages(tuple(self.live.items()), supply, out.append)(gate)
+        if key is not None:
+            if len(out) == 1 and out[0] is gate:
+                self.chain.shapes[key] = None
+                self.chain.expanded += 1
+            elif _in_place(self.live, gate):
+                self.chain.shapes[key] = _Template(
+                    gate, out, first, supply.next_wire - first
+                )
+                self.chain.expanded += 1
+        for emitted in out:
+            self.sink(emitted)
 
 
 #: Base of the wire-id range streaming transform stages draw ancillas
@@ -271,17 +436,14 @@ class StreamTransformer(StreamConsumer):
         self.downstream = downstream
 
     def begin(self, inputs, namespace) -> None:
-        self.out_ns: dict[str, Subroutine] = {}
-        self._widths = body_widths(self.out_ns)
+        self._chain = _Chain(self.rules)
+        self.out_ns = self._chain.namespace
         self._bodies = SubroutineMemo(namespace, self._rewrite)
         self.downstream.begin(inputs, self.out_ns)
-        shared = _SharedWires(STREAM_TRANSFORM_BASE)
-        intake: Callable[[Gate], None] = self.downstream.gate
-        for rule in reversed(self.rules):
-            qc = _StageCirc(self.out_ns, inputs, shared)
-            qc._widths = self._widths
-            intake = _Stage(rule, qc, intake, retain=False).process
-        self._intake = intake
+        self._intake = self._chain.intake(
+            inputs, _SharedWires(STREAM_TRANSFORM_BASE),
+            self.downstream.gate, retain=False,
+        )
 
     def gate(self, gate: Gate) -> None:
         if isinstance(gate, BoxCall):
@@ -290,12 +452,11 @@ class StreamTransformer(StreamConsumer):
 
     def _rewrite(self, sub: Subroutine) -> Subroutine:
         """Rewrite *sub* into ``out_ns``, where its callees already are."""
-        new = self.out_ns[sub.name] = _rewritten(
-            sub, self.rules, self.out_ns, self._widths
-        )
+        new = self.out_ns[sub.name] = self._chain.rewritten(sub)
         return new
 
     def finish(self, end):
+        self._chain.report()
         return self.downstream.finish(
             dataclasses.replace(end, namespace=self.out_ns)
         )
@@ -310,19 +471,18 @@ def transform_bcircuit_fused(bc: BCircuit, *rules: Rule) -> BCircuit:
     once: each gate is offered to rule 1, whose output feeds rule 2, and so
     on, with liveness tracked per stage.  Subroutine bodies left untouched
     by the whole chain are detected and their original
-    :class:`~repro.core.circuit.Subroutine` objects reused.
+    :class:`~repro.core.circuit.Subroutine` objects reused.  A chain of
+    the built-in base rules lowers each gate shape once per call and
+    renames that lowering for every later gate of the shape.
     """
     if not rules:
         return bc
-    namespace: dict[str, Subroutine] = {}
-    widths = body_widths(namespace)
-    _rewrite_bodies(
-        bc.namespace,
-        lambda sub: _rewritten(sub, rules, namespace, widths),
-        namespace,
-    )
-    gates = _run_chain(bc.circuit, rules, namespace, widths)
-    return BCircuit(dataclasses.replace(bc.circuit, gates=gates), namespace)
+    chain = _Chain(rules)
+    _rewrite_bodies(bc.namespace, chain.rewritten, chain.namespace)
+    gates = chain.run(bc.circuit)
+    chain.report()
+    return BCircuit(dataclasses.replace(bc.circuit, gates=gates),
+                    chain.namespace)
 
 
 def canonicalize_wires(bc: BCircuit) -> BCircuit:

@@ -1,0 +1,79 @@
+"""The seven algorithm families of the end-to-end benchmark's catalogues.
+
+Each entry is named as ``benchmarks/e2e/workloads.py`` names it and maps
+to a factory building a fresh :class:`~repro.program.Program` with the
+same parameters, so a test can run the programs the benchmark times
+without importing the benchmark harness.
+"""
+
+from __future__ import annotations
+
+from repro import Program
+from repro.algorithms.bf.main import hex_oracle_program
+from repro.algorithms.bwt.main import bwt_program
+from repro.algorithms.cl.regulator import period_finding_circuit
+from repro.algorithms.gse.main import gse_program
+from repro.algorithms.qls.main import hhl_program
+from repro.algorithms.tf.main import part_program
+from repro.algorithms.usv.lattice import parity_kernel_matrix, planted_instance
+from repro.algorithms.usv.usv import coset_sampling_circuit
+
+
+def tf(part: str, l: int, n: int = 3, r: int = 2):
+    return lambda: part_program(part, l, n, r, "orthodox")
+
+
+def bwt(n: int):
+    return lambda: bwt_program(n, 1, 0.1)
+
+
+def bf(rows: int, cols: int):
+    return lambda: hex_oracle_program(rows, cols)
+
+
+def gse(precision: int):
+    return lambda: gse_program(precision, 0.8, 4)
+
+
+def cl(width: int):
+    return lambda: Program.capture(
+        lambda qc: period_finding_circuit(qc, 5, width),
+        name=f"cl(width={width})",
+    )
+
+
+def usv(dimension: int):
+    def make():
+        _basis, parity = planted_instance(dimension, 0)
+        kernel = parity_kernel_matrix(parity, seed=0)
+        return Program(lambda: (coset_sampling_circuit(kernel), None),
+                       name=f"usv(dimension={dimension})")
+    return make
+
+
+def qls(precision: int):
+    return lambda: hhl_program(precision=precision)
+
+
+#: The whole ``compile`` catalogue.
+COMPILE = {
+    "bwt-n2": bwt(2), "bwt-n3": bwt(3),
+    "tf-mul-l2": tf("mul", 2), "tf-mul-l3": tf("mul", 3),
+    "tf-pow17-l2": tf("pow17", 2),
+    "bf-2x2": bf(2, 2), "bf-2x3": bf(2, 3),
+    "gse-p2": gse(2), "gse-p3": gse(3), "gse-p4": gse(4),
+    "cl-w3": cl(3), "cl-w4": cl(4), "cl-w5": cl(5),
+    "usv-d2": usv(2), "usv-d3": usv(3),
+    "qls-p1": qls(1), "qls-p2": qls(2), "qls-p3": qls(3),
+}
+
+#: The smallest ``estimate`` entry of each family, with its gate base.
+ESTIMATE = {
+    "tf-l6-n5-r3": (tf("full", 6, 5, 3), "toffoli"),
+    "bwt-n4": (bwt(4), "binary"),
+    "bf-3x3": (bf(3, 3), "binary"),
+    "gse-p4": (gse(4), "binary"),
+    "cl-w4": (cl(4), "binary"),
+    "usv-d3": (usv(3), "binary"),
+    "qls-p3": (qls(3), "binary"),
+}

@@ -86,15 +86,16 @@ def random_gates(
     classical_control_p=0.3,
     measure_p=0.5,
     fresh_p=0.0,
+    max_controls=2,
 ):
     """A random gate list over the whole extended circuit model.
 
     Starts from :func:`superpose`, then draws *steps* events: vocabulary
-    gates with random quantum/classical controls and inversion
-    (probability *gate_p*), Init/controlled-T/Term ancilla triples
-    (*ancilla_p*), fresh classical wires via ``CInit`` (*cinit_p*),
-    fresh qubits via ``Init`` that stay live until measured or discarded
-    (*fresh_p*, off by default), and otherwise mid-circuit
+    gates with up to *max_controls* random quantum controls, random classical
+    controls and inversion (probability *gate_p*), Init/controlled-T/Term
+    ancilla triples (*ancilla_p*), fresh classical wires via ``CInit``
+    (*cinit_p*), fresh qubits via ``Init`` that stay live until measured
+    or discarded (*fresh_p*, off by default), and otherwise mid-circuit
     ``Measure``/``Discard`` of a live qubit.  The probabilities are the
     knobs the historical per-suite copies differed by; the structure is
     shared.
@@ -115,7 +116,7 @@ def random_gates(
             arity = gate_arity(name, param)
             if arity > len(live):
                 continue
-            picks = rnd.sample(live, min(len(live), arity + 2))
+            picks = rnd.sample(live, min(len(live), arity + max_controls))
             targets = tuple(picks[:arity])
             controls = []
             for extra in picks[arity:]:

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import pathlib
 import random
+import re
+import time
 
 import pytest
 
 from repro import build, qubit
 from repro.core.circuit import BCircuit, Circuit
+from repro.core.errors import QuipperError
 from repro.core.gates import (
     BoxCall,
     CDiscard,
@@ -35,6 +38,8 @@ from repro.core.wires import CLASSICAL, QUANTUM
 from repro.io import AsciiParseError, dumps, load, loads
 from repro.io.ascii_parser import decode_shape, encode_shape
 from repro.output.ascii import format_bcircuit
+
+from families import COMPILE
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -406,8 +411,68 @@ class TestParserErrors:
             'QGate["H"](5)\n'
             "Outputs: 0:Qubit"
         )
-        with pytest.raises(Exception):
+        with pytest.raises(QuipperError):
             loads(text)
+
+    @pytest.mark.parametrize("text, offending", [
+        ('Inputs: none\nQInit0(0)\nQGate["H"](>)\nOutputs: 0:Qubit\n',
+         "'>'"),
+        ("Inputs: x:Qubit\nOutputs: x:Qubit\n", "'x'"),
+        ("Shape: q -> q0\nInputs: 0:Qubit\nOutputs: 0:Qubit\n",
+         "'q -> q0'"),
+    ], ids=["wire-list", "endpoint", "shape"])
+    def test_malformed_wire_numbers_are_parse_errors(self, text, offending):
+        """A wire that is not a number names the offending text instead
+        of escaping as a bare ``ValueError`` from ``int()``."""
+        with pytest.raises(AsciiParseError, match=re.escape(offending)):
+            loads(text)
+
+
+#: Characters a corruption substitutes: wire-number syntax, punctuation
+#: and the letters of the keywords.
+_FUZZ_ALPHABET = "0123456789:,()[]<>-+*\"' \nqcQubitBitnone?!{}x"
+
+
+def _corruptions(text: str, rnd: random.Random, count: int):
+    """*count* seeded corruptions of *text*: one character substituted,
+    1-29 characters deleted, the text truncated, or a line duplicated."""
+    lines = text.splitlines(keepends=True)
+    for index in range(count):
+        kind = index % 4
+        pos = rnd.randrange(len(text))
+        if kind == 0:
+            yield text[:pos] + rnd.choice(_FUZZ_ALPHABET) + text[pos + 1:]
+        elif kind == 1:
+            yield text[:pos] + text[pos + rnd.randint(1, 29):]
+        elif kind == 2:
+            yield text[:pos]
+        else:
+            line = rnd.randrange(len(lines))
+            yield "".join(lines[:line + 1] + lines[line:])
+
+
+class TestParserFuzz:
+    """Seeded corruptions of the dumps of binary-lowered programs: each
+    one parses or raises a :class:`QuipperError`, and none is slow."""
+
+    @pytest.mark.parametrize(
+        "entry", ["bwt-n2", "cl-w3", "gse-p2", "tf-mul-l2", "qls-p1"]
+    )
+    def test_corrupted_dumps_raise_quipper_errors(self, entry):
+        text = dumps(COMPILE[entry]().transform("binary").bcircuit)
+        rnd = random.Random(f"ascii-fuzz/{entry}")
+        escaped, slowest = [], 0.0
+        for case in _corruptions(text, rnd, 300):
+            start = time.perf_counter()
+            try:
+                loads(case)
+            except QuipperError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - what the test finds
+                escaped.append(f"{type(exc).__name__}: {exc}")
+            slowest = max(slowest, time.perf_counter() - start)
+        assert not escaped, escaped[:5]
+        assert slowest < 5.0
 
 
 class TestQasmExport:

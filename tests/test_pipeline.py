@@ -9,12 +9,17 @@ and reporting dangling wires at ``finish``.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import build, qubit
 from repro.core.builder import Circ
+from repro.core.circuit import BCircuit, Circuit, Subroutine, track_gate
 from repro.core.errors import DanglingWiresError, DanglingWiresWarning
-from repro.core.gates import Gate, NamedGate
+from repro.core.gates import BoxCall, Control, Gate, NamedGate
+from repro.core.stream import StreamConsumer, replay_bcircuit
+from repro.core.wires import CLASSICAL, QUANTUM
 from repro.transform import (
     BINARY,
     aggregate_gate_count,
@@ -26,9 +31,16 @@ from repro.transform import (
     transform_bcircuit,
     transform_bcircuit_fused,
 )
+from repro.transform.binary import _binary_rule
+from repro.transform.inline import _max_wire_id
+from repro.transform.pipeline import StreamTransformer
 from repro.transform.transformer import _legacy_transform_bcircuit
 
+from families import COMPILE, ESTIMATE
+from strategies import random_gates, superpose
 from test_io import random_bcircuit
+from test_liveness import (CASES, CORRUPTIONS, ECHOED_FAN_OUT, INPUTS,
+                           _namespace, _seeded_inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -495,3 +507,353 @@ class TestFinishDanglingWires:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             build(self._leaky, qubit, qubit, on_extra="explode")
+
+
+# ---------------------------------------------------------------------------
+# Lowering by gate shape
+# ---------------------------------------------------------------------------
+
+
+def _plain_toffoli(qc: Circ, gate: Gate):
+    return to_toffoli(qc, gate)
+
+
+#: Gate base -> (the built-in chain, the same rules as plain callables).
+#: A chain holding any other callable than a built-in rule keeps the
+#: per-gate stages, so the second chain is the lowering without the shape
+#: memo.
+CHAINS = {
+    "toffoli": ((to_toffoli,), (_plain_toffoli,)),
+    "binary": ((to_toffoli, to_binary),
+               (_plain_toffoli,
+                fixpoint_rule(lambda qc, gate: _binary_rule(qc, gate)))),
+}
+
+
+def _exact(circuit: Circuit) -> tuple:
+    """*circuit* for ``==``: wire ids kept, and a parameter compared by
+    its repr, so that -0.0 differs from 0.0."""
+    return (circuit.inputs, circuit.outputs,
+            [(g, repr(g.param)) if isinstance(g, NamedGate) else g
+             for g in circuit.gates])
+
+
+def _outcome(lower):
+    """``("ok", result)`` of *lower()*, or the class and message it raised."""
+    try:
+        return "ok", lower()
+    except Exception as exc:  # noqa: BLE001 - compared across the chains
+        return type(exc).__name__, str(exc)
+
+
+def _assert_same_outcome(memo, plain, source: dict | None):
+    """Both chains raised alike, or lowered to the same hierarchy.
+
+    With *source* (the input namespace) a body must be reused by one
+    chain exactly when the other reuses it.
+    """
+    assert memo[0] == plain[0], (memo, plain)
+    if memo[0] != "ok":
+        assert memo[1] == plain[1]
+        return
+    memo, plain = memo[1], plain[1]
+    assert _exact(memo.circuit) == _exact(plain.circuit)
+    assert list(memo.namespace) == list(plain.namespace)
+    for name, sub in plain.namespace.items():
+        assert _exact(memo.namespace[name].circuit) == _exact(sub.circuit)
+        if source is not None:
+            assert (memo.namespace[name] is source.get(name)) == (
+                sub is source.get(name)
+            )
+
+
+def _assert_same_lowering(bc: BCircuit, base: str):
+    memo_rules, plain_rules = CHAINS[base]
+    memo = _outcome(lambda: transform_bcircuit_fused(bc, *memo_rules))
+    plain = _outcome(lambda: transform_bcircuit_fused(bc, *plain_rules))
+    _assert_same_outcome(memo, plain, bc.namespace)
+    return memo
+
+
+class _Collect(StreamConsumer):
+    """The gates a stream emits, as a hierarchy with its namespace."""
+
+    def begin(self, inputs, namespace):
+        self.gates = []
+
+    def gate(self, gate):
+        self.gates.append(gate)
+
+    def finish(self, end):
+        return BCircuit(Circuit(end.inputs, self.gates, end.outputs),
+                        end.namespace)
+
+
+def _assert_same_stream(source, base: str):
+    """The same, for the gates a stream emits: *source* is a hierarchy
+    (replayed) or a program (generated afresh for each chain)."""
+    memo_rules, plain_rules = CHAINS[base]
+    if isinstance(source, BCircuit):
+        def streamed(rules):
+            return replay_bcircuit(source,
+                                   StreamTransformer(rules, _Collect()))
+        namespace = source.namespace
+    else:
+        def streamed(rules):
+            return source.stream(*rules)._produce(_Collect())
+        namespace = None
+    _assert_same_outcome(_outcome(lambda: streamed(memo_rules)),
+                         _outcome(lambda: streamed(plain_rules)), namespace)
+
+
+def _lowerable(gate: Gate) -> bool:
+    """Whether the binary base lowers *gate*: of the two-target gates,
+    only ``W`` and ``swap`` may carry quantum controls."""
+    return not (
+        isinstance(gate, NamedGate) and len(gate.targets) == 2
+        and gate.name not in ("W", "swap")
+        and any(c.wire_type == QUANTUM for c in gate.controls)
+    )
+
+
+def _live_after(inputs, gates, namespace) -> tuple:
+    live = dict(inputs)
+    widths = {name: 0 for name in namespace}
+    for gate in gates:
+        track_gate(live, gate, widths)
+    return tuple(live.items())
+
+
+def _random_hierarchy(seed: int, lowerable: bool = True) -> BCircuit:
+    """A main circuit calling three bodies: ``caller`` calls ``lowered``
+    (gates with up to six controls), and no rule touches ``kept``.
+
+    The main circuit adds classical controls, measurements, discards and
+    fresh wires.  With *lowerable*, gates the binary base has no rule
+    for are left out.
+    """
+    rnd = random.Random(f"lowering/{seed}")
+    m = rnd.randint(4, 6)
+    n = m + rnd.randint(2, 4)
+    ends = tuple((w, QUANTUM) for w in range(m))
+
+    def body(gates):
+        gates = [g for g in gates if not lowerable or _lowerable(g)]
+        return Circuit(ends, gates, ends)
+
+    lowered = random_gates(rnd, m, steps=30, max_controls=6, gate_p=0.85,
+                           ancilla_p=0.15, cinit_p=0.0)
+    caller = [BoxCall("lowered", ends, ends), *superpose(m),
+              BoxCall("lowered", ends, ends, inverted=True)]
+    namespace = {
+        "caller": Subroutine("caller", body(caller)),
+        "kept": Subroutine("kept", body(superpose(m))),
+        "lowered": Subroutine("lowered", body(lowered)),
+    }
+    inputs = tuple((w, QUANTUM) for w in range(n))
+    gates = [BoxCall("caller", ends, ends),
+             BoxCall("kept", ends, ends, controls=(Control(m, False),))]
+    gates += [g for g in random_gates(rnd, n, steps=60, max_controls=6,
+                                      fresh_p=0.05, measure_p=0.6)
+              if not lowerable or _lowerable(g)]
+    bc = BCircuit(Circuit(inputs, gates,
+                          _live_after(inputs, gates, namespace)), namespace)
+    bc.check()
+    return bc
+
+
+class TestLoweringByShape:
+    """The built-in base rules lower each gate shape once per transform
+    call and rename that lowering for every later gate of the shape.
+
+    The reference is the same rules as plain callables, which every gate
+    still goes through: the lowerings must agree gate for gate, wire ids
+    included (no ``canonicalize_wires``), in namespace order and in
+    which bodies are reused untouched.
+    """
+
+    @pytest.mark.parametrize("base", ["toffoli", "binary"])
+    @pytest.mark.parametrize("entry", sorted(COMPILE))
+    def test_compile_catalogue(self, entry, base):
+        program = COMPILE[entry]()
+        _assert_same_lowering(program.bcircuit, base)
+        _assert_same_stream(program, base)
+
+    @pytest.mark.parametrize("entry", sorted(ESTIMATE))
+    def test_estimate_catalogue(self, entry):
+        make, base = ESTIMATE[entry]
+        program = make()
+        _assert_same_lowering(program.bcircuit, base)
+        _assert_same_stream(program, base)
+
+    @pytest.mark.parametrize("base", ["toffoli", "binary"])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_hierarchies(self, seed, base):
+        bc = _random_hierarchy(seed)
+        outcome = _assert_same_lowering(bc, base)
+        assert outcome[0] == "ok"
+        assert outcome[1].namespace["kept"] is bc.namespace["kept"]
+        _assert_same_stream(bc, base)
+
+    def test_random_hierarchies_cover_every_shape_kind(self):
+        seen = set()
+        for seed in range(25):
+            bc = _random_hierarchy(seed)
+            bodies = [bc.circuit] + [s.circuit for s in bc.namespace.values()]
+            for gate in (g for c in bodies for g in c.gates):
+                if not isinstance(gate, NamedGate):
+                    continue
+                quantum = sum(c.wire_type == QUANTUM for c in gate.controls)
+                seen.add(("controls", min(quantum, 3)))
+                seen.update(("sign", c.positive) for c in gate.controls)
+                seen.update(("type", c.wire_type) for c in gate.controls)
+                seen.add(("param", gate.param is not None))
+                seen.add(("inverted", gate.inverted))
+                if quantum and gate.name in ("W", "swap", "H"):
+                    seen.add(("controlled", gate.name))
+        assert seen >= {
+            ("controls", 3), ("sign", True), ("sign", False),
+            ("type", QUANTUM), ("type", CLASSICAL), ("param", True),
+            ("inverted", True), ("controlled", "W"), ("controlled", "swap"),
+            ("controlled", "H"),
+        }, seen
+
+    def test_a_shape_the_binary_base_rejects_fails_alike(self):
+        """A controlled two-target rotation has no binary rule: both
+        chains raise at the same gate, with its own wires in the
+        message."""
+        rejected = 0
+        for seed in range(10):
+            bc = _random_hierarchy(seed, lowerable=False)
+            _assert_same_lowering(bc, "toffoli")
+            outcome = _assert_same_lowering(bc, "binary")
+            rejected += outcome[0] == "NotImplementedError"
+        assert rejected >= 3
+
+    @pytest.mark.parametrize("base", ["toffoli", "binary"])
+    def test_liveness_table_fails_alike(self, base):
+        for case in CASES.values():
+            bc = BCircuit(Circuit(INPUTS, list(case.gates), case.outputs),
+                          _namespace())
+            _assert_same_lowering(bc, base)
+
+    @pytest.mark.parametrize("base", ["toffoli", "binary"])
+    def test_liveness_corruptions_fail_alike(self, base):
+        """Each seeded corruption of the liveness suite, and the same
+        corruptions of gates with up to six controls, which the rules
+        expand: both chains raise the same class with the same message,
+        or lower alike."""
+        cases = [(inputs, gates) for _, inputs, gates, _ in _seeded_inputs()]
+        for seed in range(60):
+            rnd = random.Random(f"lowering-corruptions/{seed}")
+            n = rnd.randint(6, 8)
+            gates = [g for g in random_gates(rnd, n, steps=20, max_controls=6)
+                     if _lowerable(g)]
+            inputs = tuple((w, QUANTUM) for w in range(n))
+            top = _max_wire_id(Circuit(inputs, gates))
+            for corrupt in CORRUPTIONS:
+                broken = corrupt(rnd, list(gates), top)
+                if broken is not None:
+                    cases.append((inputs, broken))
+        raised = 0
+        for inputs, gates in cases:
+            bc = BCircuit(Circuit(inputs, gates, inputs))
+            raised += _assert_same_lowering(bc, base)[0] != "ok"
+        assert raised >= 20
+
+    @pytest.mark.parametrize("base", ["toffoli", "binary"])
+    def test_echoed_classical_fan_out_lowers_alike(self, base):
+        """One bit read as two controls: declined as it stands, and
+        refused by the in-place check after a clean gate of the same
+        shape has made its template."""
+        gates, outputs, _ = ECHOED_FAN_OUT["controls"]
+        _assert_same_lowering(BCircuit(Circuit(INPUTS, gates, outputs)), base)
+        Q, C = QUANTUM, CLASSICAL
+        inputs = ((0, Q), (1, Q), (2, Q), (3, Q), (4, C), (5, C))
+
+        def not3(a, b):
+            return NamedGate("not", (0,), (
+                Control(1), Control(2), Control(3), Control(a, True, C),
+                Control(b, False, C)))
+
+        bc = BCircuit(Circuit(inputs, [not3(4, 5), not3(4, 4), not3(5, 4)],
+                              inputs))
+        assert _assert_same_lowering(bc, base)[0] == "ok"
+        _assert_same_stream(bc, base)
+
+    @pytest.mark.parametrize("base", ["toffoli", "binary"])
+    def test_each_gate_keeps_its_own_parameter(self, base):
+        """A parameter is not part of a shape: each renamed gate carries
+        its own, a signed zero included, and a gate without one stays
+        without."""
+        inputs = tuple((w, QUANTUM) for w in range(4))
+        controls = (Control(1), Control(2, False), Control(3))
+        gates = [NamedGate("Rz", (0,), controls, param=param)
+                 for param in (None, 0.5, -0.0, 0.0, None, 0.5, -0.0)]
+        bc = BCircuit(Circuit(inputs, gates, inputs))
+        assert _assert_same_lowering(bc, base)[0] == "ok"
+        _assert_same_stream(bc, base)
+
+    def test_a_user_rule_is_offered_every_gate(self):
+        bc = _random_hierarchy(3)
+        offered: list = []
+
+        def count(qc, gate):
+            offered.append(gate)
+            return False
+
+        transform_bcircuit_fused(bc, count, to_toffoli, to_binary)
+        assert len(offered) == len(bc)
+        offered.clear()
+        lowered = transform_bcircuit_fused(bc, to_toffoli, count, to_binary)
+        assert len(offered) == len(transform_bcircuit_fused(bc, to_toffoli))
+        plain = transform_bcircuit_fused(bc, *CHAINS["binary"][1])
+        assert _exact(lowered.circuit) == _exact(plain.circuit)
+
+    def test_shape_counters_are_added_once_per_call(self, monkeypatch):
+        from repro import Program
+        from repro.obs import core as obs
+
+        Q = QUANTUM
+        inputs = tuple((w, Q) for w in range(5))
+        toffoli3 = [NamedGate("not", (t,), tuple(
+            Control(w) for w in range(5) if w != t)[:3]) for t in range(3)]
+        gates = [*toffoli3, NamedGate("H", (0,)), NamedGate("H", (1,))]
+        bc = BCircuit(Circuit(inputs, gates, inputs))
+        added: list = []
+        add = obs.add
+
+        def spy(name, n=1):
+            added.append(name)
+            add(name, n)
+
+        monkeypatch.setattr(obs, "add", spy)
+        for lower in (
+            lambda: transform_bcircuit_fused(bc, to_toffoli, to_binary),
+            lambda: Program.from_bcircuit(bc).stream("binary").count(),
+        ):
+            added.clear()
+            with obs.capture() as rec:
+                lower()
+            # Two shapes lowered, three gates renamed; the memo lasts one
+            # call, so each call lowers both shapes again.
+            assert rec.counters["transform.shapes.expanded"] == 2
+            assert rec.counters["transform.shapes.reused"] == 3
+            assert added.count("transform.shapes.expanded") == 1
+            assert added.count("transform.shapes.reused") == 1
+        with obs.capture() as rec:
+            transform_bcircuit_fused(bc, *CHAINS["binary"][1])
+        assert "transform.shapes.reused" not in rec.counters
+
+    def test_max_wire_id_reads_every_wire(self):
+        bodies = []
+        for seed in range(25):
+            bc = _random_hierarchy(seed)
+            bodies += [bc.circuit] + [s.circuit for s in bc.namespace.values()]
+            bodies.append(random_bcircuit(seed).circuit)
+        bodies.append(Circuit())
+        for circuit in bodies:
+            wires = [w for w, _ in circuit.inputs] + [
+                w for g in circuit.gates
+                for w, _ in g.wires_in() + g.wires_out()]
+            assert _max_wire_id(circuit) == max(wires, default=-1)

@@ -346,6 +346,27 @@ class TestHttpEndpoints:
             "bad_run": 400, "qasm_refusal": 400,
         }
 
+    def test_malformed_circuit_is_a_client_error(self):
+        """A submitted circuit whose wire list is not a number is the
+        client's fault (400), not a server error (500)."""
+        circuit = ('Inputs: none\nQInit0(0)\nQGate["H"](>)\n'
+                   "Outputs: 0:Qubit\n")
+
+        async def scenario():
+            async with service() as server:
+                def work():
+                    with client_for(server) as svc:
+                        try:
+                            svc.query(circuit=circuit, action="count")
+                        except ServiceClientError as exc:
+                            return exc.status, str(exc)
+                    return None
+                return await in_thread(work)
+
+        status, message = asyncio.run(scenario())
+        assert status == 400
+        assert "AsciiParseError" in message and "'>'" in message
+
     def test_backpressure_answers_429_with_retry_after(self):
         async def scenario():
             async with service(max_pending=0) as server:
