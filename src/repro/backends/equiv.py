@@ -192,11 +192,7 @@ def _final_state(bc: BCircuit, in_values: dict[int, bool],
     """Simulate *bc* from a basis input; both sides share the seed so
     measurement draws align on equivalent circuits."""
     sim = StateVector(rng=np.random.default_rng(seed))
-    for wire, wtype in bc.circuit.inputs:
-        if wtype == QUANTUM:
-            sim.add_qubit(wire, in_values.get(wire, False))
-        else:
-            sim.set_bit(wire, in_values.get(wire, False))
+    sim.load_inputs(bc.circuit.inputs, in_values)
     for gate in bc.circuit.gates:
         if not isinstance(gate, Comment):
             sim.execute(gate)

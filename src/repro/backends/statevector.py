@@ -1,27 +1,27 @@
-"""Dense statevector backend with batched and prefix-forked shot sampling.
+"""Dense statevector backend: one materialized run path.
 
 Wraps :mod:`repro.sim.state` as the registry's ``"statevector"`` backend.
-The hierarchy is inlined exactly once per circuit through
-:func:`~repro.transform.inline.compile_flat` (memoized on the BCircuit),
-and shot sampling has two fast paths:
+Every run loads its inputs into a batch-1 state
+(:meth:`~repro.sim.state.StateVector.load_inputs`).  Then:
 
-* When the flattened circuit contains no *mid-circuit*
-  ``Measure``/``Discard`` gate, the final state is prepared once and all
-  shots are drawn from the joint output distribution with one multinomial
-  draw -- the cost of 1024 shots is the cost of one simulation.  Trailing
-  measurements commute with basis-state sampling and are stripped, so
-  "run then measure everything" circuits batch too.
-* Circuits with genuine mid-circuit measurement are stochastic, but their
-  *deterministic prefix* (every gate before the first measurement) is not:
-  it is simulated once and the state is *broadcast* into a batched
-  statevector, so the stochastic suffix advances a whole batch of shots
-  per kernel dispatch instead of replaying shot by shot.  Measurement
-  randomness is pre-drawn shot-major, which keeps seeded counts
-  bit-identical to the per-shot fork loop this replaced (and to full
-  per-shot replays).  The batch size comes from the ``batch=`` backend
-  option (``Program.run(..., batch=N)``), defaulting to the largest ``B``
-  with ``B * 2**peak <= 2**16``, *peak* being the most qubits the suffix
-  ever holds live at once.
+* ``shots=None`` streams the whole hierarchy lazily through that state
+  (no materialized gate list, so arbitrarily deep hierarchies work) and
+  returns it.
+* Sampling consumes the compiled stream
+  (:func:`~repro.transform.inline.compile_flat`, inlined once and
+  memoized on the BCircuit) and simulates its *deterministic prefix* --
+  every gate before the first ``Measure``/``Discard``, which consumes no
+  randomness -- once.  Trailing measurements commute with basis-state
+  sampling and are stripped, so when no stochastic suffix remains every
+  shot is drawn from the prefix's final state with one multinomial draw
+  -- the cost of 1024 shots is the cost of one simulation.
+* Otherwise the prefix state is *broadcast* into batches of shots and
+  the stochastic suffix advances a whole batch per kernel dispatch.
+  Measurement randomness is pre-drawn shot-major, which keeps seeded
+  counts bit-identical to per-shot replays.  The batch size comes from
+  the ``batch=`` backend option (``Program.run(..., batch=N)``),
+  defaulting to the largest ``B`` with ``B * 2**peak <= 2**16``, *peak*
+  being the most qubits the suffix ever holds live at once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.circuit import BCircuit
-from ..core.gates import Discard, Gate, Init, Measure, Term
+from ..core.gates import Comment, Discard, Gate, Init, Measure, Term
 from ..core.stream import StreamConsumer
 from ..core.wires import QUANTUM
 from ..obs import core as _obs
@@ -69,13 +69,20 @@ def suffix_peak_and_events(live: int, suffix: list[Gate]) -> tuple[int, int]:
     return peak, events
 
 
-def _load_inputs(sim: StateVector, bc: BCircuit,
-                 in_values: dict[int, bool]) -> None:
-    for wire, wtype in bc.circuit.inputs:
-        if wtype == QUANTUM:
-            sim.add_qubit(wire, in_values.get(wire, False))
-        else:
-            sim.set_bit(wire, in_values.get(wire, False))
+def _host_bits(sim: StateVector) -> dict[int, bool]:
+    """A batch-1 state's classical bits as plain bools."""
+    return {w: bool(v[0]) for w, v in sim.bits.items()}
+
+
+def _state_result(name: str, sim: StateVector, **metadata) -> RunResult:
+    """The ``shots=None`` result: a batch-1 state's view, wires and bits."""
+    return RunResult(
+        backend=name,
+        statevector=sim.state,
+        statevector_wires=tuple(sorted(sim.axes, key=sim.axes.__getitem__)),
+        bits=_host_bits(sim),
+        metadata={"state": sim, **metadata},
+    )
 
 
 @register_backend
@@ -108,44 +115,43 @@ class StatevectorBackend(Backend):
                 f"circuit width {width} exceeds the statevector limit "
                 f"({self.max_width}); use the resources backend to size it"
             )
-        in_values = in_values or {}
         rng = np.random.default_rng(seed)
+        if shots is not None and shots <= 0:
+            raise BackendError(f"shots must be positive, got {shots}")
+        sim = StateVector(rng=rng)
+        sim.load_inputs(bc.circuit.inputs, in_values or {})
         if shots is None:
             # Single pass: stream the hierarchy lazily (no materialized
             # gate list, so arbitrarily deep/repeated hierarchies work).
-            return self._run_state(bc, iter_flat_gates(bc), in_values, rng)
-        if shots <= 0:
-            raise BackendError(f"shots must be positive, got {shots}")
-        # Sampling replays gates (per shot, or prefix + suffix), so it
-        # consumes the compiled stream -- inlined once, memoized on bc.
+            for gate in iter_flat_gates(bc):
+                sim.execute(gate)
+            return _state_result(self.name, sim)
+        # Sampling may replay a suffix, so it consumes the compiled
+        # stream.  Trailing measurements commute with basis-state
+        # sampling: when only they follow the prefix, every shot is
+        # drawn from the prefix's final state.
         compiled = compile_flat(bc)
         gates = compiled.gates
-        # Trailing measurements commute with basis-state sampling: drop
-        # them and draw their wires from the joint output distribution
-        # instead, so final-measurement circuits still take the one-
-        # simulation fast path.
         tail = len(gates)
         while tail and isinstance(gates[tail - 1], Measure):
             tail -= 1
-        measured = frozenset(g.wire for g in gates[tail:])
-        if compiled.prefix_len < tail:
-            if _obs.ENABLED:
-                _obs.add("run.shots.forked", shots)
-            counts, fork_batch = self._sample_forked(
-                bc, gates, compiled.prefix_len, in_values, shots, rng
+        split = min(compiled.prefix_len, tail)
+        if _obs.ENABLED:
+            _obs.add(
+                "run.shots.forked" if split < tail else "run.shots.batched",
+                shots,
             )
-            batched = False
-            metadata = {
-                "batched": batched, "width": width, "batch": fork_batch,
-            }
+        for gate in gates[:split]:
+            sim.execute(gate)
+        if split == tail:
+            measured = frozenset(g.wire for g in gates[tail:])
+            counts = draw_counts(sim, bc.circuit.outputs, shots, rng, measured)
+            metadata = {"batched": True, "width": width}
         else:
-            if _obs.ENABLED:
-                _obs.add("run.shots.batched", shots)
-            counts = self._sample_batched(
-                bc, gates[:tail], in_values, shots, rng, measured
+            counts, fork_batch = self._fork(
+                sim, gates[split:], bc.circuit.outputs, shots, rng
             )
-            batched = True
-            metadata = {"batched": batched, "width": width}
+            metadata = {"batched": False, "width": width, "batch": fork_batch}
         return RunResult(
             backend=self.name,
             shots=shots,
@@ -166,61 +172,21 @@ class StatevectorBackend(Backend):
             return max(1, min(self.batch, shots))
         return max(1, min(shots, _AUTO_BATCH_AMPLITUDES >> peak))
 
-    # -- shots=None: expose the final state --------------------------------
+    def _fork(self, base: StateVector, suffix: list[Gate], outputs,
+              shots: int, rng) -> tuple[dict[str, int], int]:
+        """Sample the stochastic *suffix* from the prefix state *base*.
 
-    def _run_state(self, bc, gates, in_values, rng) -> RunResult:
-        sim = StateVector(rng=rng)
-        _load_inputs(sim, bc, in_values)
-        for gate in gates:
-            sim.execute(gate)
-        wires = sorted(sim.axes, key=lambda w: sim.axes[w])
-        return RunResult(
-            backend=self.name,
-            statevector=sim.state,
-            statevector_wires=tuple(wires),
-            bits=dict(sim.bits),
-            metadata={"state": sim},
-        )
-
-    # -- measurement-free circuits: one simulation, one multinomial --------
-
-    def _sample_batched(self, bc, gates: list[Gate], in_values,
-                        shots: int, rng,
-                        measured: frozenset[int] = frozenset(),
-                        ) -> dict[str, int]:
-        sim = StateVector(rng=rng)
-        _load_inputs(sim, bc, in_values)
-        for gate in gates:
-            sim.execute(gate)
-        return draw_counts(sim, bc.circuit.outputs, shots, rng, measured)
-
-    # -- stochastic circuits: fork the state at the first measurement -------
-
-    def _sample_forked(self, bc, gates: list[Gate], split: int,
-                       in_values, shots: int, rng,
-                       ) -> tuple[dict[str, int], int]:
-        """Batched sampling with the deterministic prefix simulated once.
-
-        ``gates[:split]`` contains no ``Measure``/``Discard`` and therefore
-        consumes no randomness: its final state is shared by every shot.
-        The state is broadcast into batches of up to *batch_size* members
-        and the stochastic suffix advances each whole batch in lockstep,
-        one kernel dispatch per gate.
-
-        Seeded counts stay bit-identical to sequential per-shot forking:
-        each batch pre-draws its measurement randomness *shot-major* with
-        one ``rng.random((b, events))`` call -- which consumes the rng
-        stream exactly as ``b`` sequential scalar simulations would --
-        and the batched state then serves stochastic event j from column
-        j.  ``events`` is static: one per suffix ``Measure``/``Discard``
-        plus one per quantum output measured at readout.
+        The state is broadcast into batches of up to the fork batch size
+        and the suffix advances each whole batch in lockstep, one kernel
+        dispatch per gate.  Seeded counts stay bit-identical to
+        sequential per-shot replays: each batch pre-draws its measurement
+        randomness *shot-major* with one ``rng.random((b, events))`` call
+        -- which consumes the rng stream exactly as ``b`` sequential
+        simulations would -- and the batched state then serves stochastic
+        event j from column j.  ``events`` is static: one per suffix
+        ``Measure``/``Discard`` plus one per quantum output measured at
+        readout.
         """
-        base = StateVector(rng=rng)
-        _load_inputs(base, bc, in_values)
-        for gate in gates[:split]:
-            base.execute(gate)
-        suffix = gates[split:]
-        outputs = bc.circuit.outputs
         peak, events = suffix_peak_and_events(base.num_qubits, suffix)
         batch_size = self._fork_batch(shots, peak)
         events += sum(1 for _, t in outputs if t == QUANTUM)
@@ -236,20 +202,15 @@ class StatevectorBackend(Backend):
                 _obs.observe("sim.batch.occupancy", b)
             for gate in suffix:
                 fork.execute(gate)
-            columns = []
-            for w, t in outputs:
-                value = (
-                    fork.measure_qubit(w) if t == QUANTUM else fork.bits[w]
-                )
-                column = np.asarray(value)
-                if column.ndim == 0:
-                    column = np.full(b, bool(column))
-                columns.append(column.astype(bool))
+            columns = [
+                fork.measure_qubit(w) if t == QUANTUM else fork.bits[w]
+                for w, t in outputs
+            ]
             if columns:
                 rows = np.stack(columns, axis=1)
                 uniques, reps = np.unique(rows, axis=0, return_counts=True)
                 for row, n in zip(uniques, reps):
-                    key = outcome_key([bool(x) for x in row])
+                    key = outcome_key(row)
                     counts[key] = counts.get(key, 0) + int(n)
             else:
                 key = outcome_key([])
@@ -268,11 +229,7 @@ def draw_counts(sim: StateVector, outputs, shots: int, rng,
     materialized sampling of measurement-free circuits are seed-exact.
     """
     qwires = [w for w, t in outputs if t == QUANTUM or w in measured]
-    cbits = {
-        w: sim.bits[w]
-        for w, t in outputs
-        if t != QUANTUM and w not in measured
-    }
+    cbits = _host_bits(sim)
     if not qwires:
         key = outcome_key([cbits[w] for w, _ in outputs])
         return {key: shots}
@@ -329,23 +286,15 @@ class StatevectorFeed(StreamConsumer):
                 f"limit ({self.max_width}); use .resources() to size "
                 "the circuit first"
             )
-        for wire, wtype in inputs:
-            if wtype == QUANTUM:
-                self.sim.add_qubit(wire, self.in_values.get(wire, False))
-            else:
-                self.sim.set_bit(wire, self.in_values.get(wire, False))
+        self.sim.load_inputs(inputs, self.in_values)
 
     def gate(self, gate: Gate) -> None:
-        from ..core.gates import Comment
-
         if isinstance(gate, Comment):
             return
         for flat in self._expander.expand(gate):
             self._exec(flat)
 
     def _exec(self, gate: Gate) -> None:
-        from ..core.gates import Discard, Init
-
         if isinstance(gate, (Measure, Discard)):
             self.stochastic = True
         # Guard growth BEFORE allocating: one qubit past the cap would
@@ -359,13 +308,5 @@ class StatevectorFeed(StreamConsumer):
         self.sim.execute(gate)
 
     def finish(self, end) -> RunResult:
-        sim = self.sim
-        wires = sorted(sim.axes, key=lambda w: sim.axes[w])
         self.outputs = end.outputs
-        return RunResult(
-            backend=self.name,
-            statevector=sim.state,
-            statevector_wires=tuple(wires),
-            bits=dict(sim.bits),
-            metadata={"state": sim, "stochastic": self.stochastic},
-        )
+        return _state_result(self.name, self.sim, stochastic=self.stochastic)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.builder import Circ
 from ..core.qdata import qdata_leaves
-from ..core.wires import QUANTUM, Bit, Qubit, Wire
+from ..core.wires import Bit, Qubit
 from ..transform.inline import _SharedWires, _expand
 from .state import StateVector
 
@@ -51,7 +51,7 @@ class QRAMExecutor:
 
     def _lift(self, qc: Circ, bitwire: Bit) -> bool:
         self.flush()
-        return self.sim.bits[bitwire.wire_id]
+        return bool(self.sim.bits[bitwire.wire_id])
 
     def readout(self, data):
         """Flush, then read the final values of output wires.
@@ -65,9 +65,9 @@ class QRAMExecutor:
 
 def _readout_struct(data, sim: StateVector):
     if isinstance(data, Qubit):
-        return sim.measure_qubit(data.wire_id)
+        return bool(sim.measure_qubit(data.wire_id))
     if isinstance(data, Bit):
-        return sim.bits[data.wire_id]
+        return bool(sim.bits[data.wire_id])
     if isinstance(data, tuple):
         return tuple(_readout_struct(d, sim) for d in data)
     if isinstance(data, list):
@@ -101,13 +101,12 @@ def run_with_lifting(
     executor = QRAMExecutor(qc, rng=rng)
     args = []
     for value in inputs:
-        shape = _shape_from_params(value)
-        data = qc.fresh_like(shape)
-        for leaf, bit_value in zip(qdata_leaves(data), _param_bools(value)):
-            if leaf.wire_type == QUANTUM:
-                executor.sim.add_qubit(leaf.wire_id, bit_value)
-            else:
-                executor.sim.bits[leaf.wire_id] = bit_value
+        data = qc.fresh_like(_shape_from_params(value))
+        loaded = list(zip(qdata_leaves(data), _param_bools(value)))
+        executor.sim.load_inputs(
+            [(leaf.wire_id, leaf.wire_type) for leaf, _ in loaded],
+            {leaf.wire_id: bit_value for leaf, bit_value in loaded},
+        )
         args.append(data)
     qc.snapshot_inputs()
     result = fn(qc, *args)

@@ -17,19 +17,22 @@ with a single elementwise multiply, bit flips are slice exchanges, and
 only the residual dense cases combine slices per a matrix.  Kernels never
 index the batch axis, so ONE dispatch advances all ``B`` members: the
 per-gate Python/numpy dispatch overhead that dominates at moderate qubit
-counts is paid once per batch instead of once per shot.  At ``batch=1``
-(the default) the engine is float-for-float identical to the pre-batch
-flat engine.  Across batch sizes, measurement randomness, outcomes, and
-seeded counts are bit-identical (see :meth:`StateVector.preload_randoms`)
-and amplitudes agree to machine rounding -- numpy's SIMD loops may round
-a strided batch column one ULP differently than a lone element.
+counts is paid once per batch instead of once per shot.  ``batch=1`` (the
+default) is no special case: it is the same code over a one-row buffer,
+and it keeps the amplitudes, bits and seeded draws of the scalar engine
+this replaced byte for byte, since a ``(1, N)`` row reduces in the flat
+array's order and ``rng.random(1)`` draws what ``rng.random()`` draws.
+Across batch sizes, measurement randomness, outcomes, and seeded counts
+are bit-identical (see :meth:`StateVector.preload_randoms`) and
+amplitudes agree to machine rounding -- numpy's SIMD loops may round a
+strided batch column one ULP differently than a lone element.
 
 Buffers are allocated through the array-module seam
 (:mod:`repro.sim.xp`), so the same engine drives numpy today and any
 capability-probed drop-in (cupy) selected via ``REPRO_ARRAY_MODULE``.
-Classical wires live in a plain dict -- scalar bools at ``batch=1``,
-host-side numpy bool arrays of shape ``(B,)`` otherwise (classical state
-stays on the host even when amplitudes live on a device).
+Classical wires live in a plain dict of host-side numpy bool arrays of
+shape ``(B,)`` at every batch size (classical state stays on the host even
+when amplitudes live on a device).
 
 :class:`LegacyStateVector` preserves the original moveaxis + reshape +
 matmul engine verbatim as the reference implementation: the randomized
@@ -74,20 +77,13 @@ from .kernels import (
     apply_kernel,
     gate_kernel,
 )
+from .classical import _CLASSICAL_FUNCTIONS
 from .matrices import gate_matrix
 
 _TOLERANCE = 1e-9
 
-_CLASSICAL_FUNCTIONS = {
-    "and": lambda values: all(values),
-    "or": lambda values: any(values),
-    "xor": lambda values: sum(values) % 2 == 1,
-    "not": lambda values: not values[0],
-    "eq": lambda values: values[0] == values[1],
-}
-
-#: Vectorized forms of the classical functions, applied over a stacked
-#: ``(k, B)`` bool array when the state is batched.
+#: Vectorized forms of :mod:`repro.sim.classical`'s functions, applied
+#: over a stacked ``(k, B)`` bool array.
 _CLASSICAL_VECTOR_FUNCTIONS = {
     "and": lambda values: np.logical_and.reduce(values, axis=0),
     "or": lambda values: np.logical_or.reduce(values, axis=0),
@@ -101,15 +97,14 @@ class StateVector:
     """A resizable flat statevector with named qubit axes, a classical
     store, and a leading batch axis.
 
-    ``data`` has shape ``(batch, 2**n)``; at ``batch=1`` the public
-    surface is unchanged from the scalar engine (``state`` reads as a
-    ``(2,) * n`` array, classical bits are plain bools, and
-    :meth:`measure_qubit` returns a bool).  At ``batch > 1`` every member
-    advances through the same gate sequence in one kernel dispatch,
-    ``state`` reads as ``(batch,) + (2,) * n``, classical bits are host
-    ``(batch,)`` bool arrays, and measurement collapses each member to
-    its own outcome.  ``axes`` maps wire ids to *qubit* axis indices
-    (batch axis excluded); kernels see those indices shifted by one.
+    ``data`` has shape ``(batch, 2**n)`` and every classical bit is a
+    host ``(batch,)`` bool array, at every batch size.  Every member
+    advances through the same gate sequence in one kernel dispatch, and
+    measurement collapses each member to its own outcome
+    (:meth:`measure_qubit` returns the ``(batch,)`` outcomes).  Only the
+    read-only ``state`` view drops the batch axis at ``batch=1``.
+    ``axes`` maps wire ids to *qubit* axis indices (batch axis excluded);
+    kernels see those indices shifted by one.
     """
 
     __slots__ = ("data", "axes", "bits", "rng", "batch", "_presampled")
@@ -123,7 +118,7 @@ class StateVector:
         # zero qubits: every member is the scalar amplitude 1
         self.data = _xp.xp().ones((self.batch, 1), dtype=complex)
         self.axes: dict[int, int] = {}  # wire id -> qubit axis index
-        self.bits: dict[int, bool | np.ndarray] = {}
+        self.bits: dict[int, np.ndarray] = {}
         self.rng = rng if rng is not None else np.random.default_rng()
         self._presampled = None
 
@@ -156,10 +151,7 @@ class StateVector:
         clone.batch = self.batch
         clone.data = self.data.copy()
         clone.axes = dict(self.axes)
-        clone.bits = {
-            w: (v.copy() if isinstance(v, np.ndarray) else v)
-            for w, v in self.bits.items()
-        }
+        clone.bits = {w: v.copy() for w, v in self.bits.items()}
         clone.rng = self.rng
         clone._presampled = self._presampled
         return clone
@@ -178,14 +170,8 @@ class StateVector:
             raise SimulationError("batch size must be >= 1")
         clone = StateVector.__new__(StateVector)
         clone.batch = int(batch)
-        if batch == 1:
-            clone.data = self.data.copy()
-            clone.bits = dict(self.bits)
-        else:
-            clone.data = _xp.xp().repeat(self.data, batch, axis=0)
-            clone.bits = {
-                w: np.full(batch, bool(v)) for w, v in self.bits.items()
-            }
+        clone.data = _xp.xp().repeat(self.data, batch, axis=0)
+        clone.bits = {w: v.repeat(batch) for w, v in self.bits.items()}
         clone.axes = dict(self.axes)
         clone.rng = self.rng
         clone._presampled = None
@@ -193,16 +179,17 @@ class StateVector:
 
     def set_bit(self, wire: int, value: bool) -> None:
         """Set classical wire *wire* to *value* on every member."""
-        if self.batch == 1:
-            self.bits[wire] = bool(value)
-        else:
-            self.bits[wire] = np.full(self.batch, bool(value))
+        self.bits[wire] = np.full(self.batch, bool(value))
 
-    def _bit_array(self, value) -> np.ndarray:
-        """A classical value as a host ``(batch,)`` bool array."""
-        if isinstance(value, np.ndarray):
-            return value
-        return np.full(self.batch, bool(value))
+    def load_inputs(self, inputs, in_values: dict[int, bool]) -> None:
+        """Allocate each ``(wire, type)`` of *inputs* in its basis value
+        from *in_values* (default False): a qubit axis or a bit."""
+        for wire, wtype in inputs:
+            value = in_values.get(wire, False)
+            if wtype == QUANTUM:
+                self.add_qubit(wire, value)
+            else:
+                self.set_bit(wire, value)
 
     def add_qubit(self, wire: int, value: bool) -> None:
         if wire in self.axes:
@@ -247,15 +234,6 @@ class StateVector:
             if other_axis > axis:
                 self.axes[other] = other_axis - 1
 
-    def _axis_weight(self, wire: int, value: int) -> float:
-        """Squared amplitude mass of the subspace where *wire* is *value*,
-        summed over the whole batch (a scalar; batch-1 callers rely on the
-        exact legacy float behavior)."""
-        half = self._view()[
-            _subindex(len(self.axes) + 1, ((self.axes[wire] + 1, value),))
-        ]
-        return float(np.sum(np.abs(half) ** 2))
-
     def _axis_weights(self, wire: int, value: int) -> np.ndarray:
         """Per-member squared amplitude mass where *wire* is *value*."""
         half = self._view()[
@@ -266,12 +244,9 @@ class StateVector:
     def remove_qubit_asserted(self, wire: int, value: bool) -> None:
         """Project onto |value> after checking the assertion holds for
         every member."""
-        if self.batch == 1:
-            wrong = self._axis_weight(wire, 1 - int(value))
-        else:
-            wrong = float(
-                _xp.to_host(self._axis_weights(wire, 1 - int(value))).max()
-            )
+        wrong = float(
+            _xp.to_host(self._axis_weights(wire, 1 - int(value))).max()
+        )
         if math.sqrt(wrong) > 1e-6:
             raise AssertionFailedError(
                 f"qubit {wire} terminated with assertion |{int(value)}> "
@@ -283,18 +258,11 @@ class StateVector:
     def measure_qubit(self, wire: int):
         """Measure *wire*, collapsing each member to its own outcome.
 
-        Returns a bool at ``batch=1``, a host ``(batch,)`` bool array
-        otherwise.  One value of measurement randomness is consumed per
-        member (from the preloaded matrix when :meth:`preload_randoms`
-        armed one, else from ``rng``).
+        Returns the outcomes as a host ``(batch,)`` bool array.  One value
+        of measurement randomness is consumed per member (from the
+        preloaded matrix when :meth:`preload_randoms` armed one, else from
+        ``rng``).
         """
-        if self.batch == 1:
-            p_one = self._axis_weight(wire, 1)
-            total = float(np.sum(np.abs(self.data) ** 2))
-            outcome = bool(self._draw_scalar() < p_one / total)
-            self._remove_axis(wire, int(outcome))
-            self._renormalize()
-            return outcome
         p_one = self._axis_weights(wire, 1)
         total = (abs(self.data) ** 2).sum(axis=1)
         probs = _xp.to_host(p_one / total)
@@ -316,11 +284,6 @@ class StateVector:
         columns = np.asarray(draws, dtype=float).T
         self._presampled = iter(columns)
 
-    def _draw_scalar(self) -> float:
-        if self._presampled is not None:
-            return float(self._next_column()[0])
-        return self.rng.random()
-
     def _draw_members(self) -> np.ndarray:
         if self._presampled is not None:
             return self._next_column()
@@ -336,12 +299,6 @@ class StateVector:
         return column
 
     def _renormalize(self) -> None:
-        if self.batch == 1:
-            norm = math.sqrt(float(np.sum(np.abs(self.data) ** 2)))
-            if norm < _TOLERANCE:
-                raise SimulationError("state collapsed to zero norm")
-            self.data /= norm
-            return
         norms = _xp.xp().sqrt((abs(self.data) ** 2).sum(axis=1))
         if float(_xp.to_host(norms).min()) < _TOLERANCE:
             raise SimulationError(
@@ -371,16 +328,13 @@ class StateVector:
                     (self.axes[ctl.wire] + 1, 1 if ctl.positive else 0)
                 )
                 continue
-            value = self.bits[ctl.wire]
-            if isinstance(value, np.ndarray):
-                satisfied = value == ctl.positive
-                mask = satisfied if mask is None else (mask & satisfied)
-            elif value != ctl.positive:
-                return None
+            satisfied = self.bits[ctl.wire] == ctl.positive
+            mask = satisfied if mask is None else (mask & satisfied)
         if mask is not None:
-            if not mask.any():
+            satisfying = np.count_nonzero(mask)
+            if not satisfying:
                 return None
-            if mask.all():
+            if satisfying == self.batch:
                 mask = None
         return tuple(quantum), mask
 
@@ -471,12 +425,7 @@ class StateVector:
         self.set_bit(gate.wire, gate.value)
 
     def _exec_cterm(self, gate: CTerm) -> None:
-        previous = self.bits.pop(gate.wire)
-        if isinstance(previous, np.ndarray):
-            mismatch = bool(np.any(previous != gate.value))
-        else:
-            mismatch = previous != gate.value
-        if mismatch:
+        if (self.bits.pop(gate.wire) != gate.value).any():
             raise AssertionFailedError(
                 f"classical wire {gate.wire} terminated with wrong value"
             )
@@ -485,24 +434,14 @@ class StateVector:
         self.bits.pop(gate.wire)
 
     def _exec_cgate(self, gate: CGate) -> None:
-        if self.batch == 1:
-            inputs = [self.bits[w] for w in gate.inputs]
-            value = _CLASSICAL_FUNCTIONS[gate.name](inputs)
-            if gate.uncompute:
-                if self.bits.pop(gate.target) != value:
-                    raise AssertionFailedError(
-                        f"CGate* uncompute mismatch on wire {gate.target}"
-                    )
-            else:
-                self.bits[gate.target] = value
-            return
-        inputs = np.stack(
-            [self._bit_array(self.bits[w]) for w in gate.inputs]
-        )
+        # (k, batch) even for k == 0, where the reductions give their
+        # identities, as all(), any() and sum() do over no inputs.
+        inputs = np.array(
+            [self.bits[w] for w in gate.inputs], dtype=bool
+        ).reshape(-1, self.batch)
         value = _CLASSICAL_VECTOR_FUNCTIONS[gate.name](inputs)
         if gate.uncompute:
-            previous = self._bit_array(self.bits.pop(gate.target))
-            if bool(np.any(previous != value)):
+            if (self.bits.pop(gate.target) != value).any():
                 raise AssertionFailedError(
                     f"CGate* uncompute mismatch on wire {gate.target}"
                 )
@@ -510,25 +449,13 @@ class StateVector:
             self.bits[gate.target] = value
 
     def _exec_cnot(self, gate: CNot) -> None:
-        if self.batch == 1:
-            satisfied = all(
-                (
-                    self.bits[c.wire] == c.positive
-                    if c.wire_type != QUANTUM
-                    else self._classical_control_on_qubit(c)
-                )
-                for c in gate.controls
-            )
-            if satisfied:
-                self.bits[gate.wire] = not self.bits[gate.wire]
-            return
         satisfied = np.ones(self.batch, dtype=bool)
         for c in gate.controls:
             if c.wire_type == QUANTUM:
                 self._classical_control_on_qubit(c)
             else:
-                satisfied &= self._bit_array(self.bits[c.wire]) == c.positive
-        current = self._bit_array(self.bits[gate.wire])
+                satisfied &= self.bits[c.wire] == c.positive
+        current = self.bits[gate.wire]
         self.bits[gate.wire] = np.where(satisfied, ~current, current)
 
     def _exec_boxcall(self, gate: BoxCall) -> None:
@@ -774,13 +701,8 @@ def simulate(bc: BCircuit, in_values: dict[int, bool] | None = None,
     """
     from ..transform.inline import iter_flat_gates
 
-    in_values = in_values or {}
     sim = StateVector(rng=rng, batch=batch)
-    for wire, wtype in bc.circuit.inputs:
-        if wtype == QUANTUM:
-            sim.add_qubit(wire, in_values.get(wire, False))
-        else:
-            sim.set_bit(wire, in_values.get(wire, False))
+    sim.load_inputs(bc.circuit.inputs, in_values or {})
     for gate in iter_flat_gates(bc):
         sim.execute(gate)
     return sim

@@ -274,7 +274,7 @@ class GateStream:
         if backend == "statevector":
             sim = feed.sim
             return outcome_key([
-                sim.measure_qubit(w) if t == QUANTUM else sim.bits[w]
+                bool(sim.measure_qubit(w) if t == QUANTUM else sim.bits[w])
                 for w, t in feed.outputs
             ])
         state = feed.state

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from ..core.builder import Circ
 from ..core.circuit import BCircuit
+from ..core.errors import QuipperError
 from ..core.gates import Control, Gate, NamedGate
 from ..core.wires import QUANTUM
 from .toffoli import _reduce_controls
@@ -118,7 +119,7 @@ def _binary_rule(qc: Circ, gate: Gate) -> bool:
         )
         cleanup()
         return True
-    raise NotImplementedError(
+    raise QuipperError(
         f"no binary decomposition implemented for gate {gate!r}"
     )
 

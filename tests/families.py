@@ -55,6 +55,52 @@ def qls(precision: int):
     return lambda: hhl_program(precision=precision)
 
 
+def teleport_chain(hops: int, bit: bool = False) -> Program:
+    """Teleport ``H|bit>`` along *hops* Bell pairs, then undo the ``H``.
+
+    The ``sim_feedforward`` chain: a compute/uncompute ladder over 10-14
+    ancillas returns them to ``|0>`` before the first hop, so the live
+    core at the first measurement is three qubits; each hop measures
+    twice and corrects classically, and every shot reads back *bit*.
+    """
+    ancillas = 10 + (hops - 2) % 5
+
+    def chain(qc):
+        src = qc.qinit_qubit(bit)
+        qc.hadamard(src)
+        anc = [qc.qinit_qubit(False) for _ in range(ancillas)]
+        for a in anc:
+            qc.qnot(a, controls=src)
+            qc.gate_T(a)
+        for a in reversed(anc):
+            qc.gate_T(a, inverted=True)
+            qc.qnot(a, controls=src)
+        for a in anc:
+            qc.qterm(a)
+        for _ in range(hops):
+            half = qc.qinit_qubit(False)
+            dst = qc.qinit_qubit(False)
+            qc.hadamard(half)
+            qc.qnot(dst, controls=half)
+            qc.qnot(half, controls=src)
+            qc.hadamard(src)
+            z_bit = qc.measure(src)
+            x_bit = qc.measure(half)
+            qc.qnot(dst, controls=x_bit)
+            qc.gate_Z(dst, controls=z_bit)
+            qc.cdiscard((z_bit, x_bit))
+            src = dst
+        qc.hadamard(src)
+        return qc.measure(src)
+
+    return Program.capture(chain, name=f"teleport(hops={hops})")
+
+
+def teleport(hops: int):
+    """A chain factory; the benchmark passes ``bit = seed & 1``."""
+    return lambda bit=False: teleport_chain(hops, bit)
+
+
 #: The whole ``compile`` catalogue.
 COMPILE = {
     "bwt-n2": bwt(2), "bwt-n3": bwt(3),
@@ -76,4 +122,12 @@ ESTIMATE = {
     "cl-w4": (cl(4), "binary"),
     "usv-d3": (usv(3), "binary"),
     "qls-p3": (qls(3), "binary"),
+}
+
+#: The ``sim_wide`` and ``sim_feedforward`` entries that sample 1024
+#: shots in well under a second each (16 qubits at most).
+SIMULATE = {
+    "bwt-n2": bwt(2), "gse-p5": gse(5), "qls-p2": qls(2),
+    **{f"teleport-h{h}": teleport(h) for h in range(2, 9)},
+    **{f"cl-w{w}": cl(w) for w in range(3, 7)},
 }

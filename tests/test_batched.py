@@ -19,6 +19,8 @@ pins it three ways:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
 import types
@@ -30,15 +32,18 @@ from repro import Program, build, get_backend, qubit
 from repro.backends.base import BackendError, outcome_key
 from repro.backends.statevector import suffix_peak_and_events
 from repro.core.circuit import BCircuit, Circuit
-from repro.core.gates import Control, Discard, Init, Measure, NamedGate
+from repro.core.gates import (CGate, CNot, Control, Discard, Init, Measure,
+                              NamedGate)
 from repro.core.errors import SimulationError
 from repro.core.wires import CLASSICAL, QUANTUM
 from repro.obs import core as obs_core
+from repro.sim import run_generic, run_with_lifting
 from repro.sim import xp as sim_xp
 from repro.sim.kernels import DENSE, DIAGONAL, PERMUTE, PHASE, gate_kernel
 from repro.sim.matrices import gate_matrix_cached
 from repro.sim.state import LegacyStateVector, StateVector, simulate
 from repro.transform.inline import CompiledCircuit
+from families import SIMULATE
 from strategies import (
     PARAMETRIZED as _PARAMETRIZED,
     VOCABULARY as _VOCABULARY,
@@ -564,3 +569,174 @@ class TestOutcomeReadout:
         # Perfectly correlated circuit: only 00 and 11 are possible.
         assert set(result.counts) <= {outcome_key([False, False]),
                                       outcome_key([True, True])}
+
+
+class TestClassicalGatesAcrossBatchSizes:
+    def test_zero_input_functions_match_legacy(self):
+        # all(), any() and a sum over no inputs: True, False, False.
+        for name in ("and", "or", "xor"):
+            legacy = LegacyStateVector()
+            legacy.execute(CGate(name, 5, ()))
+            for batch in BATCH_SIZES:
+                sim = StateVector(batch=batch)
+                sim.execute(CGate(name, 5, ()))
+                assert sim.bits[5].tolist() == [legacy.bits[5]] * batch
+
+    def test_qubit_controlled_classical_not_raises_at_every_batch(self):
+        # Unsimulable whatever its classical controls read, so the error
+        # does not depend on the values of the bits.
+        gate = CNot(7, (Control(8, True, CLASSICAL), Control(0, True)))
+        for batch in BATCH_SIZES:
+            for value in (False, True):
+                sim = StateVector(batch=batch)
+                sim.add_qubit(0, False)
+                sim.set_bit(7, False)
+                sim.set_bit(8, value)
+                with pytest.raises(SimulationError, match="qubit"):
+                    sim.execute(gate)
+
+
+def _pin_program(entry, seed):
+    """A fresh ``SIMULATE`` program, its chain input the benchmark's."""
+    make = SIMULATE[entry]
+    return make(bool(seed & 1)) if entry.startswith("teleport") else make()
+
+
+def _sample_record(result):
+    metadata = {
+        k: v for k, v in result.metadata.items()
+        if k in ("batched", "width", "batch")
+    }
+    return [sorted(result.counts.items()), metadata]
+
+
+def _state_record(result):
+    """A ``shots=None`` result's amplitude bytes, wire order and bits."""
+    state = np.ascontiguousarray(result.statevector)
+    return [
+        hashlib.sha256(state.tobytes()).hexdigest(), list(state.shape),
+        list(result.statevector_wires),
+        sorted((w, bool(v)) for w, v in result.bits.items()),
+    ]
+
+
+def _digest(records):
+    text = json.dumps(records, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _random_stochastic_circuit(trial):
+    """A seeded random circuit whose outputs are the wires it leaves live."""
+    rnd = random.Random(9100 + trial)
+    n = rnd.randint(3, 5)
+    gates = random_gates(
+        rnd, n, gate_p=0.50, ancilla_p=0.12, cinit_p=0.08, fresh_p=0.1,
+        measure_p=0.5,
+    )
+    sim = StateVector(rng=np.random.default_rng(trial))
+    for w in range(n):
+        sim.add_qubit(w, False)
+    for gate in gates:
+        sim.execute(gate)
+    outputs = tuple(
+        [(w, QUANTUM) for w in sim.axes] + [(w, CLASSICAL) for w in sim.bits]
+    )
+    return BCircuit(Circuit(
+        tuple((w, QUANTUM) for w in range(n)), tuple(gates), outputs,
+    ))
+
+
+class TestPinnedResults:
+    """Seeded results of the statevector engine, pinned by SHA-256.
+
+    The digests were recorded when ``StateVector`` still ran batch-1
+    states through scalar code paths of its own.  One ``(B, 2**n)`` path
+    must reproduce them byte for byte: a ``(1, N)`` row reduces in the
+    flat array's order and ``rng.random(1)`` draws what ``rng.random()``
+    draws, so B=1 amplitudes, bits and seeded counts do not move.
+    Amplitude digests are exact float bytes; numpy builds whose float
+    kernels round differently would need them re-recorded.
+    """
+
+    def test_sampled_catalogue(self):
+        records = [
+            [entry, seed,
+             _sample_record(_pin_program(entry, seed).run(shots=1024,
+                                                          seed=seed))]
+            for entry in SIMULATE
+            for seed in (1, 2)
+        ]
+        assert _digest(records) == (
+            "ef9a11e59c30ad899cb3273c989edd7fdb14e45f085383e78ed21184c00bc63b"
+        )
+
+    def test_batch_one_states(self):
+        records = [
+            [entry, seed, _state_record(_pin_program(entry, seed).run(seed=seed))]
+            for entry, seed in (("bwt-n2", 1), ("teleport-h3", 1), ("cl-w4", 2))
+        ]
+        assert _digest(records) == (
+            "8988098f3f9e912900e3565b5a6c4186c315a270904e24bade70825c7bf2d380"
+        )
+
+    def test_random_stochastic_circuits(self):
+        records, forked = [], 0
+        for trial in range(60):
+            bc = _random_stochastic_circuit(trial)
+            row = [trial]
+            for batch in (None, 1, 3):
+                result = get_backend("statevector", batch=batch).run(
+                    bc, shots=32, seed=trial
+                )
+                row.append(_sample_record(result))
+            forked += not result.metadata["batched"]
+            row.append(_state_record(get_backend("statevector").run(
+                bc, seed=trial
+            )))
+            records.append(row)
+        assert forked >= 50
+        assert _digest(records) == (
+            "e0fcf22182bb8903807fa8001532ade7f5fa1b8b05f2b8f03a6014aff4757d89"
+        )
+
+    def test_scalar_surface(self):
+        # RunResult.bits holds plain bools, materialized and streamed.
+        for result in (
+            _pin_program("teleport-h3", 1).run(seed=4),
+            _pin_program("teleport-h3", 1).stream().run(seed=4),
+        ):
+            assert result.bits
+            assert all(type(v) is bool for v in result.bits.values())
+            # The engine itself keeps (1,) bool arrays at B=1.
+            engine_bits = result.metadata["state"].bits
+            assert engine_bits.keys() == result.bits.keys()
+            assert all(v.shape == (1,) and v.dtype == bool
+                       for v in engine_bits.values())
+
+        # run_generic and run_with_lifting read out plain bools, and a
+        # dynamic lift hands the generator a plain bool.
+        lifted = []
+
+        def coin(qc, a):
+            qc.hadamard(a)
+            m = qc.measure(a)
+            value = qc.dynamic_lift(m)
+            lifted.append(value)
+            echo = qc.qinit(value)
+            b = qc.qinit_qubit(False)
+            qc.hadamard(b)
+            return m, echo, b
+
+        for seed in range(6):
+            for out in (run_generic(coin, False, seed=seed),
+                        run_with_lifting(coin, False, seed=seed)):
+                assert all(type(v) is bool for v in out)
+                assert out[0] == out[1]
+        assert all(type(v) is bool for v in lifted)
+        assert set(lifted) == {False, True}
+
+        # A streamed run samples what the materialized run samples.
+        for program in (_teleport_chain(4, True), _pin_program("cl-w3", 1),
+                        _pin_program("gse-p5", 1)):
+            streamed = program.stream().run(shots=64, seed=1)
+            assert streamed.counts == program.run(shots=64, seed=1).counts

@@ -75,6 +75,24 @@ class TestQasmInputCli:
         assert ": error: line 4: angle expression" in lines[0]
 
 
+class TestBinaryBaseCli:
+    def test_unlowerable_gate_exits_2_with_one_line(self, tmp_path, capsys):
+        # The binary base has no rule for a quantum-controlled two-target
+        # rotation; the refusal is a pipeline error, not a traceback.
+        source = tmp_path / "czz.quip"
+        source.write_text('Inputs: 0:Qubit, 1:Qubit, 2:Qubit\n'
+                          'QGate["exp(-i0.5ZZ)"](0,1) with controls=[+2]\n'
+                          'Outputs: 0:Qubit, 1:Qubit, 2:Qubit\n')
+        status = bwt_main(["-i", str(source), "-g", "binary",
+                           "-f", "gatecount"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "Traceback" not in captured.err
+        lines = [line for line in captured.err.splitlines() if line]
+        assert len(lines) == 1
+        assert ": error: no binary decomposition implemented" in lines[0]
+
+
 class TestArgparseErrorsUnchanged:
     """Bad flag *values* still go through argparse's own exit-2 path."""
 

@@ -45,8 +45,9 @@ def _run_both(gates, n_qubits, seed=7, bits=()):
     for sim in (new, old):
         for w in range(n_qubits):
             sim.add_qubit(w, False)
-        for w, v in bits:
-            sim.bits[w] = v
+    for w, v in bits:
+        new.set_bit(w, v)
+        old.bits[w] = v
     for gate in gates:
         new.execute(gate)
         old.execute(gate)

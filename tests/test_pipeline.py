@@ -16,7 +16,8 @@ import pytest
 from repro import build, qubit
 from repro.core.builder import Circ
 from repro.core.circuit import BCircuit, Circuit, Subroutine, track_gate
-from repro.core.errors import DanglingWiresError, DanglingWiresWarning
+from repro.core.errors import (DanglingWiresError, DanglingWiresWarning,
+                               QuipperError)
 from repro.core.gates import BoxCall, Control, Gate, NamedGate
 from repro.core.stream import StreamConsumer, replay_bcircuit
 from repro.core.wires import CLASSICAL, QUANTUM
@@ -727,8 +728,30 @@ class TestLoweringByShape:
             bc = _random_hierarchy(seed, lowerable=False)
             _assert_same_lowering(bc, "toffoli")
             outcome = _assert_same_lowering(bc, "binary")
-            rejected += outcome[0] == "NotImplementedError"
+            rejected += outcome[0] == "QuipperError"
         assert rejected >= 3
+
+    def test_controlled_two_target_rotation_is_a_quipper_error(self):
+        """The binary base has no rule for a quantum-controlled
+        ``exp(-i%ZZ)``.  The stored and streamed chains, memo and
+        per-gate alike, raise the same ``QuipperError``: a CLI exits 2
+        on it and the service answers 400."""
+        from repro.program import Program
+
+        text = ('Inputs: 0:Qubit, 1:Qubit, 2:Qubit\n'
+                'QGate["exp(-i0.5ZZ)"](0,1) with controls=[+2]\n'
+                'Outputs: 0:Qubit, 1:Qubit, 2:Qubit\n')
+        program = Program.loads(text)
+        kind, message = _assert_same_lowering(program.bcircuit, "binary")
+        assert kind == "QuipperError"
+        assert message.startswith(
+            "no binary decomposition implemented for gate "
+            "NamedGate['exp(-i0.5ZZ)']"
+        )
+        _assert_same_stream(program.bcircuit, "binary")
+        _assert_same_stream(program, "binary")
+        with pytest.raises(QuipperError, match="no binary decomposition"):
+            Program.loads(text).transform("binary").bcircuit
 
     @pytest.mark.parametrize("base", ["toffoli", "binary"])
     def test_liveness_table_fails_alike(self, base):

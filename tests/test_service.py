@@ -367,6 +367,32 @@ class TestHttpEndpoints:
         assert status == 400
         assert "AsciiParseError" in message and "'>'" in message
 
+    def test_unlowerable_gate_is_a_client_error(self):
+        """A submitted circuit that the requested gate base cannot lower
+        is the client's fault (400); counted as submitted, it is fine."""
+        circuit = ('Inputs: 0:Qubit, 1:Qubit, 2:Qubit\n'
+                   'QGate["exp(-i0.5ZZ)"](0,1) with controls=[+2]\n'
+                   'Outputs: 0:Qubit, 1:Qubit, 2:Qubit\n')
+
+        async def scenario():
+            async with service() as server:
+                def work():
+                    with client_for(server) as svc:
+                        counted = svc.query(circuit=circuit, action="count")
+                        try:
+                            svc.query(circuit=circuit, transform="binary",
+                                      action="count")
+                        except ServiceClientError as exc:
+                            return counted, exc.status, str(exc)
+                    return counted, None, None
+                return await in_thread(work)
+
+        counted, status, message = asyncio.run(scenario())
+        assert counted
+        assert status == 400
+        assert "QuipperError" in message
+        assert "no binary decomposition" in message
+
     def test_backpressure_answers_429_with_retry_after(self):
         async def scenario():
             async with service(max_pending=0) as server:
