@@ -1,9 +1,11 @@
 """Stabilizer backend: polynomial-time sampling of Clifford circuits.
 
 Wraps :mod:`repro.sim.clifford` as the ``"clifford"`` backend.  The
-hierarchical circuit is inlined *once*; each shot replays the flat gate
-list on a fresh tableau, so sampling cost is shots x (polynomial tableau
-update), independent of the inlining cost.
+hierarchical circuit is inlined *once* per run; each shot replays the
+flat gate list on a fresh :class:`~repro.sim.clifford.CliffordState`, so
+sampling cost is shots x (polynomial tableau update), independent of the
+inlining cost.  :class:`CliffordFeed` runs the same state on a gate
+stream.
 """
 
 from __future__ import annotations
@@ -11,28 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.circuit import BCircuit
-from ..core.gates import Gate, Init
+from ..core.gates import Comment, Gate
 from ..core.stream import StreamConsumer
-from ..core.wires import QUANTUM
-from ..sim.clifford import CliffordState
+from ..sim.clifford import CliffordState, run_flat
 from ..transform.inline import compile_flat
 from .base import Backend, BackendError, RunResult, outcome_key
 from .registry import register_backend
-
-
-def _wire_plan(bc: BCircuit, gates: list[Gate]) -> list[int]:
-    """Every qubit wire the tableau must pre-allocate, in first-use order."""
-    wires: list[int] = []
-    seen: set[int] = set()
-    for wire, wtype in bc.circuit.inputs:
-        if wtype == QUANTUM:
-            wires.append(wire)
-            seen.add(wire)
-    for gate in gates:
-        if isinstance(gate, Init) and gate.wire not in seen:
-            wires.append(gate.wire)
-            seen.add(gate.wire)
-    return wires
 
 
 @register_backend
@@ -56,9 +42,9 @@ class CliffordBackend(Backend):
         # BCircuit, so repeated runs and per-shot replays never re-walk
         # the box hierarchy.
         gates = compile_flat(bc).gates
-        wires = _wire_plan(bc, gates)
+        inputs = bc.circuit.inputs
         if shots is None:
-            state = self._run_once(bc, gates, wires, in_values, rng)
+            state = run_flat(inputs, gates, in_values, rng)
             return RunResult(
                 backend=self.name,
                 bits=dict(state.bits),
@@ -69,40 +55,18 @@ class CliffordBackend(Backend):
         outputs = bc.circuit.outputs
         counts: dict[str, int] = {}
         for _ in range(shots):
-            state = self._run_once(bc, gates, wires, in_values, rng)
-            key = outcome_key(
-                [
-                    state.tableau.measure(state.index[w])
-                    if t == QUANTUM
-                    else state.bits[w]
-                    for w, t in outputs
-                ]
-            )
+            state = run_flat(inputs, gates, in_values, rng)
+            key = outcome_key([state.read(w, t) for w, t in outputs])
             counts[key] = counts.get(key, 0) + 1
         return RunResult(backend=self.name, shots=shots, counts=counts)
 
-    @staticmethod
-    def _run_once(bc, gates, wires, in_values, rng) -> CliffordState:
-        state = CliffordState(wires, rng=rng)
-        for wire, wtype in bc.circuit.inputs:
-            if wtype == QUANTUM:
-                if in_values.get(wire, False):
-                    state.tableau.x_gate(state.index[wire])
-            else:
-                state.bits[wire] = in_values.get(wire, False)
-        for gate in gates:
-            state.execute(gate)
-        return state
-
 
 class CliffordFeed(StreamConsumer):
-    """Run a gate stream on a dynamically-growing stabilizer tableau.
+    """Run a gate stream on a :class:`~repro.sim.clifford.CliffordState`.
 
-    The batch backend pre-scans the flat gate list to size its tableau;
-    a stream has no list to scan, so this feed uses
-    :class:`~repro.sim.clifford.StreamingCliffordState`, which allocates
-    a tableau column the first time each wire appears.  Boxed calls are
-    expanded on the fly through the lazy inliner.
+    The state's tableau gains a column the first time each wire appears,
+    so the stream needs no pre-scan.  Boxed calls are expanded on the fly
+    through the lazy inliner.
     """
 
     name = "clifford"
@@ -112,22 +76,13 @@ class CliffordFeed(StreamConsumer):
         self.in_values = in_values or {}
 
     def begin(self, inputs, namespace) -> None:
-        from ..sim.clifford import StreamingCliffordState
         from ..transform.inline import StreamExpander
 
         self._expander = StreamExpander(namespace)
-        self.state = StreamingCliffordState(rng=self.rng)
-        for wire, wtype in inputs:
-            if wtype == QUANTUM:
-                self.state.ensure_wire(wire)
-                if self.in_values.get(wire, False):
-                    self.state.tableau.x_gate(self.state.index[wire])
-            else:
-                self.state.bits[wire] = self.in_values.get(wire, False)
+        self.state = CliffordState(rng=self.rng)
+        self.state.load_inputs(inputs, self.in_values)
 
     def gate(self, gate: Gate) -> None:
-        from ..core.gates import Comment
-
         if isinstance(gate, Comment):
             return
         for flat in self._expander.expand(gate):

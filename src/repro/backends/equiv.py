@@ -124,10 +124,10 @@ def _try_clifford(a: BCircuit, b: BCircuit, cost: dict) -> str | None:
         not isinstance(g, NamedGate) for gates in streams for g in gates
     ):
         return None
-    wires = _quantum_inputs(a)
     tableaus = []
     for gates in streams:
-        state = CliffordState(wires)
+        state = CliffordState()
+        state.load_inputs(a.circuit.inputs, {})
         try:
             for gate in gates:
                 state.execute(gate)

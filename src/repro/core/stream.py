@@ -81,55 +81,69 @@ class StreamEnd:
 class _StreamGates:
     """The gate "list" of a streaming builder: a sink, not a store.
 
-    Appended gates are forwarded to the consumer and dropped.  Retention
-    marks support :meth:`StreamingCirc.with_computed`, which must replay
-    (inverted) the gates of its compute block: between ``push_mark`` and
-    ``pop_mark`` the appended gates are additionally buffered, so memory
-    is bounded by the largest enclosing compute block, not the circuit.
+    Appended gates are forwarded to the consumer and dropped; only the
+    last one is kept, for transformer rules that peek at the gate they
+    just emitted (``qc.gates[-1]``).  Retention marks support
+    :meth:`StreamingCirc.with_computed`, which must replay (inverted) the
+    gates of its compute block: between ``push_mark`` and ``pop_mark``
+    the appended gates are additionally buffered, so memory is bounded by
+    the largest enclosing compute block, not the circuit.
     """
 
-    __slots__ = ("sink", "_emitted", "_buffer", "_base", "_marks")
+    __slots__ = ("sink", "last", "_emitted", "_buffer", "_marks")
 
     def __init__(self, sink: Callable[[Gate], None]):
         self.sink = sink
+        self.last: Gate | None = None
         self._emitted = 0
         self._buffer: list[Gate] = []
-        self._base = 0
         self._marks: list[int] = []
 
     def append(self, gate: Gate) -> None:
         self._emitted += 1
         if self._marks:
             self._buffer.append(gate)
+        self.last = gate
         self.sink(gate)
 
     def __len__(self) -> int:
         return self._emitted
 
     def __getitem__(self, index):
-        # Transformer rules peek at the gate they just emitted.
-        if index == -1 and (self._marks and self._buffer):
-            return self._buffer[-1]
+        if index == -1 and self.last is not None:
+            return self.last
         raise QuipperError(
-            "a streaming builder does not retain emitted gates; only the "
-            "compute block of with_computed is buffered"
+            "a streaming builder retains only its last emitted gate and "
+            "the compute block of with_computed"
         )
 
     def push_mark(self) -> None:
         if _obs.ENABLED:
             _obs.add("stream.retention.marks")
-        if not self._marks:
-            self._base = self._emitted
-        self._marks.append(self._emitted)
+        self._marks.append(len(self._buffer))
 
     def pop_mark(self) -> list[Gate]:
-        start = self._marks.pop()
-        recorded = self._buffer[start - self._base:]
+        recorded = self._buffer[self._marks.pop():]
         if _obs.ENABLED:
             _obs.observe("stream.retention.buffered", len(recorded))
         if not self._marks:
             self._buffer.clear()
         return recorded
+
+    def unrecorded(self, call: Callable, *args):
+        """``call(*args)``, keeping what it appends out of the open
+        compute blocks (it gets a buffer of its own for any it opens).
+
+        A fixpoint transform stage re-applies its rule to the gates the
+        rule emits; a compute block holds those gates, not their rewrites.
+        """
+        if not self._marks:
+            return call(*args)
+        held = self._marks, self._buffer
+        self._marks, self._buffer = [], []
+        result = call(*args)
+        self._marks, self._buffer = held
+        return result
 
 
 class StreamingCirc(Circ):

@@ -66,15 +66,12 @@ from .core.gates import (
 )
 from .core.wires import QUANTUM, Qubit
 from .transform import (
-    BINARY,
-    TOFFOLI,
+    GATE_BASES,
     aggregate_gate_count,
     circuit_depth,
     inline as _inline_bcircuit,
     reverse_bcircuit,
     t_depth as _t_depth,
-    to_binary,
-    to_toffoli,
     total_gates,
     total_logical_gates,
     transform_bcircuit_fused,
@@ -86,18 +83,16 @@ from .transform.transformer import Rule
 def _resolve_rules(specs: tuple) -> tuple[Rule, ...]:
     """Expand transform specs (callables or gate-base names) into rules.
 
-    The string constants :data:`~repro.transform.TOFFOLI` and
-    :data:`~repro.transform.BINARY` expand to the standard decomposition
-    rules (``BINARY`` implies the Toffoli stage first, exactly like
-    ``decompose_generic``); any callable is used as a transformer rule
-    directly.
+    A gate-base name (:data:`~repro.transform.TOFFOLI`,
+    :data:`~repro.transform.BINARY`) expands to its rule chain in
+    :data:`~repro.transform.GATE_BASES`, the chain ``decompose_generic``
+    runs (``BINARY`` implies the Toffoli stage first); any callable is
+    used as a transformer rule directly.
     """
     rules: list[Rule] = []
     for spec in specs:
-        if spec == TOFFOLI:
-            rules.append(to_toffoli)
-        elif spec == BINARY:
-            rules.extend((to_toffoli, to_binary))
+        if isinstance(spec, str) and spec in GATE_BASES:
+            rules.extend(GATE_BASES[spec])
         elif callable(spec):
             rules.append(spec)
         else:

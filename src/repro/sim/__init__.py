@@ -44,18 +44,7 @@ def run_clifford_generic(fn, *inputs, seed=None):
         for (wire, _), value in zip(bc.circuit.inputs, in_leaf_values)
     }
     state = run_clifford(bc, in_values, rng=np.random.default_rng(seed))
-
-    class _CliffordReadout:
-        """Duck-types the StateVector readout interface over a tableau."""
-
-        def __init__(self, clifford: CliffordState):
-            self.clifford = clifford
-            self.bits = clifford.bits
-
-        def measure_qubit(self, wire: int) -> bool:
-            return self.clifford.tableau.measure(self.clifford.index[wire])
-
-    return _readout_struct(out_struct, _CliffordReadout(state))
+    return _readout_struct(out_struct, state)
 
 
 __all__ = [

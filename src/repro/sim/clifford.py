@@ -6,12 +6,18 @@ measurement are simulated in polynomial time, which is "especially useful
 in testing oracles" (Section 4.4.5) and for checking the statevector
 simulator against an independent implementation.
 
-Initialization is handled by pre-allocating one tableau column per wire
-id ever used; Term measures the qubit and checks the programmer's
-assertion.  Ids do come back (``with_computed`` re-creates an ancilla
-under its old id, a QASM import re-initializes a terminated column), so
-an Init on a column that a Term, Discard or Measure released measures
-it and flips it into the requested state.
+One state, :class:`CliffordState`, serves the backend, the streaming
+feed, ``run_clifford_generic`` and the equivalence checker.  It starts
+with no wires and gives a wire the next tableau column when a qubit
+input is loaded or the wire is first initialized, so columns are
+numbered inputs first, then by first Init, and a stream of unknown
+width needs no pre-scan; the tableau keeps spare |0> columns and
+doubles when full, and a spare column never takes part in another
+column's measurement.  Term measures the qubit and checks the
+programmer's assertion.  Ids do come back (``with_computed`` re-creates
+an ancilla under its old id, a QASM import re-initializes a terminated
+column), so an Init on a column that a Term, Discard or Measure released
+measures it and flips it into the requested state.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from ..core.gates import (
 )
 from ..core.wires import QUANTUM
 from .matrices import clifford_classification
+from .state import _refuse_qubit_control
 
 
 class Tableau:
@@ -103,8 +110,8 @@ class Tableau:
         The existing destabilizer/stabilizer rows keep their Pauli
         letters on the old columns; each new qubit contributes the
         standard |0> pair (destabilizer ``X_i``, stabilizer ``Z_i``).
-        This is what lets a *streaming* Clifford feed simulate a circuit
-        whose total wire count is unknown until the stream ends.
+        This is what lets :class:`CliffordState` simulate a circuit
+        whose total wire count is unknown until it ends.
         """
         n, m = self.n, self.n + k
         x = np.zeros((2 * m, m), dtype=bool)
@@ -144,11 +151,14 @@ class Tableau:
 
     def measure(self, a: int) -> bool:
         n = self.n
-        stab_rows = np.nonzero(self.x[n:, a])[0]
+        stab_rows = self.x[n:, a].nonzero()[0]
         if stab_rows.size:  # random outcome
             p = int(stab_rows[0]) + n
-            for i in range(2 * n):
-                if i != p and self.x[i, a]:
+            # _rowsum(i, p) writes row i only, so the rows with an X on
+            # column a can be listed up front; a spare column's rows
+            # never have one.
+            for i in self.x[:, a].nonzero()[0].tolist():
+                if i != p:
                     self._rowsum(i, p)
             self.x[p - n] = self.x[p]
             self.z[p - n] = self.z[p]
@@ -163,29 +173,63 @@ class Tableau:
         sx = np.zeros(n, dtype=bool)
         sz = np.zeros(n, dtype=bool)
         sr = 0
-        for i in range(n):
-            if self.x[i, a]:
-                total = (
-                    2 * sr
-                    + 2 * int(self.r[i + n])
-                    + int(self._g(self.x[i + n], self.z[i + n], sx, sz).sum())
-                )
-                sr = (total % 4) // 2
-                sx ^= self.x[i + n]
-                sz ^= self.z[i + n]
+        for i in self.x[:n, a].nonzero()[0].tolist():
+            total = (
+                2 * sr
+                + 2 * int(self.r[i + n])
+                + int(self._g(self.x[i + n], self.z[i + n], sx, sz).sum())
+            )
+            sr = (total % 4) // 2
+            sx ^= self.x[i + n]
+            sz ^= self.z[i + n]
         return bool(sr)
 
 
 class CliffordState:
-    """Adapter running extended-model circuits on a :class:`Tableau`."""
+    """Extended-model circuits on a :class:`Tableau` that grows.
 
-    def __init__(self, wires: list[int], rng=None):
-        self.index = {w: i for i, w in enumerate(wires)}
-        self.tableau = Tableau(len(wires), rng=rng)
+    A wire gets a column when it is loaded as a qubit input or first
+    initialized; the tableau starts with 8 spare columns and doubles
+    when full.
+    """
+
+    def __init__(self, *, rng=None):
+        self.index: dict[int, int] = {}
+        self.tableau = Tableau(8, rng=rng)
         self.bits: dict[int, bool] = {}
         #: Columns measured out by Term, Discard or Measure: each holds
         #: a basis state that a later Init must overwrite.
         self.released: set[int] = set()
+
+    def _column(self, wire: int) -> int:
+        """*wire*'s column, appended in |0> on first use."""
+        column = self.index.get(wire)
+        if column is None:
+            if len(self.index) == self.tableau.n:
+                self.tableau.extend(self.tableau.n)
+            column = self.index[wire] = len(self.index)
+        return column
+
+    def load_inputs(self, inputs, in_values: dict[int, bool]) -> None:
+        """Set each ``(wire, type)`` of *inputs* to its basis value from
+        *in_values* (default False): a tableau column or a bit."""
+        for wire, wtype in inputs:
+            if wtype == QUANTUM:
+                column = self._column(wire)
+                if in_values.get(wire, False):
+                    self.tableau.x_gate(column)
+            else:
+                self.bits[wire] = in_values.get(wire, False)
+
+    def measure_qubit(self, wire: int) -> bool:
+        """Measure qubit *wire* in the computational basis."""
+        return self.tableau.measure(self.index[wire])
+
+    def read(self, wire: int, wtype: str) -> bool:
+        """The value of output ``(wire, wtype)``: a qubit is measured."""
+        if wtype == QUANTUM:
+            return self.measure_qubit(wire)
+        return self.bits[wire]
 
     def execute(self, gate: Gate) -> None:
         tab = self.tableau
@@ -195,7 +239,7 @@ class CliffordState:
             self._named(gate)
             return
         if isinstance(gate, Init):
-            column = self.index[gate.wire]
+            column = self._column(gate.wire)
             held = False
             if column in self.released:
                 self.released.discard(column)
@@ -225,6 +269,10 @@ class CliffordState:
         if isinstance(gate, CDiscard):
             self.bits.pop(gate.wire)
             return
+        if isinstance(gate, CNot) and any(
+            c.wire_type == QUANTUM for c in gate.controls
+        ):
+            _refuse_qubit_control()
         if isinstance(gate, (CGate, CNot)):
             from .classical import ClassicalState
 
@@ -300,60 +348,23 @@ class CliffordState:
             raise SimulationError(f"{gate.name!r} is not a Clifford gate")
 
 
-class StreamingCliffordState(CliffordState):
-    """A CliffordState whose tableau grows as wires appear in a stream.
-
-    The batch :class:`CliffordState` pre-allocates one column per wire
-    ever used, which requires the whole gate list up front.  This variant
-    starts empty and allocates a column the first time a wire is
-    initialized (or declared as an input via :meth:`ensure_wire`),
-    growing the tableau by amortized doubling, so it can consume a gate
-    stream whose total wire count is unknown until the stream ends.
-    """
-
-    def __init__(self, rng=None):
-        super().__init__([], rng=rng)
-
-    def ensure_wire(self, wire: int) -> None:
-        if wire in self.index:
-            return
-        if len(self.index) >= self.tableau.n:
-            self.tableau.extend(max(8, self.tableau.n))
-        self.index[wire] = len(self.index)
-
-    def execute(self, gate: Gate) -> None:
-        if isinstance(gate, Init):
-            self.ensure_wire(gate.wire)
-        super().execute(gate)
-
-
 def run_clifford(bc: BCircuit, in_values: dict[int, bool] | None = None,
                  rng=None) -> CliffordState:
-    """Run a Clifford circuit, returning the final CliffordState.
+    """Run a Clifford circuit once, returning the final CliffordState.
 
     Input wires are initialized to basis states from ``in_values``.
     """
     from ..transform.inline import compile_flat
 
-    in_values = in_values or {}
-    gates = compile_flat(bc).gates
-    wires = []
-    seen = set()
-    for wire, wtype in bc.circuit.inputs:
-        if wtype == QUANTUM:
-            wires.append(wire)
-            seen.add(wire)
-    for gate in gates:
-        if isinstance(gate, Init) and gate.wire not in seen:
-            wires.append(gate.wire)
-            seen.add(gate.wire)
-    state = CliffordState(wires, rng=rng)
-    for wire, wtype in bc.circuit.inputs:
-        if wtype == QUANTUM:
-            if in_values.get(wire, False):
-                state.tableau.x_gate(state.index[wire])
-        else:
-            state.bits[wire] = in_values.get(wire, False)
+    return run_flat(bc.circuit.inputs, compile_flat(bc).gates,
+                    in_values or {}, rng)
+
+
+def run_flat(inputs, gates: list[Gate], in_values: dict[int, bool],
+             rng) -> CliffordState:
+    """One run of the flat *gates* from basis-state *inputs*."""
+    state = CliffordState(rng=rng)
+    state.load_inputs(inputs, in_values)
     for gate in gates:
         state.execute(gate)
     return state

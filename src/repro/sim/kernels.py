@@ -11,11 +11,9 @@ they build leaves axis 0 as a full slice, so ONE dispatch advances all
 ``B`` members -- the manyQ idiom that turns per-shot Python/numpy
 dispatch overhead into a single vectorized operation.
 
-Kernels are array-module agnostic: they only use the access patterns
-probed by :mod:`repro.sim.xp` (strided views, elementwise arithmetic,
-slice assignment), so the same code drives numpy buffers today and any
-``REPRO_ARRAY_MODULE`` drop-in (cupy) tomorrow.  numpy appears below
-only on the host side, to classify gate matrices.
+Kernels use only strided views, elementwise arithmetic and slice
+assignment on the buffer they are handed; numpy itself appears below
+only to classify gate matrices.
 
 Gates are classified once per ``(name, param, inverted)`` key (LRU) by the
 *structure* of their cached matrix:

@@ -27,12 +27,8 @@ are bit-identical (see :meth:`StateVector.preload_randoms`) and
 amplitudes agree to machine rounding -- numpy's SIMD loops may round a
 strided batch column one ULP differently than a lone element.
 
-Buffers are allocated through the array-module seam
-(:mod:`repro.sim.xp`), so the same engine drives numpy today and any
-capability-probed drop-in (cupy) selected via ``REPRO_ARRAY_MODULE``.
-Classical wires live in a plain dict of host-side numpy bool arrays of
-shape ``(B,)`` at every batch size (classical state stays on the host even
-when amplitudes live on a device).
+Buffers are numpy arrays.  Classical wires live in a plain dict of
+numpy bool arrays of shape ``(B,)`` at every batch size.
 
 :class:`LegacyStateVector` preserves the original moveaxis + reshape +
 matmul engine verbatim as the reference implementation: the randomized
@@ -43,6 +39,7 @@ and the throughput benchmarks measure the flat engine's speedup over it.
 from __future__ import annotations
 
 import math
+from typing import NoReturn
 
 import numpy as np
 
@@ -69,7 +66,6 @@ from ..core.gates import (
 )
 from ..core.wires import QUANTUM
 from ..obs import core as _obs
-from . import xp as _xp
 from .kernels import (
     _apply_dense,
     _pattern_bits,
@@ -93,12 +89,20 @@ _CLASSICAL_VECTOR_FUNCTIONS = {
 }
 
 
+def _refuse_qubit_control() -> NoReturn:
+    """Every simulator's refusal of a classical NOT with a qubit control."""
+    raise SimulationError(
+        "a classical NOT cannot be controlled by a qubit (measurement "
+        "would be required); restructure the circuit"
+    )
+
+
 class StateVector:
     """A resizable flat statevector with named qubit axes, a classical
     store, and a leading batch axis.
 
     ``data`` has shape ``(batch, 2**n)`` and every classical bit is a
-    host ``(batch,)`` bool array, at every batch size.  Every member
+    ``(batch,)`` bool array, at every batch size.  Every member
     advances through the same gate sequence in one kernel dispatch, and
     measurement collapses each member to its own outcome
     (:meth:`measure_qubit` returns the ``(batch,)`` outcomes).  Only the
@@ -116,7 +120,7 @@ class StateVector:
             raise SimulationError("batch size must be >= 1")
         self.batch = int(batch)
         # zero qubits: every member is the scalar amplitude 1
-        self.data = _xp.xp().ones((self.batch, 1), dtype=complex)
+        self.data = np.ones((self.batch, 1), dtype=complex)
         self.axes: dict[int, int] = {}  # wire id -> qubit axis index
         self.bits: dict[int, np.ndarray] = {}
         self.rng = rng if rng is not None else np.random.default_rng()
@@ -170,7 +174,7 @@ class StateVector:
             raise SimulationError("batch size must be >= 1")
         clone = StateVector.__new__(StateVector)
         clone.batch = int(batch)
-        clone.data = _xp.xp().repeat(self.data, batch, axis=0)
+        clone.data = np.repeat(self.data, batch, axis=0)
         clone.bits = {w: v.repeat(batch) for w, v in self.bits.items()}
         clone.axes = dict(self.axes)
         clone.rng = self.rng
@@ -196,9 +200,7 @@ class StateVector:
             raise SimulationError(f"qubit {wire} already allocated")
         # Appending an axis in C order interleaves: new[2*i + bit] = old[i]
         # member by member.
-        grown = _xp.xp().zeros(
-            (self.batch, self.data.shape[1] * 2), dtype=complex
-        )
+        grown = np.zeros((self.batch, self.data.shape[1] * 2), dtype=complex)
         grown[:, int(value)::2] = self.data
         self.data = grown
         self.axes[wire] = len(self.axes)
@@ -208,7 +210,7 @@ class StateVector:
         axis = self.axes.pop(wire)
         view = self.data.reshape((self.batch,) + (2,) * (len(self.axes) + 1))
         kept = view[_subindex(view.ndim, ((axis + 1, keep_index),))]
-        self.data = _xp.xp().ascontiguousarray(kept).reshape(self.batch, -1)
+        self.data = np.ascontiguousarray(kept).reshape(self.batch, -1)
         for other, other_axis in self.axes.items():
             if other_axis > axis:
                 self.axes[other] = other_axis - 1
@@ -216,19 +218,18 @@ class StateVector:
     def _remove_axis_members(self, wire: int, outcomes: np.ndarray) -> None:
         """Collapse *wire* to a per-member basis state (batched measure).
 
-        ``outcomes`` is a host bool array of shape ``(batch,)``; member i
+        ``outcomes`` is a bool array of shape ``(batch,)``; member i
         keeps the slice where the wire's bit equals ``outcomes[i]``,
         gathered in one advanced-index read that returns a fresh
         C-contiguous ``(batch, left, right)`` array.
         """
         axis = self.axes.pop(wire)
         n = len(self.axes) + 1
-        xpm = _xp.xp()
         view = self.data.reshape(
             self.batch, 1 << axis, 2, 1 << (n - 1 - axis)
         )
-        picks = xpm.asarray(outcomes.astype(np.intp))
-        kept = view[xpm.arange(self.batch), :, picks, :]
+        picks = outcomes.astype(np.intp)
+        kept = view[np.arange(self.batch), :, picks, :]
         self.data = kept.reshape(self.batch, -1)
         for other, other_axis in self.axes.items():
             if other_axis > axis:
@@ -244,9 +245,7 @@ class StateVector:
     def remove_qubit_asserted(self, wire: int, value: bool) -> None:
         """Project onto |value> after checking the assertion holds for
         every member."""
-        wrong = float(
-            _xp.to_host(self._axis_weights(wire, 1 - int(value))).max()
-        )
+        wrong = float(self._axis_weights(wire, 1 - int(value)).max())
         if math.sqrt(wrong) > 1e-6:
             raise AssertionFailedError(
                 f"qubit {wire} terminated with assertion |{int(value)}> "
@@ -258,14 +257,14 @@ class StateVector:
     def measure_qubit(self, wire: int):
         """Measure *wire*, collapsing each member to its own outcome.
 
-        Returns the outcomes as a host ``(batch,)`` bool array.  One value
+        Returns the outcomes as a ``(batch,)`` bool array.  One value
         of measurement randomness is consumed per member (from the
         preloaded matrix when :meth:`preload_randoms` armed one, else from
         ``rng``).
         """
         p_one = self._axis_weights(wire, 1)
         total = (abs(self.data) ** 2).sum(axis=1)
-        probs = _xp.to_host(p_one / total)
+        probs = p_one / total
         outcomes = self._draw_members() < probs
         self._remove_axis_members(wire, outcomes)
         self._renormalize()
@@ -299,8 +298,8 @@ class StateVector:
         return column
 
     def _renormalize(self) -> None:
-        norms = _xp.xp().sqrt((abs(self.data) ** 2).sum(axis=1))
-        if float(_xp.to_host(norms).min()) < _TOLERANCE:
+        norms = np.sqrt((abs(self.data) ** 2).sum(axis=1))
+        if float(norms.min()) < _TOLERANCE:
             raise SimulationError(
                 "a batch member collapsed to zero norm"
             )
@@ -316,7 +315,7 @@ class StateVector:
 
         Returns None when no member satisfies the classical controls (the
         gate is skipped entirely); otherwise ``(quantum, mask)`` where
-        ``mask`` is None when every member satisfies them, or a host bool
+        ``mask`` is None when every member satisfies them, or a bool
         array selecting the members that do.  Quantum-control axes are
         already shifted past the batch axis, ready for the kernel layer.
         """
@@ -353,10 +352,9 @@ class StateVector:
         if mask is None:
             self._apply_matrix(view, matrix, targets, ctrl)
             return
-        members = _xp.xp().asarray(mask)
-        sub = view[members]
+        sub = view[mask]
         self._apply_matrix(sub, matrix, targets, ctrl)
-        view[members] = sub
+        view[mask] = sub
 
     def _apply_matrix(self, view, matrix, targets, ctrl) -> None:
         if not targets:  # global phase on the control subspace
@@ -401,10 +399,9 @@ class StateVector:
         # Mixed classical controls: copy out the satisfying members, run
         # the kernel on the sub-batch, scatter the result back.
         view = self._view()
-        members = _xp.xp().asarray(mask)
-        sub = view[members]
+        sub = view[mask]
         apply_kernel(sub, kernel, target_axes, ctrl)
-        view[members] = sub
+        view[mask] = sub
 
     def _exec_comment(self, gate: Comment) -> None:
         return
@@ -452,7 +449,7 @@ class StateVector:
         satisfied = np.ones(self.batch, dtype=bool)
         for c in gate.controls:
             if c.wire_type == QUANTUM:
-                self._classical_control_on_qubit(c)
+                _refuse_qubit_control()
             else:
                 satisfied &= self.bits[c.wire] == c.positive
         current = self.bits[gate.wire]
@@ -463,12 +460,6 @@ class StateVector:
             "BoxCall reached the simulator; inline the circuit first"
         )
 
-    def _classical_control_on_qubit(self, ctl: Control) -> bool:
-        raise SimulationError(
-            "a classical NOT cannot be controlled by a qubit (measurement "
-            "would be required); restructure the circuit"
-        )
-
     def basis_probabilities(self, wires: list[int]) -> dict[tuple[int, ...], float]:
         """Probability of each computational-basis outcome on *wires*."""
         if self.batch > 1:
@@ -476,7 +467,7 @@ class StateVector:
                 "basis_probabilities is defined on a single state; "
                 "run with batch=1 to inspect amplitudes"
             )
-        state = _xp.to_host(self.state)
+        state = self.state
         order = [self.axes[w] for w in wires]
         probs = np.abs(state) ** 2
         other = [a for a in range(state.ndim) if a not in order]
@@ -661,7 +652,7 @@ class LegacyStateVector:
                 (
                     self.bits[c.wire] == c.positive
                     if c.wire_type != QUANTUM
-                    else self._classical_control_on_qubit(c)
+                    else _refuse_qubit_control()
                 )
                 for c in gate.controls
             )
@@ -673,12 +664,6 @@ class LegacyStateVector:
                 "BoxCall reached the simulator; inline the circuit first"
             )
         raise SimulationError(f"cannot simulate gate {gate!r}")
-
-    def _classical_control_on_qubit(self, ctl: Control) -> bool:
-        raise SimulationError(
-            "a classical NOT cannot be controlled by a qubit (measurement "
-            "would be required); restructure the circuit"
-        )
 
     basis_probabilities = StateVector.basis_probabilities
 

@@ -277,13 +277,7 @@ class GateStream:
                 bool(sim.measure_qubit(w) if t == QUANTUM else sim.bits[w])
                 for w, t in feed.outputs
             ])
-        state = feed.state
-        return outcome_key([
-            state.tableau.measure(state.index[w])
-            if t == QUANTUM
-            else state.bits[w]
-            for w, t in feed.outputs
-        ])
+        return outcome_key([feed.state.read(w, t) for w, t in feed.outputs])
 
     # -- pull-based iteration ------------------------------------------------
 

@@ -16,8 +16,6 @@ from .count import (
 )
 from .inline import CompiledCircuit, compile_flat, inline
 from .reverse import reverse_bcircuit, reverse_circuit
-from .toffoli import decompose_toffoli
-from .binary import decompose_binary
 from .transformer import transform_bcircuit
 from .pipeline import (
     StreamTransformer,
@@ -31,6 +29,10 @@ from .pipeline import (
 TOFFOLI = "toffoli"
 BINARY = "binary"
 
+#: Each gate base's rule chain: :func:`decompose_generic` and
+#: ``Program.transform(base)`` both lower through it.
+GATE_BASES = {TOFFOLI: (to_toffoli,), BINARY: (to_toffoli, to_binary)}
+
 
 def decompose_generic(base: str, bc):
     """Decompose a circuit hierarchy into the given gate base.
@@ -40,11 +42,24 @@ def decompose_generic(base: str, bc):
     using the V / V* construction of Nielsen-Chuang Section 4.3, as in the
     paper's ``timestep2`` example).
     """
-    if base == TOFFOLI:
-        return decompose_toffoli(bc)
-    if base == BINARY:
-        return decompose_binary(decompose_toffoli(bc))
-    raise ValueError(f"unknown gate base {base!r}")
+    rules = GATE_BASES.get(base) if isinstance(base, str) else None
+    if rules is None:
+        raise ValueError(f"unknown gate base {base!r}")
+    return transform_bcircuit_fused(bc, *rules)
+
+
+def decompose_toffoli(bc):
+    """Reduce every gate to the Toffoli base throughout the hierarchy."""
+    return decompose_generic(TOFFOLI, bc)
+
+
+def decompose_binary(bc):
+    """Reduce a Toffoli-base circuit to two-qubit gates.
+
+    Run :func:`decompose_toffoli` first, or use
+    ``decompose_generic(BINARY, ...)``, which chains both rules.
+    """
+    return transform_bcircuit_fused(bc, to_binary)
 
 
 __all__ = [
@@ -74,4 +89,5 @@ __all__ = [
     "to_binary",
     "TOFFOLI",
     "BINARY",
+    "GATE_BASES",
 ]

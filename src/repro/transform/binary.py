@@ -15,19 +15,18 @@ Controlled two-qubit gates are first expanded:
     W(a, b)    = CX(a; b) CH(b; a) CX(a; b)        (controls land on the CH)
     swap(a, b) = CX(b; a) CX(a; b) CX(b; a)        (controls on the middle)
 
-which can synthesize new multi-controlled gates; the pass therefore runs to
-a fixpoint (at most three rounds in practice).
+which can synthesize new multi-controlled gates.  The rule therefore runs
+as a fixpoint rule (``pipeline.to_binary``), whose emissions re-enter it
+within the one traversal of the hierarchy.
 """
 
 from __future__ import annotations
 
 from ..core.builder import Circ
-from ..core.circuit import BCircuit
 from ..core.errors import QuipperError
 from ..core.gates import Control, Gate, NamedGate
 from ..core.wires import QUANTUM
 from .toffoli import _reduce_controls
-from .transformer import transform_bcircuit
 
 
 def _quantum_controls(gate: NamedGate) -> list[Control]:
@@ -106,7 +105,7 @@ def _binary_rule(qc: Circ, gate: Gate) -> bool:
     if len(gate.targets) == 1 and len(quantum_controls) >= 2:
         # Multi-controlled single-qubit gate (e.g. the CH synthesized by a
         # controlled W): reduce controls with an ancilla chain.  The chain
-        # emits 2-control NOTs, picked up by the next fixpoint round.
+        # emits 2-control NOTs, which re-enter the fixpoint rule.
         reduced, cleanup = _reduce_controls(qc, gate.controls, 1)
         qc._emit_raw(
             NamedGate(
@@ -122,25 +121,3 @@ def _binary_rule(qc: Circ, gate: Gate) -> bool:
     raise QuipperError(
         f"no binary decomposition implemented for gate {gate!r}"
     )
-
-
-def decompose_binary(bc: BCircuit) -> BCircuit:
-    """Reduce a Toffoli-base circuit to two-qubit gates.
-
-    Run :func:`~repro.transform.toffoli.decompose_toffoli` first (or use
-    ``decompose_generic(BINARY, ...)``, which chains both passes).  The
-    pass iterates to a fixpoint because expanding controlled W/swap gates
-    can synthesize new Toffolis.
-    """
-    for _ in range(8):
-        done = all(
-            _is_binary(g) for g in bc.circuit.gates
-        ) and all(
-            _is_binary(g)
-            for sub in bc.namespace.values()
-            for g in sub.circuit.gates
-        )
-        if done:
-            return bc
-        bc = transform_bcircuit(bc, _binary_rule)
-    raise RuntimeError("binary decomposition did not reach a fixpoint")

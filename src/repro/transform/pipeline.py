@@ -38,9 +38,8 @@ from typing import Callable
 from ..core.builder import Circ
 from ..core.circuit import (BCircuit, Circuit, Subroutine, SubroutineMemo,
                             _in_place, body_widths)
-from ..core.errors import QuipperError
 from ..core.gates import BoxCall, Control, Gate, NamedGate, map_gate_wires
-from ..core.stream import StreamConsumer
+from ..core.stream import StreamConsumer, StreamingCirc
 from ..obs import core as _obs
 from ..optimize.stream import StreamOptimizer
 from .binary import _binary_rule
@@ -76,52 +75,6 @@ to_toffoli: Rule = _toffoli_rule
 to_binary: Rule = fixpoint_rule(_binary_rule)
 
 
-class _TeeGates(list):
-    """A gate list that forwards every appended gate to a sink.
-
-    Stage builders store their emissions (rules such as the Toffoli
-    control-reduction inspect ``qc.gates[-1]``) *and* stream each gate
-    onward to the next stage the moment it is emitted.
-    """
-
-    __slots__ = ("sink",)
-
-    def __init__(self, sink: Callable[[Gate], None]):
-        super().__init__()
-        self.sink = sink
-
-    def append(self, gate: Gate) -> None:  # type: ignore[override]
-        super().append(gate)
-        self.sink(gate)
-
-
-class _LastGateTee:
-    """A non-retaining tee: forwards appended gates, keeps only the last.
-
-    The streaming pipeline's replacement for :class:`_TeeGates` -- rules
-    may still inspect the gate they just emitted (``qc.gates[-1]``), but
-    nothing accumulates, so a stage's memory stays O(1) however many
-    gates flow through it.
-    """
-
-    __slots__ = ("sink", "last")
-
-    def __init__(self, sink: Callable[[Gate], None]):
-        self.sink = sink
-        self.last: Gate | None = None
-
-    def append(self, gate: Gate) -> None:
-        self.last = gate
-        self.sink(gate)
-
-    def __getitem__(self, index):
-        if index == -1 and self.last is not None:
-            return self.last
-        raise QuipperError(
-            "a streaming transform stage retains only its last emitted gate"
-        )
-
-
 def _track_passthrough(live: dict[int, str], gate: Gate) -> None:
     """Apply a declined gate's wire effects to *live* without validating.
 
@@ -143,18 +96,23 @@ def _track_passthrough(live: dict[int, str], gate: Gate) -> None:
         live[wire] = wtype
 
 
-class _StageCirc(Circ):
+class _StageCirc(StreamingCirc):
     """The builder a rule sees inside one fused-pipeline stage.
 
     Behaves exactly like the throwaway builder of the legacy
     ``_rewrite_circuit`` -- same liveness checks, same namespace -- except
     that emitted gates flow to the next stage instead of piling up into an
     intermediate circuit, and fresh wires come from the shared supply.
+    As in any streaming builder, a rule sees the gate it emitted last
+    (``qc.gates[-1]``, as the Toffoli control reduction reads), and
+    ``with_computed`` buffers only its compute block, so a stage holds
+    no more than that however many gates flow through it, stored or
+    streamed.
     """
 
     def __init__(self, namespace: dict[str, Subroutine],
                  inputs: tuple[tuple[int, str], ...], shared: _SharedWires):
-        super().__init__(namespace=namespace)
+        super().__init__(None, namespace=namespace)  # _Stage sets the sink
         self._live = dict(inputs)
         self._max_live = len(self._live)
         self._shared = shared
@@ -169,19 +127,15 @@ class _Stage:
     __slots__ = ("rule", "qc", "downstream", "fixpoint")
 
     def __init__(self, rule: Rule, qc: _StageCirc,
-                 downstream: Callable[[Gate], None], retain: bool = True):
+                 downstream: Callable[[Gate], None]):
         self.rule = rule
         self.qc = qc
         self.downstream = downstream
         self.fixpoint = bool(getattr(rule, "_fused_fixpoint", False))
         # Route the rule's emissions: a fixpoint rule's output re-enters
         # this stage (already liveness-tracked by _emit_raw), a plain
-        # rule's output flows straight to the next stage.  Streaming
-        # chains (*retain* False) keep only the last emitted gate.
-        tee_cls = _TeeGates if retain else _LastGateTee
-        qc.gates = tee_cls(
-            self._reprocess if self.fixpoint else downstream
-        )
+        # rule's output flows straight to the next stage.
+        qc.gates.sink = self._reprocess if self.fixpoint else downstream
 
     def process(self, gate: Gate) -> None:
         """Feed one upstream gate through this stage."""
@@ -191,7 +145,7 @@ class _Stage:
 
     def _reprocess(self, gate: Gate) -> None:
         """Feed one of the rule's own emissions back through the rule."""
-        if not self.rule(self.qc, gate):
+        if not self.qc.gates.unrecorded(self.rule, self.qc, gate):
             # Already tracked when the rule emitted it; just pass it on.
             self.downstream(gate)
 
@@ -304,22 +258,22 @@ class _Chain:
         self.reused = 0
 
     def stages(self, inputs: tuple[tuple[int, str], ...],
-               supply: _SharedWires, sink: Callable[[Gate], None],
-               retain: bool = True) -> Callable[[Gate], None]:
+               supply: _SharedWires,
+               sink: Callable[[Gate], None]) -> Callable[[Gate], None]:
         """The per-gate stages of the chain, feeding *sink*: the intake."""
         intake = sink
         for rule in reversed(self.rules):
             qc = _StageCirc(self.namespace, inputs, supply)
             qc._widths = self.widths
-            intake = _Stage(rule, qc, intake, retain).process
+            intake = _Stage(rule, qc, intake).process
         return intake
 
     def intake(self, inputs: tuple[tuple[int, str], ...],
-               supply: _SharedWires, sink: Callable[[Gate], None],
-               retain: bool = True) -> Callable[[Gate], None]:
+               supply: _SharedWires,
+               sink: Callable[[Gate], None]) -> Callable[[Gate], None]:
         """Where one gate stream with live *inputs* enters the chain."""
         if self.shapes is None:
-            return self.stages(inputs, supply, sink, retain)
+            return self.stages(inputs, supply, sink)
         return _ShapeIntake(self, inputs, supply, sink).process
 
     def run(self, circuit: Circuit) -> list[Gate]:
@@ -426,9 +380,10 @@ class StreamTransformer(StreamConsumer):
     stage chain and its rewritten output flows straight to *downstream*
     (a counter, a writer, a simulation feed...).  Boxed subroutine bodies
     are rewritten **once, on demand**, the first time a ``BoxCall``
-    naming them arrives (their callees first, transitively); bodies the
-    whole chain leaves untouched are reused, the same identity-reuse
-    discipline as the materializing pipeline.
+    naming them arrives (their callees first, transitively), and at
+    :meth:`finish` the bodies no call reached; bodies the whole chain
+    leaves untouched are reused, the same identity-reuse discipline as
+    the materializing pipeline.
     """
 
     def __init__(self, rules: tuple[Rule, ...], downstream: StreamConsumer):
@@ -441,8 +396,7 @@ class StreamTransformer(StreamConsumer):
         self._bodies = SubroutineMemo(namespace, self._rewrite)
         self.downstream.begin(inputs, self.out_ns)
         self._intake = self._chain.intake(
-            inputs, _SharedWires(STREAM_TRANSFORM_BASE),
-            self.downstream.gate, retain=False,
+            inputs, _SharedWires(STREAM_TRANSFORM_BASE), self.downstream.gate
         )
 
     def gate(self, gate: Gate) -> None:
@@ -456,6 +410,12 @@ class StreamTransformer(StreamConsumer):
         return new
 
     def finish(self, end):
+        # Every source body, called or not, in the source's order: what
+        # transform_bcircuit_fused gives.
+        for name in end.namespace:
+            self._bodies[name]
+        for name in end.namespace:
+            self.out_ns[name] = self.out_ns.pop(name)
         self._chain.report()
         return self.downstream.finish(
             dataclasses.replace(end, namespace=self.out_ns)

@@ -15,10 +15,8 @@ applied under the final ancilla, and the chain is uncomputed.
 from __future__ import annotations
 
 from ..core.builder import Circ
-from ..core.circuit import BCircuit
 from ..core.gates import Control, Gate, NamedGate
 from ..core.wires import QUANTUM
-from .transformer import transform_bcircuit
 
 
 def _reduce_controls(qc: Circ, controls: tuple[Control, ...], keep: int):
@@ -77,8 +75,3 @@ def _toffoli_rule(qc: Circ, gate: Gate) -> bool:
     )
     cleanup()
     return True
-
-
-def decompose_toffoli(bc: BCircuit) -> BCircuit:
-    """Reduce every gate to the Toffoli base throughout the hierarchy."""
-    return transform_bcircuit(bc, _toffoli_rule)

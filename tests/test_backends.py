@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -20,8 +22,11 @@ from repro import (
 )
 from repro.backends import Backend, marginal_counts
 from repro.core.circuit import BCircuit, Circuit
+from repro.core.errors import SimulationError
 from repro.core.gates import (
     CDiscard,
+    CInit,
+    CNot,
     Control,
     Discard,
     Init,
@@ -49,6 +54,17 @@ def ghz(qc, a, b, c):
     qc.qnot(b, controls=a)
     qc.qnot(c, controls=b)
     return a, b, c
+
+
+#: A classical NOT controlled by a set bit and by a qubit.
+QUANTUM_CONTROLLED_CNOT = """\
+Inputs: 0:Qubit
+CInit1(8)
+CInit0(7)
+CNot(7) with controls=[+c8, +0]
+CDiscard(8)
+Outputs: 0:Qubit, 7:Bit
+"""
 
 
 class TestRegistry:
@@ -185,6 +201,24 @@ class TestCliffordBackend:
         result = get_backend("clifford").run(bc)
         assert list(result.bits.values()) == [True]
 
+    @pytest.mark.parametrize("held", ("1", "0"))
+    def test_classical_not_controlled_by_a_qubit_is_refused(self, held):
+        # The statevector's refusal, whatever the classical control
+        # holds: a set bit once reached the qubit as a bare KeyError,
+        # and a clear one let the gate pass unchecked.
+        prog = Program.loads(QUANTUM_CONTROLLED_CNOT.replace("CInit1",
+                                                             f"CInit{held}"))
+        for backend in ("clifford", "statevector"):
+            for shots in (None, 4):
+                for run in (prog.run, prog.stream().run):
+                    with pytest.raises(SimulationError) as excinfo:
+                        run(backend, shots=shots, seed=1)
+                    assert str(excinfo.value) == (
+                        "a classical NOT cannot be controlled by a qubit "
+                        "(measurement would be required); restructure the "
+                        "circuit"
+                    )
+
 
 def _reinit_circuit(seed: int):
     """A seeded circuit that re-initializes columns after a Term, a
@@ -257,6 +291,196 @@ class TestCliffordReinitialization:
         stream = Program.from_bcircuit(bc).stream()
         assert stream.run("clifford", shots=16, seed=seed).counts \
             == {key: 16}
+
+
+#: Uncontrolled Clifford gates with how each acts on a tracked basis
+#: value; after a None the wire is no longer tracked.
+_CLIFFORD_1Q = {"X": "flip", "Z": "keep", "S": "keep", "Y": "flip",
+                "H": None, "S*": None}
+
+
+def _pin_clifford_circuit(seed: int):
+    """A seeded Clifford circuit and its input values.
+
+    Quantum and classical inputs, ancillas, Term assertions on qubits
+    in a known basis state, mid-circuit measurements that feed classical
+    controls and classical NOTs, Discards, and columns initialized again
+    after a Term, Discard or Measure released them.  Outcomes are random
+    wherever a scrambled qubit is measured.
+    """
+    rnd = random.Random(f"clifford-pin/{seed}")
+    n, m = rnd.randint(1, 4), rnd.randint(0, 2)
+    inputs = [(w, "Q") for w in range(n)] + [(n + j, "C") for j in range(m)]
+    in_values = {w: rnd.random() < 0.5 for w, _ in inputs}
+    qubits = list(range(n))
+    bits = list(range(n, n + m))
+    basis = {w: in_values[w] for w in qubits}  # qubits in a basis state
+    released: list[int] = []
+    next_id = n + m
+    gates = []
+
+    def fresh() -> int:
+        nonlocal next_id
+        if released and rnd.random() < 0.7:
+            return released.pop(rnd.randrange(len(released)))
+        next_id += 1
+        return next_id - 1
+
+    for _ in range(rnd.randint(5, 24)):
+        roll = rnd.random()
+        if roll < 0.12 or not qubits:
+            wire, value = fresh(), rnd.random() < 0.5
+            gates.append(Init(wire, value))
+            qubits.append(wire)
+            basis[wire] = value
+        elif roll < 0.42:
+            name = rnd.choice(sorted(_CLIFFORD_1Q))
+            wire = rnd.choice(qubits)
+            controls = ()
+            if bits and rnd.random() < 0.25:
+                controls = (Control(rnd.choice(bits), rnd.random() < 0.5,
+                                    "C"),)
+            gates.append(NamedGate(name.rstrip("*"), (wire,), controls,
+                                   inverted=name.endswith("*")))
+            effect = _CLIFFORD_1Q[name]
+            if effect is None or controls:
+                basis.pop(wire, None)
+            elif effect == "flip" and wire in basis:
+                basis[wire] = not basis[wire]
+        elif roll < 0.62 and len(qubits) >= 2:
+            a, b = rnd.sample(qubits, 2)
+            name = rnd.choice(("not", "Z", "swap"))
+            if name == "swap":
+                gates.append(NamedGate("swap", (a, b)))
+                va, vb = basis.pop(a, None), basis.pop(b, None)
+                if vb is not None:
+                    basis[a] = vb
+                if va is not None:
+                    basis[b] = va
+                continue
+            gates.append(NamedGate(name, (b,), (Control(a, rnd.random() < 0.8),)))
+            if name == "not" and a in basis and b in basis:
+                basis[b] ^= basis[a] == gates[-1].controls[0].positive
+            elif a not in basis or name == "not":
+                basis.pop(a, None)
+                basis.pop(b, None)
+        elif roll < 0.74:
+            wire = rnd.choice(qubits)
+            qubits.remove(wire)
+            if wire in basis and rnd.random() < 0.6:
+                gates.append(Term(wire, basis.pop(wire)))
+                released.append(wire)
+            elif rnd.random() < 0.4:
+                basis.pop(wire, None)
+                gates.append(Discard(wire))
+                released.append(wire)
+            else:
+                basis.pop(wire, None)
+                gates.append(Measure(wire))
+                bits.append(wire)
+        elif roll < 0.84:
+            wire = fresh()
+            gates.append(CInit(wire, rnd.random() < 0.5))
+            bits.append(wire)
+        elif roll < 0.92 and bits:
+            wire = rnd.choice(bits)
+            others = [b for b in bits if b != wire]
+            controls = tuple(Control(b, rnd.random() < 0.5, "C")
+                             for b in rnd.sample(others, min(len(others), 2)))
+            gates.append(CNot(wire, controls))
+        elif bits:
+            wire = rnd.choice(bits)
+            bits.remove(wire)
+            gates.append(CDiscard(wire))
+            released.append(wire)
+    outputs = [(w, "Q") for w in qubits] + [(w, "C") for w in bits]
+    rnd.shuffle(outputs)
+    bc = BCircuit(Circuit(tuple(inputs), tuple(gates), tuple(outputs)))
+    bc.check()
+    return bc, in_values
+
+
+def _pin_digest(records) -> str:
+    text = json.dumps(records, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedCliffordResults:
+    """Seeded results of the Clifford simulator, pinned by SHA-256.
+
+    Recorded while the backend, the streaming feed and
+    ``run_clifford_generic`` each kept their own input loader, readout
+    and tableau sizing; one growing state must reproduce them exactly.
+    Columns are numbered inputs first, then by first ``Init``, and a
+    spare |0> column never enters another column's measurement, so the
+    random draws and their outcomes do not move.
+    """
+
+    def test_seeded_random_circuits(self):
+        backend = get_backend("clifford")
+        records, random_outcomes = [], 0
+        for seed in range(150):
+            bc, in_values = _pin_clifford_circuit(seed)
+            sampled = backend.run(bc, shots=64, seed=seed,
+                                  in_values=in_values).counts
+            single = backend.run(bc, seed=seed, in_values=in_values)
+            streamed = Program.from_bcircuit(bc).stream().run(
+                "clifford", shots=16, seed=seed, in_values=in_values
+            ).counts
+            random_outcomes += len(sampled) > 1
+            records.append([
+                seed, sorted(sampled.items()),
+                sorted(single.bits.items()), sorted(streamed.items()),
+            ])
+        assert random_outcomes >= 40
+        assert _pin_digest(records) == (
+            "ab0692adcef7dc6eaf8b7e78aab367ac6d74e2be7b044931550135dc912542b6"
+        )
+
+    def test_run_clifford_generic(self):
+        from repro.sim import run_clifford_generic
+
+        records = [
+            [seed,
+             list(run_clifford_generic(bell, False, True, seed=seed)),
+             list(run_clifford_generic(ghz, True, False, False, seed=seed))]
+            for seed in range(20)
+        ]
+        assert _pin_digest(records) == (
+            "6cd5efcfd8d02ff3abf17c5d84ff8c54bc463bcc9453daf06eed8e4e09265c8b"
+        )
+
+    def test_equivalence_verdicts(self):
+        from repro.backends.equiv import decide_equivalence
+
+        wide = 24
+        gates = [NamedGate("H", (w,)) for w in range(wide)]
+        gates += [NamedGate("not", (w + 1,), (Control(w),))
+                  for w in range(wide - 1)]
+        inputs = tuple((w, "Q") for w in range(wide))
+        chain = BCircuit(Circuit(inputs, tuple(gates), inputs))
+        broken = BCircuit(Circuit(inputs, tuple(gates[1:]), inputs))
+        phase = [NamedGate("H", (0,)),
+                 NamedGate("phase", (), (), param=0.7),
+                 NamedGate("H", (0,))]
+        one = ((0, "Q"),)
+        with_phase = BCircuit(Circuit(one, tuple(phase), one))
+        without = BCircuit(Circuit(one, (phase[0], phase[2]), one))
+        pairs = [(chain, chain), (chain, broken), (with_phase, without)]
+        records = []
+        for a, b in pairs:
+            verdict = decide_equivalence(a, b, max_width=4)
+            records.append([verdict.verdict, verdict.decider])
+        for a, b in pairs[2:]:
+            verdict = Program.from_bcircuit(a).equivalent_to(
+                Program.from_bcircuit(b))
+            records.append([verdict.verdict, verdict.decider])
+        assert records[:3] == [["equivalent", "clifford"],
+                               ["distinct", "clifford"],
+                               ["equivalent", "clifford"]]
+        assert _pin_digest(records) == (
+            "3cab38c4339b957030fc4622a9b470799f0b7559a44d6589197bbba42451f778"
+        )
 
 
 class TestClassicalBackend:

@@ -1,8 +1,7 @@
-"""Batched statevector engine: equivalence, seeding, seam, and knobs.
+"""Batched statevector engine: equivalence, seeding, and knobs.
 
 The batched engine (PR 9) advances ``B`` lockstep states per kernel
-dispatch behind the :mod:`repro.sim.xp` array-module seam.  This suite
-pins it three ways:
+dispatch.  This suite pins it three ways:
 
 * **bit-identity to the scalar engine** -- every batch member's
   amplitudes, classical bits, and measurement outcomes are exactly what
@@ -22,8 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import sys
-import types
 
 import numpy as np
 import pytest
@@ -38,7 +35,6 @@ from repro.core.errors import SimulationError
 from repro.core.wires import CLASSICAL, QUANTUM
 from repro.obs import core as obs_core
 from repro.sim import run_generic, run_with_lifting
-from repro.sim import xp as sim_xp
 from repro.sim.kernels import DENSE, DIAGONAL, PERMUTE, PHASE, gate_kernel
 from repro.sim.matrices import gate_matrix_cached
 from repro.sim.state import LegacyStateVector, StateVector, simulate
@@ -502,53 +498,6 @@ class TestServiceRunPath:
             prog, {"shots": 40, "seed": 11, "batch": 8}
         )
         assert batched["counts"] == plain["counts"]
-
-
-class TestArrayModuleSeam:
-    @pytest.fixture(autouse=True)
-    def _restore_seam(self):
-        yield
-        sim_xp.reset()
-
-    def test_numpy_passes_every_capability_probe(self):
-        assert sim_xp.probe_capabilities(np) == frozenset(sim_xp.CAPABILITIES)
-
-    def test_default_resolution_is_numpy(self):
-        sim_xp.reset()
-        active = sim_xp.active()
-        assert active.name == "numpy"
-        assert sim_xp.xp() is np
-        arr = np.ones(3)
-        assert sim_xp.to_host(arr) is arr
-
-    def test_missing_module_falls_back_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="not importable"):
-            active = sim_xp.use("repro_definitely_missing_backend")
-        assert active.name == "numpy"
-
-    def test_incapable_module_falls_back_with_warning(self):
-        fake = types.ModuleType("repro_fake_array_module")
-        sys.modules["repro_fake_array_module"] = fake
-        try:
-            with pytest.warns(RuntimeWarning, match="capability probe"):
-                active = sim_xp.use("repro_fake_array_module")
-            assert active.name == "numpy"
-        finally:
-            del sys.modules["repro_fake_array_module"]
-
-    def test_env_var_selects_module(self, monkeypatch):
-        monkeypatch.setenv(sim_xp.ENV_VAR, "numpy")
-        sim_xp.reset()
-        assert sim_xp.active().name == "numpy"
-
-    def test_engine_runs_unchanged_through_explicit_seam(self):
-        sim_xp.use("numpy")
-        gates = _superpose(3) + [Measure(0)]
-        draws = np.random.default_rng(5).random((3, 1))
-        batched = _run_batched(gates, 3, 3, draws)
-        for i in range(3):
-            scalar = _run_scalar_member(gates, 3, draws[i])
-            _assert_member_matches_scalar(batched, i, scalar)
 
 
 class TestOutcomeReadout:

@@ -93,6 +93,30 @@ class TestBinaryBaseCli:
         assert ": error: no binary decomposition implemented" in lines[0]
 
 
+class TestSimulationErrorCli:
+    @pytest.mark.parametrize("backend", ("clifford", "statevector"))
+    def test_quantum_controlled_classical_not_exits_2_with_one_line(
+            self, tmp_path, capsys, backend):
+        # The Clifford backend once let this escape as a bare KeyError,
+        # printed as "error: 0".
+        source = tmp_path / "cnot.quip"
+        source.write_text("Inputs: 0:Qubit\n"
+                          "CInit1(8)\n"
+                          "CInit0(7)\n"
+                          "CNot(7) with controls=[+c8, +0]\n"
+                          "CDiscard(8)\n"
+                          "Outputs: 0:Qubit, 7:Bit\n")
+        status = gse_main(["-i", str(source), "-f", "run",
+                           "--backend", backend])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "Traceback" not in captured.err
+        lines = [line for line in captured.err.splitlines() if line]
+        assert len(lines) == 1
+        assert ": error: a classical NOT cannot be controlled by a qubit" \
+            in lines[0]
+
+
 class TestArgparseErrorsUnchanged:
     """Bad flag *values* still go through argparse's own exit-2 path."""
 

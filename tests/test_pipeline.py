@@ -22,10 +22,8 @@ from repro.core.gates import BoxCall, Control, Gate, NamedGate
 from repro.core.stream import StreamConsumer, replay_bcircuit
 from repro.core.wires import CLASSICAL, QUANTUM
 from repro.transform import (
-    BINARY,
     aggregate_gate_count,
     canonicalize_wires,
-    decompose_generic,
     fixpoint_rule,
     to_binary,
     to_toffoli,
@@ -412,6 +410,182 @@ class TestStreamTransformer:
         )
 
 
+def _uncalled_body_text() -> str:
+    """A one-gate main circuit next to a body it never calls."""
+    from repro import Program
+
+    def body(qc, a, b, c, d):
+        qc.hadamard(a, controls=(b, c, d))
+        return a, b, c, d
+
+    def caller(qc, a, b, c, d):
+        return qc.box("body", body, a, b, c, d)
+
+    def main_fn(qc, a, b, c, d):
+        qc.qnot(d, controls=(a, b, c))
+        return a, b, c, d
+
+    namespace = build(caller, qubit, qubit, qubit, qubit)[0].namespace
+    main = build(main_fn, qubit, qubit, qubit, qubit)[0].circuit
+    return Program.from_bcircuit(BCircuit(main, namespace)).dumps()
+
+
+class _NamespaceProbe(StreamConsumer):
+    def finish(self, end):
+        return end.namespace
+
+
+class TestStreamedBodies:
+    """A streamed transform rewrites every body, called or not, and ends
+    in the source's namespace order, as the materialized one does."""
+
+    @pytest.mark.parametrize("base", ["toffoli", "binary"])
+    @pytest.mark.parametrize("entry", ["uncalled", *COMPILE])
+    def test_streamed_dump_is_the_materialized_transform(self, entry, base):
+        import io
+
+        from repro import Program
+        from repro.io import loads
+
+        text = (_uncalled_body_text() if entry == "uncalled"
+                else COMPILE[entry]().dumps())
+        source = Program.loads(text)
+        materialized = source.transform(base).bcircuit
+        fp = io.StringIO()
+        Program.loads(text).stream(base).dump(fp)
+        streamed = loads(fp.getvalue())
+        # The stream draws main-circuit ancillas from
+        # STREAM_TRANSFORM_BASE, so wire ids agree only canonicalized.
+        assert canonicalize_wires(streamed) == canonicalize_wires(materialized)
+        rules = (to_toffoli,) if base == "toffoli" else (to_toffoli, to_binary)
+        namespace = replay_bcircuit(
+            source.bcircuit, StreamTransformer(rules, _NamespaceProbe())
+        )
+        assert list(namespace) == list(materialized.namespace)
+        if entry == "uncalled":
+            assert list(namespace) == ["body"]
+
+
+def conjugate_by_h(qc: Circ, gate: Gate):
+    """Conjugate a controlled one-target gate by H on its target, with
+    ``with_basis_change`` (not unitarily meaningful; exercises it)."""
+    if (isinstance(gate, NamedGate) and gate.controls
+            and len(gate.targets) == 1):
+        qc.with_basis_change(
+            lambda: qc._emit_raw(NamedGate("H", gate.targets)),
+            lambda: qc._emit_raw(gate),
+        )
+        return True
+    return False
+
+
+def and_into_ancilla(qc: Circ, gate: Gate):
+    """Control a multiply-controlled gate by one ancilla that
+    ``with_computed`` sets to its controls' AND and uncomputes."""
+    if isinstance(gate, NamedGate) and len(gate.controls) > 1:
+        def compute():
+            anc = qc.qinit_qubit(False)
+            qc._emit_raw(NamedGate("not", (anc.wire_id,), gate.controls))
+            return anc
+
+        qc.with_computed(compute, lambda anc: qc._emit_raw(NamedGate(
+            gate.name, gate.targets, (Control(anc.wire_id, True, QUANTUM),),
+            gate.inverted, gate.param,
+        )))
+        return True
+    return False
+
+
+def _controlled_z_circuit() -> BCircuit:
+    """Singly and multiply controlled Z gates in a box and in main."""
+
+    def body(qc, a, b, c):
+        qc.gate_Z(c, controls=(a, b))
+        qc.gate_Z(b, controls=a)
+        return a, b, c
+
+    def main_fn(qc, a, b, c, d):
+        a, b, c = qc.box("body", body, a, b, c)
+        qc.gate_Z(a, controls=(b, c, d))
+        qc.gate_Z(d, controls=c)
+        return a, b, c, d
+
+    return build(main_fn, qubit, qubit, qubit, qubit)[0]
+
+
+class TestRulesThatUncompute:
+    """A rule may use ``with_computed`` and ``with_basis_change`` on its
+    builder, stored or streamed, as on a plain ``Circ``."""
+
+    RULES = {"basis_change": conjugate_by_h, "ancilla": and_into_ancilla}
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("seed", [None, *range(0, 25, 5)])
+    def test_rule_matches_the_plain_builder(self, rule, seed):
+        import io
+
+        from repro import Program
+        from repro.io import loads
+
+        rule = self.RULES[rule]
+        bc = _controlled_z_circuit() if seed is None else random_bcircuit(seed)
+        expected = _legacy_transform_bcircuit(bc, rule)
+        assert transform_bcircuit(bc, rule) == expected
+        assert Program.from_bcircuit(bc).transform(rule).bcircuit == expected
+        fp = io.StringIO()
+        Program.from_bcircuit(bc).stream(rule).dump(fp)
+        assert canonicalize_wires(loads(fp.getvalue())) == (
+            canonicalize_wires(expected)
+        )
+
+    def test_fixpoint_rule_uncomputes_what_it_emitted(self):
+        """A fixpoint rule that rewrites its own compute block uncomputes
+        the block it emitted, once, as whole-circuit rounds do."""
+        import io
+
+        from repro import Program
+        from repro.io import loads
+
+        def rule(qc, gate):
+            if isinstance(gate, NamedGate) and gate.name == "A":
+                qc.with_basis_change(
+                    lambda: qc._emit_raw(NamedGate("B", gate.targets)),
+                    lambda: qc._emit_raw(NamedGate("C", gate.targets)),
+                )
+                return True
+            if isinstance(gate, NamedGate) and gate.name == "B":
+                qc._emit_raw(
+                    NamedGate("D", gate.targets, inverted=gate.inverted)
+                )
+                return True
+            return False
+
+        def main_fn(qc, a):
+            qc.named_gate("A", a)
+            return a
+
+        bc = build(main_fn, qubit)[0]
+        rounds = _sequential(bc, rule, rule)
+        assert [(g.name, g.inverted) for g in rounds.circuit.gates] == [
+            ("D", False), ("C", False), ("D", True)
+        ]
+        fused = transform_bcircuit_fused(bc, fixpoint_rule(rule))
+        assert fused == rounds
+        fp = io.StringIO()
+        Program.from_bcircuit(bc).stream(fixpoint_rule(rule)).dump(fp)
+        assert loads(fp.getvalue()) == rounds
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_uncomputing_stage_inside_a_chain(self, rule):
+        bc = _controlled_z_circuit()
+        rules = (self.RULES[rule], to_toffoli, s_to_tt)
+        fused = transform_bcircuit_fused(bc, *rules)
+        assert canonicalize_wires(fused) == (
+            canonicalize_wires(_sequential(bc, *rules))
+        )
+        fused.check()
+
+
 class TestStreamStagesOnDeepChains:
     """The streamed transform and optimize stages rewrite bodies through
     the callee-first memo: a chain of boxes deeper than the Python stack
@@ -445,12 +619,31 @@ class TestStreamStagesOnDeepChains:
                 stream.count()
 
 
+def legacy_binary(bc: BCircuit) -> BCircuit:
+    """The binary base by the one-rule-per-pass transformer: the Toffoli
+    rule once, then the unwrapped binary rule in whole-hierarchy rounds
+    until every gate touches at most two quantum wires."""
+    from repro.transform.toffoli import _toffoli_rule
+
+    def binary(gate) -> bool:
+        return not isinstance(gate, NamedGate) or len(gate.targets) + sum(
+            c.wire_type == QUANTUM for c in gate.controls) <= 2
+
+    bc = _legacy_transform_bcircuit(bc, _toffoli_rule)
+    for _ in range(8):
+        bodies = [bc.circuit, *(sub.circuit for sub in bc.namespace.values())]
+        if all(binary(g) for body in bodies for g in body.gates):
+            return bc
+        bc = _legacy_transform_bcircuit(bc, _binary_rule)
+    raise AssertionError("binary rounds did not reach a fixpoint")
+
+
 class TestFusedGateBases:
-    """The fused toffoli+binary chain matches decompose_generic."""
+    """The fused toffoli+binary chain matches the legacy rounds."""
 
     def test_binary_chain_matches_legacy_fixpoint(self):
         bc = _boxed_circuit()
-        legacy = decompose_generic(BINARY, bc)
+        legacy = legacy_binary(bc)
         fused = transform_bcircuit_fused(bc, to_toffoli, to_binary)
         assert aggregate_gate_count(fused) == aggregate_gate_count(legacy)
         assert canonicalize_wires(fused) == canonicalize_wires(legacy)

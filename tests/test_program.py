@@ -142,9 +142,11 @@ class TestPipelineStages:
         assert fused.count() == aggregate_gate_count(legacy)
 
     def test_transform_binary_chain(self):
+        from test_pipeline import legacy_binary
+
         prog = self._three_controls()
         fused = prog.transform(BINARY)
-        legacy = decompose_generic(BINARY, prog.bcircuit)
+        legacy = legacy_binary(prog.bcircuit)
         assert fused.count() == aggregate_gate_count(legacy)
 
     def test_transform_rejects_garbage(self):
