@@ -87,7 +87,7 @@ from .optimize import (
     optimize_bcircuit,
 )
 from . import obs
-from .program import Program, main, register_capture, subroutine
+from .program import Program, main, subroutine
 from .streaming import GateStream
 
 __version__ = "1.4.0"
@@ -125,7 +125,6 @@ __all__ = [
     "Program",
     "GateStream",
     "main",
-    "register_capture",
     "subroutine",
     "Circ",
     "build",

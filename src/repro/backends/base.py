@@ -20,7 +20,6 @@ import numpy as np
 
 from ..core.circuit import BCircuit
 from ..core.errors import QuipperError
-from ..core.wires import QUANTUM
 
 
 class BackendError(QuipperError):
@@ -105,19 +104,9 @@ class Backend:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def output_wire_order(bc: BCircuit) -> tuple[tuple[int, str], ...]:
-    """The (wire, type) outputs a counts bitstring is keyed over."""
-    return tuple(bc.circuit.outputs)
-
-
 def outcome_key(bits: list[bool]) -> str:
     """Render one sampled outcome as a counts-dictionary key."""
     return "".join("1" if b else "0" for b in bits)
-
-
-def quantum_outputs(bc: BCircuit) -> list[int]:
-    """Wire ids of the quantum output wires, in output order."""
-    return [w for w, t in bc.circuit.outputs if t == QUANTUM]
 
 
 def marginal_counts(result: RunResult, bc: BCircuit,

@@ -88,10 +88,17 @@ class CliffordFeed(StreamConsumer):
         for flat in self._expander.expand(gate):
             self.state.execute(flat)
 
-    def finish(self, end) -> RunResult:
+    def finish(self, end) -> None:
         self.outputs = end.outputs
+
+    def result(self) -> RunResult:
+        """The single-run result: the final bits and state."""
         return RunResult(
             backend=self.name,
             bits=dict(self.state.bits),
             metadata={"state": self.state},
         )
+
+    def outcome(self) -> str:
+        """This run's outcome key over the outputs."""
+        return outcome_key([self.state.read(w, t) for w, t in self.outputs])

@@ -260,9 +260,14 @@ class StatevectorFeed(StreamConsumer):
     emitted gate is executed the moment it arrives (boxed calls expanded
     on the fly through the lazy inliner), so circuits are simulated while
     they are being *generated*, without a gate list or a BCircuit ever
-    existing.  ``stochastic`` records whether any ``Measure``/``Discard``
-    consumed randomness -- :meth:`repro.streaming.GateStream.run` uses it
-    to decide between one-draw batched sampling and per-shot replay.
+    existing.  A run of ``Measure`` gates is held until a later gate
+    arrives, so a stream whose only measurements are trailing ones ends
+    holding them (their wires are ``measured``).  ``stochastic`` records
+    whether an executed ``Measure``/``Discard`` consumed randomness --
+    :meth:`repro.streaming.GateStream.run` draws every shot of a stream
+    that did not from the final state, trailing measurements unexecuted,
+    as the backend does, and replays one that did per shot.
+    :meth:`result` and :meth:`outcome` execute the held gates first.
     """
 
     name = "statevector"
@@ -273,6 +278,7 @@ class StatevectorFeed(StreamConsumer):
         self.in_values = in_values or {}
         self.max_width = max_width
         self.stochastic = False
+        self._held: list[Measure] = []
 
     def begin(self, inputs, namespace) -> None:
         from ..transform.inline import StreamExpander
@@ -289,10 +295,17 @@ class StatevectorFeed(StreamConsumer):
         self.sim.load_inputs(inputs, self.in_values)
 
     def gate(self, gate: Gate) -> None:
-        if isinstance(gate, Comment):
-            return
         for flat in self._expander.expand(gate):
-            self._exec(flat)
+            if isinstance(flat, Measure):
+                self._held.append(flat)
+            elif not isinstance(flat, Comment):
+                self._release()
+                self._exec(flat)
+
+    def _release(self) -> None:
+        for gate in self._held:
+            self._exec(gate)
+        self._held.clear()
 
     def _exec(self, gate: Gate) -> None:
         if isinstance(gate, (Measure, Discard)):
@@ -307,6 +320,24 @@ class StatevectorFeed(StreamConsumer):
             )
         self.sim.execute(gate)
 
-    def finish(self, end) -> RunResult:
+    @property
+    def measured(self) -> frozenset[int]:
+        """The wires of the held trailing measurements."""
+        return frozenset(gate.wire for gate in self._held)
+
+    def finish(self, end) -> None:
         self.outputs = end.outputs
+
+    def result(self) -> RunResult:
+        """The single-run result: the final state, nothing held."""
+        self._release()
         return _state_result(self.name, self.sim, stochastic=self.stochastic)
+
+    def outcome(self) -> str:
+        """This run's outcome key over the outputs, nothing held."""
+        self._release()
+        sim = self.sim
+        return outcome_key([
+            bool(sim.measure_qubit(w) if t == QUANTUM else sim.bits[w])
+            for w, t in self.outputs
+        ])

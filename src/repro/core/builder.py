@@ -29,7 +29,6 @@ wire within one gate, or type-mismatched wires all raise immediately.
 
 from __future__ import annotations
 
-import math
 import warnings
 from contextlib import contextmanager
 from typing import Callable, Iterable
@@ -564,24 +563,6 @@ class Circ:
         )
         args_struct = tuple(args) if len(args) != 1 else args[0]
         return circuit, args_struct, out_struct
-
-    def append_circuit(self, circuit: Circuit, binding: dict[int, int]):
-        """Splice a stored circuit into this builder.
-
-        *binding* maps the circuit's input wire ids to live wire ids of this
-        builder.  Wires created inside the circuit are allocated fresh here.
-        Returns the mapping extended to all wires of the circuit.
-        """
-        mapping = dict(binding)
-
-        def remap(wid: int) -> int:
-            if wid not in mapping:
-                mapping[wid] = self._fresh_id()
-            return mapping[wid]
-
-        for gate in circuit.gates:
-            self._emit(map_gate_wires(gate, remap))
-        return mapping
 
     def reverse_endo(self, fn: Callable, *args):
         """Apply the inverse of *fn*, for *fn* with equal in/out shapes.

@@ -167,6 +167,36 @@ class SubroutineMemo(dict):
         return value
 
 
+class RewrittenBodies(SubroutineMemo):
+    """Each subroutine of *namespace* rewritten into the namespace *into*.
+
+    ``bodies[name]`` is ``rewrite(namespace[name])``, computed on first
+    lookup with its callees first, and also stored in *into*, so a
+    rule's builder writing into *into* finds there every callee of the
+    body it rewrites.  :meth:`fill` rewrites every body no lookup has
+    reached and leaves *into* in the source's order.
+    """
+
+    def __init__(self, namespace: dict[str, "Subroutine"],
+                 rewrite: Callable[["Subroutine"], "Subroutine"],
+                 into: dict[str, "Subroutine"]):
+        # A closure, not a bound method: the memo stays out of a
+        # reference cycle, so a call's rewrite state is freed with it.
+        def write(sub: "Subroutine") -> "Subroutine":
+            new = into[sub.name] = rewrite(sub)
+            return new
+
+        super().__init__(namespace, write)
+        self.into = into
+
+    def fill(self) -> None:
+        """Rewrite every body, called or not; order *into* as the source."""
+        for name in self.namespace:
+            self[name]
+        for name in self.namespace:
+            self.into[name] = self.into.pop(name)
+
+
 def body_widths(namespace: dict[str, "Subroutine"]) -> SubroutineMemo:
     """A width memo over *namespace* for :func:`track_gate`.
 

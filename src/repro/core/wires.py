@@ -56,13 +56,3 @@ class Bit(Wire):
 
     __slots__ = ()
     wire_type = CLASSICAL
-
-
-def is_qubit(value: object) -> bool:
-    """Return True if *value* is a quantum wire."""
-    return isinstance(value, Qubit)
-
-
-def is_bit(value: object) -> bool:
-    """Return True if *value* is a classical wire."""
-    return isinstance(value, Bit)

@@ -22,12 +22,22 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..core.circuit import Subroutine, SubroutineMemo
+from ..core.circuit import RewrittenBodies, Subroutine
 from ..core.gates import BoxCall, Gate
 from ..core.stream import StreamConsumer
 from ..obs import core as _obs
 from .passes import PeepholePass, body_safe_passes, resolve_passes
 from .peephole import DEFAULT_WINDOW, PeepholeOptimizer, _optimized_body
+
+
+def _counted_body(sub: Subroutine, passes: tuple[PeepholePass, ...],
+                  window: int) -> Subroutine:
+    """Optimize one body, counting it as reused or rewritten."""
+    new = _optimized_body(sub, passes, window)
+    if _obs.ENABLED:
+        _obs.add("optimize.bodies.reused" if new is sub
+                 else "optimize.bodies.rewritten")
+    return new
 
 
 class StreamOptimizer(StreamConsumer):
@@ -59,7 +69,12 @@ class StreamOptimizer(StreamConsumer):
     def begin(self, inputs, namespace) -> None:
         """Open the window; hand the downstream the live output namespace."""
         self.out_ns: dict[str, Subroutine] = {}
-        self._bodies = SubroutineMemo(namespace, self._optimize_body)
+        # Not a bound method: the stage stays out of a reference cycle.
+        passes, window = self.body_passes, self.window
+        self._bodies = RewrittenBodies(
+            namespace, lambda sub: _counted_body(sub, passes, window),
+            self.out_ns,
+        )
         self.downstream.begin(inputs, self.out_ns)
         self._optimizer = PeepholeOptimizer(
             self.passes, window=self.window, sink=self.downstream.gate
@@ -71,24 +86,12 @@ class StreamOptimizer(StreamConsumer):
             self._bodies[gate.name]
         self._optimizer.feed(gate)
 
-    def _optimize_body(self, sub: Subroutine) -> Subroutine:
-        """Optimize *sub* into ``out_ns``, where its callees already are."""
-        new = self.out_ns[sub.name] = _optimized_body(
-            sub, self.body_passes, self.window
-        )
-        if _obs.ENABLED:
-            _obs.add("optimize.bodies.reused" if new is sub
-                     else "optimize.bodies.rewritten")
-        return new
-
     def finish(self, end):
         """Flush the window and finish downstream with the new namespace."""
         self._optimizer.flush()
-        # Carry over subroutines the main stream never invoked (bodies
-        # only reachable from other bodies are filled as callees), so
-        # the downstream consumer sees the full namespace.
-        for name in end.namespace:
-            self._bodies[name]
+        # Every source body, called or not, in the source's order: what
+        # optimize_bcircuit gives.
+        self._bodies.fill()
         return self.downstream.finish(
             dataclasses.replace(end, namespace=self.out_ns)
         )

@@ -102,59 +102,6 @@ def _resolve_rules(specs: tuple) -> tuple[Rule, ...]:
     return tuple(rules)
 
 
-#: Stable digest identities for circuit functions (see
-#: :func:`register_capture`): name -> function.
-_CAPTURE_REGISTRY: dict[str, Callable] = {}
-
-
-def register_capture(fn: Callable | None = None, *, name: str | None = None):
-    """Give a circuit function a stable structural-digest identity.
-
-    :meth:`Program.digest` normally has to *generate* the circuit and
-    hash its canonical serialization.  A registered function promises
-    that it deterministically maps its shape arguments to one circuit,
-    so programs captured from it digest **without building**: the digest
-    is computed from the registered name, the canonicalized shapes, and
-    the pipeline-stage chain.  Registration is what lets the compile
-    service (:mod:`repro.service`) key its content-addressed cache
-    before any generation work happens.
-
-    Usable directly or as a decorator::
-
-        @register_capture
-        def adder(qc, a, b): ...
-
-        register_capture(qrwbwt, name="bwt.qrwbwt")
-
-    Re-registering a name with a *different* function raises
-    ``ValueError`` -- digest stability is the whole point.
-    """
-
-    def apply(f: Callable):
-        key = name or f"{f.__module__}.{f.__qualname__}"
-        existing = _CAPTURE_REGISTRY.get(key)
-        if existing is not None and existing is not f:
-            raise ValueError(
-                f"capture name {key!r} is already registered to a "
-                "different function"
-            )
-        _CAPTURE_REGISTRY[key] = f
-        f.__repro_digest_name__ = key  # type: ignore[attr-defined]
-        return f
-
-    return apply(fn) if fn is not None else apply
-
-
-def _encode_shapes(shapes: tuple) -> str | None:
-    """Canonical text for a shape tuple, or None when not encodable."""
-    from .io.ascii_parser import encode_shape
-
-    try:
-        return encode_shape(tuple(shapes))
-    except Exception:
-        return None
-
-
 class Program:
     """A quantum program: a lazily-generated, transformable circuit.
 
@@ -166,13 +113,12 @@ class Program:
     """
 
     __slots__ = ("name", "_thunk", "_fn", "_shapes", "_cache", "_on_extra",
-                 "_phase_folded", "_stage", "_lineage", "_digest")
+                 "_phase_folded", "_stage")
 
     def __init__(self, thunk: Callable[[], tuple[BCircuit, object]], *,
                  name: str | None = None, fn: Callable | None = None,
                  shapes: tuple = (), on_extra: str = "warn",
-                 stage: str = "capture",
-                 lineage: tuple[str, ...] | None = None):
+                 stage: str = "capture"):
         self.name = name or "program"
         self._thunk = thunk
         self._fn = fn
@@ -183,10 +129,6 @@ class Program:
         #: "transform", "optimize", ...).
         self._stage = stage
         self._cache: tuple[BCircuit, object] | None = None
-        #: Canonical pipeline-stage tokens for build-free digesting
-        #: (None: fall back to hashing the built circuit's dumps text).
-        self._lineage = lineage
-        self._digest: str | None = None
         #: Whether an upstream optimize() stage may have elided gates
         #: that were only a *global* phase -- unobservable for this
         #: program as-is, but observable if it is later .controlled().
@@ -221,19 +163,12 @@ class Program:
                 fn._fn, *(shapes or fn._shapes),
                 name=name or fn.name, on_extra=on_extra,
             )
-        lineage = None
-        digest_name = getattr(fn, "__repro_digest_name__", None)
-        if digest_name is not None and _CAPTURE_REGISTRY.get(digest_name) is fn:
-            encoded = _encode_shapes(shapes)
-            if encoded is not None:
-                lineage = (f"capture[{digest_name}]{encoded}",)
         return cls(
             lambda: build(fn, *shapes, on_extra=on_extra),
             name=name or getattr(fn, "__name__", None),
             fn=fn,
             shapes=shapes,
             on_extra=on_extra,
-            lineage=lineage,
         )
 
     @classmethod
@@ -319,51 +254,26 @@ class Program:
 
     def _derived(self, suffix: str,
                  make: Callable[[], tuple[BCircuit, object]],
-                 stage: str | None = None,
-                 token: str | None = None) -> "Program":
-        lineage = None
-        if token is not None and self._lineage is not None:
-            lineage = self._lineage + (token,)
+                 stage: str | None = None) -> "Program":
         derived = Program(
             make, name=f"{self.name}.{suffix}",
             stage=stage or suffix.split("(", 1)[0],
-            lineage=lineage,
         )
         derived._phase_folded = self._phase_folded
         return derived
 
     def digest(self) -> str:
-        """A content digest: equal-by-construction programs digest equal.
+        """A content digest: structurally equal circuits digest equal.
 
-        The hex SHA-256 keying the content-addressed compile caches
-        (:func:`repro.transform.inline.compile_flat` in-process,
-        :mod:`repro.service` fleet-wide).  Two domains, both stable
-        across processes and runs:
-
-        * **Lineage** -- a program captured from a
-          :func:`register_capture`-ed function through canonical
-          pipeline stages (gate-base :meth:`transform`, registry-named
-          :meth:`optimize` passes, :meth:`inverse` / :meth:`inline` /
-          :meth:`controlled`) digests *without generating anything*,
-          from the registered name + canonicalized shapes + stage chain.
-        * **Structure** -- any other program digests the canonical
-          Quipper-ASCII serialization (:func:`repro.io.dumps`) of its
-          generated hierarchy, so structurally identical circuits from
-          unregistered lambdas still share one digest.
-
-        The two domains are prefixed apart, so a lineage digest never
-        collides with a structure digest of the same circuit -- within
-        each domain, equal digest implies equal compiled stream.
+        The hex SHA-256 of the canonical Quipper-ASCII serialization
+        (:func:`repro.io.dumps`) of the generated hierarchy, stable
+        across processes and runs.  Computed on every call: it builds
+        the circuit and serializes the whole hierarchy.
         """
-        if self._digest is None:
-            if self._lineage is not None:
-                payload = "lineage:" + "\x1f".join(self._lineage)
-            else:
-                from .io import dumps as _dumps
+        from .io import dumps as _dumps
 
-                payload = "circuit:" + _dumps(self.bcircuit)
-            self._digest = hashlib.sha256(payload.encode()).hexdigest()
-        return self._digest
+        payload = "circuit:" + _dumps(self.bcircuit)
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- pipeline stages ----------------------------------------------------
 
@@ -381,19 +291,12 @@ class Program:
         """
         resolved = _resolve_rules(rules)
         label = ",".join(getattr(r, "__name__", "rule") for r in resolved)
-        # Gate-base names are canonical digest tokens; arbitrary rule
-        # callables are not (their behaviour is opaque), which drops the
-        # derived program back to structure-domain digesting.
-        token = None
-        if all(isinstance(spec, str) for spec in rules):
-            token = f"transform[{','.join(rules)}]"
         return self._derived(
             f"transform({label})",
             lambda: (
                 transform_bcircuit_fused(self.bcircuit, *resolved),
                 self.outputs,
             ),
-            token=token,
         )
 
     def optimize(self, *passes, window: int | None = None,
@@ -429,10 +332,6 @@ class Program:
         if not fold_global_phase:
             resolved = body_safe_passes(resolved)
         label = ",".join(p.name for p in resolved)
-        token = None
-        if all(isinstance(spec, str) for spec in passes):
-            token = (f"optimize[{label};w={window or DEFAULT_WINDOW};"
-                     f"phase={int(fold_global_phase)}]")
         derived = self._derived(
             f"optimize({label})",
             lambda: (
@@ -442,7 +341,6 @@ class Program:
                 ),
                 self.outputs,
             ),
-            token=token,
         )
         if fold_global_phase:
             derived._phase_folded = True
@@ -452,14 +350,12 @@ class Program:
         """Expand every boxed subroutine call into a flat circuit."""
         return self._derived(
             "inline", lambda: (_inline_bcircuit(self.bcircuit), self.outputs),
-            token="inline",
         )
 
     def inverse(self) -> "Program":
         """The reverse program (Section 4.2.2); boxes stay shared."""
         return self._derived(
             "inverse", lambda: (reverse_bcircuit(self.bcircuit), None),
-            token="inverse",
         )
 
     def controlled(self, n: int = 1) -> "Program":
@@ -522,7 +418,7 @@ class Program:
             ctl_struct = tuple(Qubit(c.wire) for c in controls)
             return BCircuit(circuit, bc.namespace), (self.outputs, ctl_struct)
 
-        return self._derived(f"controlled({n})", make, token=f"controlled[{n}]")
+        return self._derived(f"controlled({n})", make)
 
     # -- streaming ----------------------------------------------------------
 
@@ -617,15 +513,13 @@ class Program:
 
         Returns the :class:`~repro.transform.inline.CompiledCircuit` the
         simulation backends replay: the flat gate list with its
-        deterministic-prefix split.  The stream is memoized on the
-        generated circuit (which this Program caches) **and** in a
-        process-wide pool keyed on :meth:`digest`, so structurally equal
-        programs -- however many Program objects they were built as --
-        share one inline of the hierarchy per process.
+        deterministic-prefix split, memoized on the generated circuit
+        (which this Program caches) by
+        :func:`~repro.transform.inline.compile_flat`.
         """
         from .transform.inline import compile_flat
 
-        return compile_flat(self.bcircuit, digest=self.digest())
+        return compile_flat(self.bcircuit)
 
     def run(self, backend: str = "statevector", *, shots: int | None = None,
             in_values: dict[int, bool] | None = None,
@@ -662,37 +556,13 @@ class Program:
                 "run." + backend, program=self.name,
                 shots=shots if shots is not None else 1,
             ):
-                self._prime_compiled(backend, shots, options)
                 return get_backend(backend, **options).run(
                     self.bcircuit, shots=shots, in_values=in_values,
                     seed=seed,
                 )
-        self._prime_compiled(backend, shots, options)
         return get_backend(backend, **options).run(
             self.bcircuit, shots=shots, in_values=in_values, seed=seed
         )
-
-    def _prime_compiled(self, backend, shots, options) -> None:
-        # The clifford and shot-sampling statevector paths consume the
-        # compiled stream; priming it through compiled() routes this
-        # program's digest into the process-wide compile pool, so
-        # structurally equal Programs (equal digest, distinct objects)
-        # share one inline of the hierarchy.  Only a cold instance memo
-        # is primed -- a warm one means the backend's own lookup already
-        # suffices, and priming anyway would double-count the cache hit.
-        # The statevector shots=None path streams lazily on purpose
-        # (arbitrarily large hierarchies) and is left unprimed, as is
-        # any circuit the backend would reject on width (it errors out
-        # before compiling; keep that cheap).  A warm memo skips the
-        # width check: the backend makes its own.
-        sampled = backend == "statevector" and shots is not None
-        if backend != "clifford" and not sampled:
-            return
-        bc = self.bcircuit
-        if getattr(bc, "_compiled_flat", None) is None and (
-            not sampled or bc.check() <= options.get("max_width", 26)
-        ):
-            self.compiled()
 
     def equivalent_to(self, other, **options):
         """Decide whether this program equals *other* up to global phase.
@@ -847,4 +717,4 @@ def main(*shapes, name: str | None = None, on_extra: str = "warn"):
     return decorate
 
 
-__all__ = ["Program", "main", "register_capture", "subroutine"]
+__all__ = ["Program", "main", "subroutine"]

@@ -11,10 +11,6 @@ persistence.  Three properties carry the service's load story:
   event loop keeps serving), everyone else awaits the same future.  The
   obs counter ``cache.compiled_stream.misses`` staying at 1 under a
   client hammer is the tested proof.
-* **Shared pool keying** -- the build feeds the digest into
-  :func:`repro.transform.inline.compile_flat`'s process-wide pool, so
-  even cache-evicted circuits resubmitted later reuse an inline when
-  the pool still holds it.
 * **Disk warm-start** -- with a ``cache_dir``, the final (post-
   transform, post-optimize) circuit is persisted as Quipper-ASCII under
   its digest; a restarted server (or a sibling process) parses that
@@ -253,9 +249,7 @@ class CompileCache:
         with _obs.span("service.compile", digest=digest[:12]):
             bc = program.bcircuit  # generate + transform + optimize (or parse)
             width = bc.check()
-            # Key the process-wide compiled pool on the service digest:
-            # the canonical spec uniquely determines the inlined stream.
-            compile_flat(bc, digest=f"service:{digest}")
+            compile_flat(bc)
         entry = CacheEntry(
             digest, program, width, from_disk,
             compile_ms=(time.perf_counter() - t0) * 1e3,

@@ -38,7 +38,7 @@ def digest_text(text: str, domain: str = "text") -> str:
     """Hex SHA-256 of *text* under a domain prefix.
 
     The *domain* prefix keeps different key spaces (request specs, raw
-    circuit text, program lineages) from ever colliding with each other.
+    cached circuit text) from ever colliding with each other.
     """
     return hashlib.sha256(f"{domain}:{text}".encode()).hexdigest()
 

@@ -181,12 +181,4 @@ def clifford_classification(
     return None
 
 
-def clifford_gate_tag(
-    name: str, param: float | None, inverted: bool
-) -> str | None:
-    """The tableau-operation tag of a gate up to global phase, or None."""
-    classified = clifford_classification(name, param, inverted)
-    return classified[0] if classified else None
-
-
 _obs.register_cache("sim.clifford_classification", clifford_classification)

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .backends.base import BackendError, RunResult, outcome_key
+from .backends.base import BackendError, RunResult
 from .backends.clifford import CliffordFeed
 from .backends.resources import StreamingResources
 from .backends.statevector import StatevectorFeed, draw_counts
 from .core.stream import StreamConsumer
-from .core.wires import QUANTUM
 from .obs import core as _obs
 from .optimize.stream import StreamOptimizer
 from .transform.count import StreamingCounter, total_gates, total_logical_gates
@@ -214,12 +213,12 @@ class GateStream:
         With ``shots=None`` this is a single generate-and-execute pass:
         each gate hits the statevector kernels (or the growing stabilizer
         tableau) the moment it is emitted.  With ``shots``, circuits
-        whose stream consumed no randomness (no mid-stream measurement)
-        are sampled with one multinomial draw from the final state --
-        seed-exact with the materialized backend's batched path; streams
-        with genuine mid-circuit measurement are re-generated once per
-        shot (valid, but O(shots x gates): prefer the materialized
-        ``Program.run`` when the circuit fits in memory).
+        whose stream consumed no randomness (no measurement but trailing
+        ones) are sampled with one multinomial draw from the final state
+        -- seed-exact with the materialized backend's batched path;
+        streams with genuine mid-circuit measurement are re-generated
+        once per shot (valid, but O(shots x gates): prefer the
+        materialized ``Program.run`` when the circuit fits in memory).
         """
         import numpy as np
 
@@ -229,24 +228,25 @@ class GateStream:
         with _obs.span("run." + backend, stream=self.name,
                        shots=shots if shots is not None else 1):
             feed = self._feed(backend, rng, in_values, options)
-            result = self._produce(feed)
+            self._produce(feed)
             if shots is None:
-                return result
+                return feed.result()
             if backend == "statevector" and not feed.stochastic:
                 if _obs.ENABLED:
                     _obs.add("run.shots.batched", shots)
-                counts = draw_counts(feed.sim, feed.outputs, shots, rng)
+                counts = draw_counts(
+                    feed.sim, feed.outputs, shots, rng, feed.measured
+                )
                 return RunResult(
                     backend=backend, shots=shots, counts=counts,
                     metadata={"batched": True, "streamed": True},
                 )
             counts: dict[str, int] = {}
-            key = self._outcome(backend, feed)
-            counts[key] = 1
-            for _ in range(shots - 1):
-                feed = self._feed(backend, rng, in_values, options)
-                self._produce(feed)
-                key = self._outcome(backend, feed)
+            for shot in range(shots):
+                if shot:
+                    feed = self._feed(backend, rng, in_values, options)
+                    self._produce(feed)
+                key = feed.outcome()
                 counts[key] = counts.get(key, 0) + 1
             if _obs.ENABLED:
                 _obs.add("run.shots.replayed", shots)
@@ -268,16 +268,6 @@ class GateStream:
             "supports 'statevector' and 'clifford' (for cost reports "
             "use .resources())"
         )
-
-    @staticmethod
-    def _outcome(backend: str, feed) -> str:
-        if backend == "statevector":
-            sim = feed.sim
-            return outcome_key([
-                bool(sim.measure_qubit(w) if t == QUANTUM else sim.bits[w])
-                for w, t in feed.outputs
-            ])
-        return outcome_key([feed.state.read(w, t) for w, t in feed.outputs])
 
     # -- pull-based iteration ------------------------------------------------
 

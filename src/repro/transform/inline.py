@@ -13,7 +13,6 @@ through hierarchies whose inlined size would not fit in memory.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterator
 
 from ..core.circuit import BCircuit, Circuit
@@ -169,15 +168,6 @@ def iter_flat_gates(bc: BCircuit) -> Iterator[Gate]:
         yield from _expand(gate, (), bc.namespace, source)
 
 
-def iter_flat_gates_from(
-    gates: list[Gate], namespace: dict, next_wire: int
-) -> Iterator[Gate]:
-    """Lazily inline an explicit gate list (used by the QRAM executor)."""
-    source = _SharedWires(next_wire)
-    for gate in gates:
-        yield from _expand(gate, (), namespace, source)
-
-
 class CompiledCircuit:
     """A fully inlined, execution-ready gate stream.
 
@@ -227,33 +217,16 @@ def _bc_signature(bc: BCircuit) -> tuple:
     )
 
 
-#: Process-wide compiled-stream pool keyed on the *structural digest* of
-#: the program (see :meth:`repro.program.Program.digest`): structurally
-#: equal circuits -- however many Program/BCircuit objects they were
-#: built as -- share one inline per process.  LRU-bounded so a server
-#: cycling through many distinct circuits cannot grow it without bound.
-_DIGEST_POOL: OrderedDict[str, CompiledCircuit] = OrderedDict()
-_DIGEST_POOL_MAX = 128
-
-
-def compile_flat(bc: BCircuit, digest: str | None = None) -> CompiledCircuit:
+def compile_flat(bc: BCircuit) -> CompiledCircuit:
     """Inline *bc* once into a reusable :class:`CompiledCircuit` (cached).
 
     The result is memoized on the BCircuit instance (guarded by a snapshot
     of the stored gate lists, so a mutated hierarchy recompiles), which is
     what lets ``Program.run`` and the simulation backends execute the same
     circuit repeatedly -- per-shot replays, repeated ``.run`` calls --
-    without ever re-walking the box hierarchy.  Comments are dropped: they
-    are no-ops to every executor.
-
-    With *digest* (the caller-computed structural digest, see
-    :meth:`repro.program.Program.digest`) the process-wide digest pool is
-    consulted before compiling and populated after: two structurally
-    equal circuits held as *distinct* objects -- two ``Program.capture``
-    calls of the same function and shapes, a reloaded interchange dump --
-    cost one inline between them instead of one each.  The caller owns
-    the digest-to-structure contract: pass only a digest that uniquely
-    identifies the inlined stream.
+    without ever re-walking the box hierarchy.  It is the only compile
+    cache: equal circuits held as distinct objects inline once each.
+    Comments are dropped: they are no-ops to every executor.
     """
     signature = _bc_signature(bc)
     cached = getattr(bc, "_compiled_flat", None)
@@ -261,16 +234,6 @@ def compile_flat(bc: BCircuit, digest: str | None = None) -> CompiledCircuit:
         if _obs.ENABLED:
             _obs.add("cache.compiled_stream.hits")
         return cached[1]
-    if digest is not None:
-        pooled = _DIGEST_POOL.get(digest)
-        if pooled is not None:
-            _DIGEST_POOL.move_to_end(digest)
-            # Adopt onto the instance memo so digestless consumers (the
-            # simulation backends get a bare BCircuit) hit it next.
-            bc._compiled_flat = (signature, pooled)
-            if _obs.ENABLED:
-                _obs.add("cache.compiled_digest.hits")
-            return pooled
     with _obs.span("compile") as sp:
         gates = [
             gate for gate in iter_flat_gates(bc)
@@ -281,13 +244,6 @@ def compile_flat(bc: BCircuit, digest: str | None = None) -> CompiledCircuit:
     if _obs.ENABLED:
         _obs.add("cache.compiled_stream.misses")
     bc._compiled_flat = (signature, compiled)
-    if digest is not None:
-        if _obs.ENABLED:
-            _obs.add("cache.compiled_digest.misses")
-        _DIGEST_POOL[digest] = compiled
-        _DIGEST_POOL.move_to_end(digest)
-        while len(_DIGEST_POOL) > _DIGEST_POOL_MAX:
-            _DIGEST_POOL.popitem(last=False)
     return compiled
 
 

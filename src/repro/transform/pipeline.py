@@ -36,7 +36,7 @@ import dataclasses
 from typing import Callable
 
 from ..core.builder import Circ
-from ..core.circuit import (BCircuit, Circuit, Subroutine, SubroutineMemo,
+from ..core.circuit import (BCircuit, Circuit, RewrittenBodies, Subroutine,
                             _in_place, body_widths)
 from ..core.gates import BoxCall, Control, Gate, NamedGate, map_gate_wires
 from ..core.stream import StreamConsumer, StreamingCirc
@@ -45,7 +45,7 @@ from ..optimize.stream import StreamOptimizer
 from .binary import _binary_rule
 from .inline import _SharedWires, _max_wire_id
 from .toffoli import _toffoli_rule
-from .transformer import Rule, _rewrite_bodies
+from .transformer import Rule
 
 
 def fixpoint_rule(rule: Rule) -> Rule:
@@ -393,7 +393,9 @@ class StreamTransformer(StreamConsumer):
     def begin(self, inputs, namespace) -> None:
         self._chain = _Chain(self.rules)
         self.out_ns = self._chain.namespace
-        self._bodies = SubroutineMemo(namespace, self._rewrite)
+        self._bodies = RewrittenBodies(
+            namespace, self._chain.rewritten, self.out_ns
+        )
         self.downstream.begin(inputs, self.out_ns)
         self._intake = self._chain.intake(
             inputs, _SharedWires(STREAM_TRANSFORM_BASE), self.downstream.gate
@@ -404,18 +406,10 @@ class StreamTransformer(StreamConsumer):
             self._bodies[gate.name]
         self._intake(gate)
 
-    def _rewrite(self, sub: Subroutine) -> Subroutine:
-        """Rewrite *sub* into ``out_ns``, where its callees already are."""
-        new = self.out_ns[sub.name] = self._chain.rewritten(sub)
-        return new
-
     def finish(self, end):
         # Every source body, called or not, in the source's order: what
         # transform_bcircuit_fused gives.
-        for name in end.namespace:
-            self._bodies[name]
-        for name in end.namespace:
-            self.out_ns[name] = self.out_ns.pop(name)
+        self._bodies.fill()
         self._chain.report()
         return self.downstream.finish(
             dataclasses.replace(end, namespace=self.out_ns)
@@ -438,7 +432,7 @@ def transform_bcircuit_fused(bc: BCircuit, *rules: Rule) -> BCircuit:
     if not rules:
         return bc
     chain = _Chain(rules)
-    _rewrite_bodies(bc.namespace, chain.rewritten, chain.namespace)
+    RewrittenBodies(bc.namespace, chain.rewritten, chain.namespace).fill()
     gates = chain.run(bc.circuit)
     chain.report()
     return BCircuit(dataclasses.replace(bc.circuit, gates=gates),

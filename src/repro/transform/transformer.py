@@ -15,7 +15,7 @@ import dataclasses
 from typing import Callable, Optional
 
 from ..core.builder import Circ
-from ..core.circuit import (BCircuit, Circuit, Subroutine, SubroutineMemo,
+from ..core.circuit import (BCircuit, Circuit, RewrittenBodies, Subroutine,
                             body_widths)
 from ..core.gates import Gate
 from .inline import _max_wire_id
@@ -44,27 +44,6 @@ def _rewrite_circuit(
     )
 
 
-def _rewrite_bodies(namespace: dict[str, Subroutine],
-                    rewrite: Callable[[Subroutine], Subroutine],
-                    into: dict[str, Subroutine]) -> None:
-    """Fill *into* with ``rewrite(sub)`` for every subroutine of *namespace*.
-
-    Callees are rewritten first, so a rule's builder writing into *into*
-    finds there every callee of the body it rewrites.  *into* ends in
-    the source's order.
-    """
-
-    def fact(sub: Subroutine) -> Subroutine:
-        new = into[sub.name] = rewrite(sub)
-        return new
-
-    bodies = SubroutineMemo(namespace, fact)
-    for name in namespace:
-        bodies[name]
-    for name in namespace:
-        into[name] = into.pop(name)
-
-
 def _legacy_transform_bcircuit(bc: BCircuit, rule: Rule) -> BCircuit:
     """The pre-pipeline transformer: one full hierarchy rewrite per rule.
 
@@ -80,7 +59,7 @@ def _legacy_transform_bcircuit(bc: BCircuit, rule: Rule) -> BCircuit:
         circuit = _rewrite_circuit(sub.circuit, rule, namespace, widths)
         return dataclasses.replace(sub, circuit=circuit)
 
-    _rewrite_bodies(bc.namespace, rewrite, namespace)
+    RewrittenBodies(bc.namespace, rewrite, namespace).fill()
     main = _rewrite_circuit(bc.circuit, rule, namespace, widths)
     return BCircuit(main, namespace)
 

@@ -1,38 +1,20 @@
-"""Structural Program digests and the digest-keyed compile memo.
+"""Program digests and the one per-circuit compile memo.
 
-Two contracts:
-
-* :meth:`repro.program.Program.digest` is a stable content address --
-  equal pipelines (same registered capture, same shapes, same
-  transform/optimize chain) digest equal *without building*, and any
-  semantic difference (stage, parameter, rule chain) separates them.
-* :func:`repro.transform.inline.compile_flat` shares one compiled
-  stream across structurally equal Programs when handed the digest --
-  the regression for the old behaviour where the memo lived on the
-  BCircuit instance only, so equal circuits compiled once *each*.
+:meth:`repro.program.Program.digest` is the SHA-256 of a built
+circuit's interchange text, so structurally equal circuits digest
+equal.  Compiling and running never serialize the hierarchy: the flat
+stream is memoized on the circuit by
+:func:`repro.transform.inline.compile_flat`, keyed on nothing else.
 """
 
 from __future__ import annotations
 
-import importlib
-
 import pytest
 
-from repro import Program, obs, qubit, register_capture
+from repro import Program, obs, qubit
+from repro.service.workers import run_program_payload
 
-# repro.transform re-exports the inline() *function*; we want the module.
-inline = importlib.import_module("repro.transform.inline")
-
-
-@register_capture(name="tests.digest.bell")
-def _bell(qc, a, b):
-    qc.hadamard(a)
-    qc.qnot(b, controls=a)
-    return qc.measure((a, b))
-
-
-def _bell_program(name: str = "bell") -> Program:
-    return Program.capture(_bell, qubit, qubit, name=name)
+from families import SIMULATE
 
 
 def _unregistered_program(name: str = "anon") -> Program:
@@ -44,94 +26,36 @@ def _unregistered_program(name: str = "anon") -> Program:
     return Program.capture(circ, qubit, qubit, name=name)
 
 
-class TestLineageDigests:
-    """Registered captures digest from lineage, without building."""
-
-    def test_equal_pipelines_digest_equal_without_building(self):
-        p1 = _bell_program("a").transform("binary").optimize()
-        p2 = _bell_program("b").transform("binary").optimize()
-        assert p1.digest() == p2.digest()
-        # The whole point: no circuit was generated to compute that.
-        assert p1._cache is None and p2._cache is None
-
-    def test_every_stage_separates_the_digest(self):
-        base = _bell_program()
-        seen = {base.digest()}
-        for derived in (
-            base.transform("binary"),
-            base.transform("toffoli"),
-            base.optimize(),
-            base.optimize("cancel"),
-            base.inverse(),
-            base.controlled(1),
-        ):
-            digest = derived.digest()
-            assert digest not in seen, derived.name
-            seen.add(digest)
-
-    def test_digest_is_cached_and_stable(self):
-        program = _bell_program()
-        assert program.digest() == program.digest()
-        built = program.bcircuit  # building must not change the address
-        assert built is not None
-        assert program.digest() == _bell_program().digest()
-
-    def test_register_capture_rejects_name_collision(self):
-        def other(qc, a):  # pragma: no cover - never called
-            return a
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_capture(other, name="tests.digest.bell")
-
-
 class TestStructureDigests:
-    """Unregistered captures fall back to hashing the built circuit."""
+    """A digest hashes the built circuit's interchange text."""
 
     def test_equal_circuits_digest_equal(self):
         assert (_unregistered_program("x").digest()
                 == _unregistered_program("y").digest())
 
-    def test_structure_and_lineage_domains_never_collide(self):
-        # Same underlying circuit, one address per derivation domain --
-        # the domain prefix keeps hash inputs disjoint by construction.
-        assert (_bell_program().digest()
-                != _unregistered_program().digest())
 
-
-class TestDigestKeyedCompileMemo:
-    """Equal Programs share one compiled stream (the satellite fix)."""
-
-    def test_equal_programs_compile_once(self):
-        inline._DIGEST_POOL.clear()
-        p1, p2 = _bell_program("a"), _bell_program("b")
-        with obs.capture() as rec:
-            c1 = p1.compiled()
-            c2 = p2.compiled()
-        assert rec.counters["cache.compiled_stream.misses"] == 1
-        assert rec.counters["cache.compiled_digest.hits"] == 1
-        assert c1 is c2
+class TestCompileMemo:
+    """One compile per circuit object, and no serialization to get it."""
 
     def test_instance_memo_still_wins_for_repeat_compiles(self):
-        program = _bell_program()
+        program = _unregistered_program()
         with obs.capture() as rec:
             first = program.compiled()
             second = program.compiled()
         assert first is second
-        assert rec.counters.get("cache.compiled_stream.hits", 0) >= 1
-
-    def test_run_reuses_the_pooled_stream(self):
-        inline._DIGEST_POOL.clear()
-        p1, p2 = _bell_program("a"), _bell_program("b")
-        with obs.capture() as rec:
-            r1 = p1.run(shots=8, seed=3)
-            r2 = p2.run(shots=8, seed=3)
-        assert r1.counts == r2.counts
         assert rec.counters["cache.compiled_stream.misses"] == 1
+        assert rec.counters["cache.compiled_stream.hits"] == 1
 
-    def test_pool_is_bounded(self):
-        inline._DIGEST_POOL.clear()
-        for i in range(inline._DIGEST_POOL_MAX + 10):
-            bc = _unregistered_program(f"p{i}").bcircuit
-            inline.compile_flat(bc, digest=f"test:bound:{i}")
-        assert len(inline._DIGEST_POOL) <= inline._DIGEST_POOL_MAX
-        inline._DIGEST_POOL.clear()
+    @pytest.mark.parametrize("entry", ["bwt-n2", "cl-w4", "gse-p5"])
+    def test_compile_and_run_never_serialize(self, entry, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the hierarchy was serialized")
+
+        monkeypatch.setattr("repro.io.dumps", refuse)
+        assert len(SIMULATE[entry]().compiled()) > 0
+        run = SIMULATE[entry]().run(shots=64, seed=1)
+        assert sum(run.counts.values()) == 64
+        payload = run_program_payload(
+            SIMULATE[entry](), {"shots": 64, "seed": 1}
+        )
+        assert sum(payload["counts"].values()) == 64

@@ -21,26 +21,7 @@ import pytest
 
 from repro import Program, obs, qubit
 from repro.algorithms.tf.main import main as tf_main
-import importlib
-
 from repro.obs import core as obs_core
-
-# The package re-exports the inline *function* under the same name, so
-# the module itself has to come from importlib.
-_inline_mod = importlib.import_module("repro.transform.inline")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_compile_pool():
-    """Isolate tests from the process-wide digest-keyed compile pool.
-
-    The bell/boxed programs here digest equal across tests, so without
-    this a later test would adopt a pooled compiled stream and its
-    expected ``compile`` span / miss counters would never appear.
-    """
-    _inline_mod._DIGEST_POOL.clear()
-    yield
-    _inline_mod._DIGEST_POOL.clear()
 
 
 def _bell_program(name: str = "bell") -> Program:

@@ -465,6 +465,29 @@ class TestStreamedBodies:
         if entry == "uncalled":
             assert list(namespace) == ["body"]
 
+    @pytest.mark.parametrize("entry", ["uncalled", *COMPILE])
+    def test_streamed_optimize_bodies_are_the_materialized_ones(self, entry):
+        import io
+
+        from repro import Program
+        from repro.io import loads
+        from repro.optimize import StreamOptimizer, optimize_bcircuit
+
+        text = (_uncalled_body_text() if entry == "uncalled"
+                else COMPILE[entry]().dumps())
+        lowered = Program.loads(text).transform("binary")
+        materialized = optimize_bcircuit(lowered.bcircuit)
+        namespace = replay_bcircuit(
+            lowered.bcircuit, StreamOptimizer((), _NamespaceProbe())
+        )
+        assert list(namespace) == list(materialized.namespace)
+        assert namespace == materialized.namespace
+        fp = io.StringIO()
+        lowered.stream().optimize().dump(fp)
+        assert list(loads(fp.getvalue()).namespace) == list(namespace)
+        if entry == "uncalled":
+            assert list(namespace) == ["body"]
+
 
 def conjugate_by_h(qc: Circ, gate: Gate):
     """Conjugate a controlled one-target gate by H on its target, with

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import importlib
 import json
 import os
 import pathlib
@@ -47,18 +46,6 @@ from repro.service.jobs import canonical_run_options
 from repro.service.metrics import LatencyRing, ServiceMetrics, percentile
 from repro.service.registry import ServiceError, canonical_spec
 from repro.service.server import CHUNK_SIZE, ServiceServer
-
-
-@pytest.fixture(autouse=True)
-def _fresh_compile_pool():
-    """Isolate the process-wide digest-keyed stream pool per test.
-
-    Every in-process "server" here shares one interpreter with the
-    tests before it; clearing the pool keeps single-compile counter
-    assertions honest.
-    """
-    importlib.import_module("repro.transform.inline")._DIGEST_POOL.clear()
-    yield
 
 
 @asynccontextmanager
