@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import (BoxError, CloningError, DeadWireError, QuipperError,
                      WireTypeError)
-from .gates import BoxCall, Gate, NamedGate
+from .gates import BoxCall, Gate, Init, NamedGate, Term
 from .wires import CLASSICAL, QUANTUM
 
 
@@ -24,17 +24,29 @@ def track_gate(live: dict[int, str], gate: Gate,
                widths: dict[str, int]) -> int:
     """Validate *gate* against the live-wire map *live* and apply it.
 
-    The one liveness rule of :meth:`Circuit.check`, the builder and the
-    pipeline stages.  Returns the width reached, a box call's transient
-    width included: *widths* maps a subroutine name to its body width,
-    usually the walk's :func:`body_widths` memo.  A named gate whose
-    wires are live, typed right and distinct changes nothing (its
-    outputs are its inputs), so it is read in place; anything else,
+    The one liveness rule of :meth:`Circuit.check`, the builder, the
+    pipeline stages and the hierarchy summary.  Returns the width
+    reached, a box call's transient width included: *widths* maps a
+    subroutine name to its body width, usually the walk's
+    :func:`body_widths` memo.  Three gates are read in place: a named
+    gate whose wires are live, typed right and distinct changes nothing
+    (its outputs are its inputs), an ``Init`` of a dead wire makes it a
+    live qubit, and a ``Term`` of a live qubit kills it.  Anything else,
     anomalies included, goes through its wire lists in
     :func:`_track_wires`, which raises the errors.
     """
-    if gate.__class__ is NamedGate and _in_place(live, gate):
-        return len(live)
+    cls = gate.__class__
+    if cls is NamedGate:
+        if _in_place(live, gate):
+            return len(live)
+    elif cls is Init:
+        if gate.wire not in live:
+            live[gate.wire] = QUANTUM
+            return len(live)
+    elif cls is Term:
+        if live.get(gate.wire) == QUANTUM:
+            del live[gate.wire]
+            return len(live)
     return _track_wires(live, gate, widths)
 
 
@@ -80,15 +92,16 @@ def _in_place(live: dict[int, str], gate: NamedGate) -> bool:
     """Whether each wire of *gate* is live, typed right and read once."""
     targets = gate.targets
     for wire in targets:
-        if live.get(wire) != QUANTUM or targets.count(wire) > 1:
+        if live.get(wire) != QUANTUM:
             return False
+    if len(targets) > 1 and len(set(targets)) < len(targets):
+        return False
     controls = gate.controls
-    for index, (wire, _, wtype) in enumerate(controls):
+    for wire, _, wtype in controls:
         if live.get(wire) != wtype or wire in targets:
             return False
-        for other in controls[:index]:
-            if other.wire == wire:
-                return False
+    if len(controls) > 1 and len({c[0] for c in controls}) < len(controls):
+        return False
     return True
 
 
@@ -197,6 +210,24 @@ class RewrittenBodies(SubroutineMemo):
             self.into[name] = self.into.pop(name)
 
 
+def live_inputs(inputs: tuple[tuple[int, str], ...]) -> dict[int, str]:
+    """The live-wire map at the start of a circuit with *inputs*."""
+    live = dict(inputs)
+    if len(live) != len(inputs):
+        raise CloningError("duplicate wire in circuit inputs")
+    return live
+
+
+def check_outputs(outputs: tuple[tuple[int, str], ...],
+                  live: dict[int, str]) -> None:
+    """Raise unless *outputs* are exactly the wires *live* at the end."""
+    if dict(outputs) != live or len(outputs) != len(live):
+        raise QuipperError(
+            f"circuit outputs {sorted(dict(outputs))} do not match "
+            f"live wires {sorted(live)} at end of circuit"
+        )
+
+
 def body_widths(namespace: dict[str, "Subroutine"]) -> SubroutineMemo:
     """A width memo over *namespace* for :func:`track_gate`.
 
@@ -245,19 +276,13 @@ class Circuit:
 
     def _check(self, widths: dict[str, int]) -> int:
         """:meth:`check`, reading box-call widths from *widths*."""
-        live: dict[int, str] = dict(self.inputs)
-        if len(live) != len(self.inputs):
-            raise CloningError("duplicate wire in circuit inputs")
+        live = live_inputs(self.inputs)
         peak = len(live)
         for gate in self.gates:
             width = track_gate(live, gate, widths)
             if width > peak:
                 peak = width
-        if dict(self.outputs) != live or len(self.outputs) != len(live):
-            raise QuipperError(
-                f"circuit outputs {sorted(dict(self.outputs))} do not match "
-                f"live wires {sorted(live)} at end of circuit"
-            )
+        check_outputs(self.outputs, live)
         return peak
 
 
@@ -300,6 +325,18 @@ class BCircuit:
             widths[name]
         return self.circuit._check(widths)
 
+    def memo(self) -> dict:
+        """Facts kept on this hierarchy while it is unchanged: the compiled
+        stream of :func:`~repro.transform.inline.compile_flat` and the
+        summaries of :func:`~repro.transform.summary.summarize`.  Each
+        call compares :func:`_bc_signature` with the facts' and drops them
+        all on any difference; equal hierarchies keep distinct memos."""
+        signature = _bc_signature(self)
+        held = self.__dict__.get("_memo")
+        if held is None or held[0] != signature:
+            held = self._memo = (signature, {})
+        return held[1]
+
     def subroutine_names(self) -> list[str]:
         return sorted(self.namespace)
 
@@ -308,3 +345,17 @@ class BCircuit:
         return len(self.circuit.gates) + sum(
             len(s.circuit.gates) for s in self.namespace.values()
         )
+
+
+def _bc_signature(bc: BCircuit) -> tuple:
+    """Every circuit's endpoints and gates, held by reference.
+
+    Gates are frozen and endpoints are tuples, so any edit -- a gate
+    replaced, added or removed, outputs reassigned, a body swapped, even
+    count-preservingly -- fails ``==``, while an unedited hierarchy
+    compares by identity, a pointer sweep.
+    """
+    circuits = [(None, bc.circuit)]
+    circuits += [(name, sub.circuit) for name, sub in bc.namespace.items()]
+    return tuple((name, tuple(c.inputs), tuple(c.gates), tuple(c.outputs))
+                 for name, c in circuits)

@@ -45,8 +45,8 @@ class StreamOptimizer(StreamConsumer):
 
     Wrap any downstream :class:`~repro.core.stream.StreamConsumer`::
 
-        counter = StreamingCounter()
-        replay_bcircuit(bc, StreamOptimizer((), counter))
+        summary = StreamingSummary()
+        replay_bcircuit(bc, StreamOptimizer((), summary))
 
     The main stream gets a single bounded-lookahead pass (O(window)
     memory); subroutine bodies, which are materialized by construction,

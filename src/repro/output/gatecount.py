@@ -19,11 +19,8 @@ from __future__ import annotations
 from collections import Counter
 
 from ..core.circuit import BCircuit
-from ..transform.count import (
-    aggregate_gate_count,
-    subroutine_gate_counts,
-    total_gates,
-)
+from ..transform.count import subroutine_gate_counts, total_gates
+from ..transform.summary import summarize
 
 
 def _fmt_key(name: str, pos: int, neg: int) -> str:
@@ -41,21 +38,24 @@ def format_gatecount(bc: BCircuit, per_subroutine: bool = False) -> str:
     first, then the aggregate, matching the paper's description of the
     ``-f gatecount`` command-line option.
     """
+    summary = summarize(bc)
     lines: list[str] = []
     if per_subroutine:
         for name, counts in sorted(subroutine_gate_counts(bc).items()):
             lines.append(f'Subroutine "{name}" gate count:')
             lines.extend(_format_counts(counts))
             lines.append("")
-    counts = aggregate_gate_count(bc)
-    lines.append("Aggregated gate count:")
-    lines.extend(_format_counts(counts))
-    lines.append(f"Total gates: {total_gates(counts)}")
-    width = bc.check()
-    lines.append(f"Inputs: {bc.circuit.in_arity}")
-    lines.append(f"Outputs: {bc.circuit.out_arity}")
-    lines.append(f"Qubits in circuit: {width}")
+    lines += format_totals(summary.counts, bc.circuit.in_arity,
+                           bc.circuit.out_arity, summary.width)
     return "\n".join(lines)
+
+
+def format_totals(counts: Counter, inputs: int, outputs: int,
+                  width: int) -> list[str]:
+    """The aggregate lines of a report: counts, total, arities, width."""
+    return ["Aggregated gate count:", *_format_counts(counts),
+            f"Total gates: {total_gates(counts)}", f"Inputs: {inputs}",
+            f"Outputs: {outputs}", f"Qubits in circuit: {width}"]
 
 
 def _format_counts(counts: Counter) -> list[str]:

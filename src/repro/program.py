@@ -71,6 +71,7 @@ from .transform import (
     circuit_depth,
     inline as _inline_bcircuit,
     reverse_bcircuit,
+    summarize,
     t_depth as _t_depth,
     total_gates,
     total_logical_gates,
@@ -439,7 +440,7 @@ class Program:
 
         ::
 
-            prog.stream().count()            # O(1)-memory gate count
+            prog.stream().count()            # gate count, nothing stored
             prog.stream("binary").depth()    # decompose + estimate, fused
             prog.stream().dump(fp)           # incremental interchange dump
         """
@@ -467,10 +468,14 @@ class Program:
     def count(self, stream: bool = False) -> Counter:
         """Aggregated hierarchical gate count (never inlines).
 
-        With ``stream`` the count is taken over a gate stream instead of
-        the built circuit (see :meth:`stream`): identical Counter, O(1)
-        memory per gate, and the circuit is not generated into memory if
-        it was not already.
+        Read from the circuit's summary
+        (:func:`~repro.transform.summary.summarize`), the one walk that
+        :meth:`count`, :meth:`width` and :meth:`depth` share; counting
+        validates the circuit.  With ``stream`` the count is taken over a
+        gate stream instead of the built circuit (see :meth:`stream`):
+        identical Counter, memory O(top-level wire ids) rather than
+        O(gates), and the circuit is not generated into memory if it was
+        not already.
         """
         if stream:
             return self.stream().count()
@@ -491,14 +496,17 @@ class Program:
         return circuit_depth(self.bcircuit)
 
     def t_depth(self, stream: bool = False) -> int:
-        """Critical-path depth counting only T gates."""
+        """Critical-path depth counting only T gates (a walk of its own)."""
         if stream:
             return self.stream().t_depth()
         return _t_depth(self.bcircuit)
 
     def width(self) -> int:
-        """Peak number of simultaneously live wires (validates wiring)."""
-        return self.bcircuit.check()
+        """Peak number of simultaneously live wires (validates wiring).
+
+        Equal to ``bcircuit.check()``, read from the circuit's summary.
+        """
+        return summarize(self.bcircuit).width
 
     def resources(self, stream: bool = False) -> dict:
         """The ``resources`` backend's static cost report as a dict."""

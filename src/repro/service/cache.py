@@ -54,14 +54,13 @@ _SUM_DOMAIN = "quip-cache"
 class CacheEntry:
     """One cached compile product and its memoized cheap queries."""
 
-    __slots__ = ("digest", "program", "width", "from_disk", "compile_ms",
+    __slots__ = ("digest", "program", "from_disk", "compile_ms",
                  "_text", "_results", "_lock")
 
-    def __init__(self, digest: str, program: Program, width: int,
-                 from_disk: bool, compile_ms: float):
+    def __init__(self, digest: str, program: Program, from_disk: bool,
+                 compile_ms: float):
         self.digest = digest
         self.program = program
-        self.width = width
         self.from_disk = from_disk
         self.compile_ms = compile_ms
         self._text: str | None = None
@@ -101,7 +100,7 @@ class CacheEntry:
                 "gates_stored": len(program.bcircuit),
                 "gates_inlined": len(compiled),
                 "prefix_len": compiled.prefix_len,
-                "width": self.width,
+                "width": program.width(),
             }
         if action == "count":
             counts: Counter = program.count()
@@ -114,7 +113,7 @@ class CacheEntry:
         if action == "t_depth":
             return {"t_depth": int(program.t_depth())}
         if action == "width":
-            return {"width": self.width}
+            return {"width": program.width()}
         if action == "resources":
             return result_payload(program.run(backend="resources"))
         if action == "ascii":
@@ -248,10 +247,12 @@ class CompileCache:
             program = build_program(cspec)
         with _obs.span("service.compile", digest=digest[:12]):
             bc = program.bcircuit  # generate + transform + optimize (or parse)
-            width = bc.check()
+            # The summary validates the circuit; the entry's width, count
+            # and depth queries read it without another walk.
+            program.width()
             compile_flat(bc)
         entry = CacheEntry(
-            digest, program, width, from_disk,
+            digest, program, from_disk,
             compile_ms=(time.perf_counter() - t0) * 1e3,
         )
         if text is not None:

@@ -141,7 +141,7 @@ def _worker_run(digest: str, text: str | None, run_kwargs: dict) -> dict:
             _WORKER_PROGRAMS.popitem(last=False)
     else:
         _WORKER_PROGRAMS.move_to_end(digest)
-    stream_warm = getattr(program.bcircuit, "_compiled_flat", None) is not None
+    stream_warm = "compiled" in program.bcircuit.memo()
     return {
         "payload": run_program_payload(program, run_kwargs),
         "worker": {

@@ -131,35 +131,38 @@ class Tableau:
 
     @staticmethod
     def _g(x1, z1, x2, z2):
-        """Phase exponent contribution of multiplying two Pauli letters."""
-        out = np.zeros(x1.shape, dtype=np.int64)
-        case_xz = x1 & z1  # letter Y
-        out += np.where(case_xz, z2.astype(np.int64) - x2.astype(np.int64), 0)
-        case_x = x1 & ~z1  # letter X
-        out += np.where(case_x, z2.astype(np.int64) * (2 * x2 - 1), 0)
-        case_z = ~x1 & z1  # letter Z
-        out += np.where(case_z, x2.astype(np.int64) * (1 - 2 * z2), 0)
-        return out
+        """The phase exponent of multiplying Pauli rows ``(x1, z1)`` into
+        ``(x2, z2)``, summed over the last axis.
 
-    def _rowsum(self, h: int, i: int) -> None:
-        total = 2 * int(self.r[h]) + 2 * int(self.r[i]) + int(
-            self._g(self.x[i], self.z[i], self.x[h], self.z[h]).sum()
-        )
-        self.r[h] = (total % 4) // 2
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
+        Each column gives +1 or -1 when both letters are distinct
+        non-identities (+1 when the pair is cyclic: ``XY``, ``YZ``,
+        ``ZX``), else 0, so the sum is a count of boolean columns; rows
+        broadcast, so one call sums many rows against one.
+        """
+        x_only, z_only, y = x1 & ~z1, z1 & ~x1, x1 & z1
+        x2_only, z2_only, y2 = x2 & ~z2, z2 & ~x2, x2 & z2
+        plus = (x_only & y2) | (y & z2_only) | (z_only & x2_only)
+        minus = (x_only & z2_only) | (y & x2_only) | (z_only & y2)
+        return (np.count_nonzero(plus, axis=-1)
+                - np.count_nonzero(minus, axis=-1))
 
     def measure(self, a: int) -> bool:
         n = self.n
         stab_rows = self.x[n:, a].nonzero()[0]
         if stab_rows.size:  # random outcome
             p = int(stab_rows[0]) + n
-            # _rowsum(i, p) writes row i only, so the rows with an X on
-            # column a can be listed up front; a spare column's rows
-            # never have one.
-            for i in self.x[:, a].nonzero()[0].tolist():
-                if i != p:
-                    self._rowsum(i, p)
+            # Every other row with an X on column a becomes its product
+            # with row p.  Each product reads its own row and row p
+            # alone, so they are all taken at once; a spare column's
+            # rows never have an X there.
+            rows = self.x[:, a].nonzero()[0]
+            rows = rows[rows != p]
+            total = (2 * self.r[rows].astype(np.int64) + 2 * int(self.r[p])
+                     + self._g(self.x[p], self.z[p],
+                               self.x[rows], self.z[rows]))
+            self.r[rows] = (total % 4) // 2
+            self.x[rows] ^= self.x[p]
+            self.z[rows] ^= self.z[p]
             self.x[p - n] = self.x[p]
             self.z[p - n] = self.z[p]
             self.r[p - n] = self.r[p]
@@ -177,7 +180,7 @@ class Tableau:
             total = (
                 2 * sr
                 + 2 * int(self.r[i + n])
-                + int(self._g(self.x[i + n], self.z[i + n], sx, sz).sum())
+                + int(self._g(self.x[i + n], self.z[i + n], sx, sz))
             )
             sr = (total % 4) // 2
             sx ^= self.x[i + n]

@@ -11,8 +11,8 @@ circuit's size is bounded by disk (for the writers) or by nothing at all
 ::
 
     prog = Program.capture(huge_circuit)
-    prog.stream().count()                  # O(1)-memory gate count
-    prog.stream().resources()              # counts + depth + width
+    prog.stream().count()                  # gate count, nothing stored
+    prog.stream().resources()              # counts, depths and width
     prog.stream(to_toffoli).count()        # rules fused into the stream
     with open("circuit.quip", "w") as fp:
         prog.stream().dump(fp)             # incremental interchange dump
@@ -30,14 +30,14 @@ from typing import Callable
 
 from .backends.base import BackendError, RunResult
 from .backends.clifford import CliffordFeed
-from .backends.resources import StreamingResources
+from .backends.resources import resource_report
 from .backends.statevector import StatevectorFeed, draw_counts
 from .core.stream import StreamConsumer
 from .obs import core as _obs
 from .optimize.stream import StreamOptimizer
-from .transform.count import StreamingCounter, total_gates, total_logical_gates
-from .transform.depth import StreamingDepth
+from .transform.count import total_gates, total_logical_gates
 from .transform.pipeline import StreamTransformer
+from .transform.summary import StreamingSummary
 from .transform.transformer import Rule
 
 
@@ -150,8 +150,13 @@ class GateStream:
     # -- counting and estimation --------------------------------------------
 
     def count(self):
-        """Aggregated gate count of the stream (O(1) memory per gate)."""
-        return self._produce(StreamingCounter())
+        """Aggregated gate count of the stream.
+
+        Taken by a :class:`~repro.transform.summary.StreamingSummary`,
+        so the stream is validated as it is counted; memory is
+        O(top-level wire ids), however many gates flow past.
+        """
+        return self._produce(StreamingSummary()).counts
 
     def total_gates(self) -> int:
         """Total gate count of the stream, Init/Term/Meas included."""
@@ -163,15 +168,23 @@ class GateStream:
 
     def depth(self) -> int:
         """Critical-path depth of the stream (O(top-level wire ids) memory)."""
-        return self._produce(StreamingDepth())
+        return self._produce(StreamingSummary()).depth
 
     def t_depth(self) -> int:
         """Critical-path depth counting only T gates."""
-        return self._produce(StreamingDepth(t_only=True))
+        return self._produce(StreamingSummary(t_only=True)).depth
 
     def resources(self) -> dict:
-        """The full resource report (counts, depth, T-depth, width)."""
-        return self._produce(StreamingResources())
+        """The full resource report (counts, depth, T-depth, width).
+
+        Two passes: one summary, and one T-depth walk.
+        """
+        walk = StreamingSummary()
+        summary = self._produce(walk)
+        t_depth = self._produce(StreamingSummary(t_only=True)).depth
+        end = walk.end
+        return resource_report(summary, t_depth, end.inputs, end.outputs,
+                               end.namespace)
 
     # -- incremental writers -------------------------------------------------
 

@@ -5,15 +5,15 @@ These implement the paper's Section 4.4.3 operators (``reverse_simple``,
 trillion-gate counts.
 """
 
-from .depth import StreamingDepth, circuit_depth, t_depth
+from .depth import circuit_depth, t_depth
 from .count import (
     GateCountKey,
-    StreamingCounter,
     aggregate_gate_count,
     count_circuit_flat,
     total_gates,
     total_logical_gates,
 )
+from .summary import StreamingSummary, Summary, summarize
 from .inline import CompiledCircuit, compile_flat, inline
 from .reverse import reverse_bcircuit, reverse_circuit
 from .transformer import transform_bcircuit
@@ -64,9 +64,10 @@ def decompose_binary(bc):
 
 __all__ = [
     "GateCountKey",
-    "StreamingCounter",
-    "StreamingDepth",
+    "StreamingSummary",
     "StreamTransformer",
+    "Summary",
+    "summarize",
     "aggregate_gate_count",
     "count_circuit_flat",
     "total_gates",

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..core.circuit import BCircuit, Circuit, Subroutine, SubroutineMemo
+from ..core.circuit import BCircuit, Circuit
 from ..core.errors import QuipperError
-from ..core.stream import StreamConsumer, replay_bcircuit
 from ..core.gates import (
     BoxCall,
     CDiscard,
@@ -119,79 +118,17 @@ _NON_LOGICAL_PREFIXES = (
 _UNCONTROLLED_PREFIXES = _NON_LOGICAL_PREFIXES + ("CGate:",)
 
 
-def body_counts(namespace: dict[str, Subroutine]) -> SubroutineMemo:
-    """A count memo over *namespace* for one walk.
-
-    ``counts[name]`` is the aggregated (fully-inlined) count of the body
-    of subroutine *name*: each body is counted once and multiplied
-    through every later call site, which is what makes trillion-gate
-    resource estimates cheap.
-    """
-    counts = SubroutineMemo(namespace, lambda sub: _count_body(sub, counts))
-    return counts
-
-
-def _count_body(sub: Subroutine, counts: SubroutineMemo) -> Counter:
-    total: Counter = Counter()
-    for gate in sub.circuit.gates:
-        _add_gate(total, gate, counts)
-    return total
-
-
-def _add_gate(total: Counter, gate: Gate, counts: SubroutineMemo) -> None:
-    """Add *gate* to *total*; a box call adds its body's counts.
-
-    A controlled call's controls reach every body gate that inlining
-    would control (named gates and classical NOTs), so they are added to
-    those keys; inversion swaps keys and repetitions multiply.
-    """
-    if isinstance(gate, Comment):
-        return
-    if not isinstance(gate, BoxCall):
-        total[classify(gate)] += 1
-        return
-    inverted, controls, reps = gate.inverted, gate.controls, gate.repetitions
-    pos = sum(1 for c in controls if c.positive)
-    neg = len(controls) - pos
-    for key, value in counts[gate.name].items():
-        if inverted:
-            key = _invert_key(key)
-        if controls and not key[0].startswith(_UNCONTROLLED_PREFIXES):
-            key = (key[0], key[1] + pos, key[2] + neg)
-        total[key] += value * reps
-
-
 def aggregate_gate_count(bc: BCircuit) -> Counter:
     """Count every gate of the fully-inlined circuit, without inlining it.
 
     Subroutine counts are computed once and multiplied through call sites
     (including their ``repetitions`` factors), so this is fast even for
-    circuits whose inlined size is astronomically large.
+    circuits whose inlined size is astronomically large.  A copy of the
+    hierarchy's summary (:func:`~repro.transform.summary.summarize`).
     """
-    return replay_bcircuit(bc, StreamingCounter())
+    from .summary import summarize
 
-
-class StreamingCounter(StreamConsumer):
-    """Gate-count consumer for a gate stream: O(1) memory per gate.
-
-    The one implementation behind :func:`aggregate_gate_count`, which
-    replays a stored hierarchy through it.  Each streamed gate is
-    classified and dropped, so the main circuit never has to exist; a
-    ``BoxCall`` is costed symbolically (the boxed body counted once,
-    multiplied by ``repetitions``), so a repeated-subroutine stream of
-    billions of logical gates counts in O(subroutine size) time and
-    memory.
-    """
-
-    def begin(self, inputs, namespace) -> None:
-        self.counts: Counter = Counter()
-        self._bodies = body_counts(namespace)
-
-    def gate(self, gate: Gate) -> None:
-        _add_gate(self.counts, gate, self._bodies)
-
-    def finish(self, end) -> Counter:
-        return self.counts
+    return Counter(summarize(bc).counts)
 
 
 def count_circuit_flat(circuit: Circuit) -> Counter:
@@ -221,9 +158,9 @@ def total_logical_gates(counts: Counter) -> int:
 
 
 def subroutine_gate_counts(bc: BCircuit) -> dict[str, Counter]:
-    """Aggregated (fully-inlined) counts for each subroutine by name.
+    """Aggregated (fully-inlined) counts for each subroutine by name,
+    copied from the hierarchy's summary."""
+    from .summary import body_summaries
 
-    One memo serves every name, so each callee body is counted once.
-    """
-    counts = body_counts(bc.namespace)
-    return {name: counts[name] for name in bc.namespace}
+    return {name: Counter(summary.counts)
+            for name, summary in body_summaries(bc).items()}

@@ -198,42 +198,23 @@ class CompiledCircuit:
         return len(self.gates)
 
 
-def _bc_signature(bc: BCircuit) -> tuple:
-    """A staleness snapshot for the per-circuit compile cache.
-
-    Holds the stored gate objects themselves (cheap: one reference each).
-    Gates are frozen dataclasses, so any in-place hierarchy edit -- a gate
-    replaced, appended, or a subroutine body swapped, even count-
-    preservingly -- changes an element and fails the ``==`` comparison
-    (identical elements short-circuit on identity, so the common unmutated
-    case is a pointer sweep).
-    """
-    return (
-        tuple(bc.circuit.gates),
-        tuple(
-            (name, tuple(sub.circuit.gates))
-            for name, sub in bc.namespace.items()
-        ),
-    )
-
-
 def compile_flat(bc: BCircuit) -> CompiledCircuit:
     """Inline *bc* once into a reusable :class:`CompiledCircuit` (cached).
 
-    The result is memoized on the BCircuit instance (guarded by a snapshot
-    of the stored gate lists, so a mutated hierarchy recompiles), which is
-    what lets ``Program.run`` and the simulation backends execute the same
-    circuit repeatedly -- per-shot replays, repeated ``.run`` calls --
-    without ever re-walking the box hierarchy.  It is the only compile
-    cache: equal circuits held as distinct objects inline once each.
-    Comments are dropped: they are no-ops to every executor.
+    The result is kept in the hierarchy's :meth:`~repro.core.circuit.
+    BCircuit.memo` (so a mutated hierarchy recompiles), which is what lets
+    ``Program.run`` and the simulation backends execute the same circuit
+    repeatedly -- per-shot replays, repeated ``.run`` calls -- without
+    ever re-walking the box hierarchy.  It is the only compile cache:
+    equal circuits held as distinct objects inline once each.  Comments
+    are dropped: they are no-ops to every executor.
     """
-    signature = _bc_signature(bc)
-    cached = getattr(bc, "_compiled_flat", None)
-    if cached is not None and cached[0] == signature:
+    memo = bc.memo()
+    cached = memo.get("compiled")
+    if cached is not None:
         if _obs.ENABLED:
             _obs.add("cache.compiled_stream.hits")
-        return cached[1]
+        return cached
     with _obs.span("compile") as sp:
         gates = [
             gate for gate in iter_flat_gates(bc)
@@ -243,7 +224,7 @@ def compile_flat(bc: BCircuit) -> CompiledCircuit:
         sp.set(gates=len(gates), prefix=compiled.prefix_len)
     if _obs.ENABLED:
         _obs.add("cache.compiled_stream.misses")
-    bc._compiled_flat = (signature, compiled)
+    memo["compiled"] = compiled
     return compiled
 
 

@@ -113,15 +113,33 @@ COMPILE = {
     "qls-p1": qls(1), "qls-p2": qls(2), "qls-p3": qls(3),
 }
 
-#: The smallest ``estimate`` entry of each family, with its gate base.
-ESTIMATE = {
+#: The whole ``estimate`` catalogue, each entry with its gate base.
+ESTIMATE_CATALOGUE = {
     "tf-l6-n5-r3": (tf("full", 6, 5, 3), "toffoli"),
+    "tf-l8-n6-r3": (tf("full", 8, 6, 3), "toffoli"),
+    "tf-l12-n6-r3": (tf("full", 12, 6, 3), "toffoli"),
+    "tf-l16-n6-r3": (tf("full", 16, 6, 3), "toffoli"),
     "bwt-n4": (bwt(4), "binary"),
+    "bwt-n6": (bwt(6), "binary"),
+    "bwt-n8": (bwt(8), "binary"),
+    "bwt-n12": (bwt(12), "binary"),
     "bf-3x3": (bf(3, 3), "binary"),
+    "bf-3x4": (bf(3, 4), "binary"),
+    "bf-4x4": (bf(4, 4), "binary"),
     "gse-p4": (gse(4), "binary"),
+    "gse-p5": (gse(5), "binary"),
+    "gse-p6": (gse(6), "binary"),
     "cl-w4": (cl(4), "binary"),
+    "cl-w6": (cl(6), "binary"),
     "usv-d3": (usv(3), "binary"),
     "qls-p3": (qls(3), "binary"),
+}
+
+#: The smallest ``estimate`` entry of each family, with its gate base.
+ESTIMATE = {
+    name: ESTIMATE_CATALOGUE[name]
+    for name in ("tf-l6-n5-r3", "bwt-n4", "bf-3x3", "gse-p4", "cl-w4",
+                 "usv-d3", "qls-p3")
 }
 
 #: The ``sim_wide`` and ``sim_feedforward`` entries that sample 1024

@@ -230,15 +230,17 @@ def test_fanned_out_bit_may_not_come_out_more_often_than_it_went_in():
 
 
 def _walk(step, inputs, gates, outputs, namespace):
-    """Verdict and width of *gates* under one tracking function."""
+    """Verdict, width and last live map of *gates* under one tracking
+    function."""
     live = dict(inputs)
     width = len(live)
     try:
         for gate in gates:
             width = max(width, step(live, gate, namespace))
     except QuipperError as exc:
-        return type(exc).__name__, None
-    return ("ok" if live == dict(outputs) else "outputs differ"), width
+        return type(exc).__name__, str(exc), sorted(live.items())
+    verdict = "ok" if live == dict(outputs) else "outputs differ"
+    return verdict, width, sorted(live.items())
 
 
 def _end_state(inputs, gates):
@@ -248,7 +250,42 @@ def _end_state(inputs, gates):
     return tuple(sorted(live.items()))
 
 
-def _renumber_wire(rnd, gates, top):
+def _insert_at(rnd, inputs, gates, pick):
+    """*gates* with ``pick(live)`` inserted at a random index, where
+    *live* is the live map there; None if *pick* finds no wire."""
+    index = rnd.randrange(len(gates) + 1)
+    live = dict(inputs)
+    for gate in gates[:index]:
+        _track_wires(live, gate, {})
+    gate = pick(live)
+    if gate is None:
+        return None
+    gates.insert(index, gate)
+    return gates
+
+
+def _reinit_live_wire(rnd, inputs, gates, top):
+    return _insert_at(rnd, inputs, gates,
+                      lambda live: Init(rnd.choice(sorted(live))))
+
+
+def _term_a_bit(rnd, inputs, gates, top):
+    def pick(live):
+        bits = sorted(w for w, t in live.items() if t == CLASSICAL)
+        return Term(rnd.choice(bits)) if bits else None
+
+    return _insert_at(rnd, inputs, gates, pick)
+
+
+def _term_dead_wire(rnd, inputs, gates, top):
+    def pick(live):
+        dead = [w for w in range(top + 2) if w not in live]
+        return Term(rnd.choice(dead))
+
+    return _insert_at(rnd, inputs, gates, pick)
+
+
+def _renumber_wire(rnd, inputs, gates, top):
     index = rnd.randrange(len(gates))
     wires = [w for w, _ in gates[index].wires_in() + gates[index].wires_out()]
     if not wires:
@@ -259,7 +296,7 @@ def _renumber_wire(rnd, gates, top):
     return gates
 
 
-def _duplicate_control(rnd, gates, top):
+def _duplicate_control(rnd, inputs, gates, top):
     named = [i for i, g in enumerate(gates) if isinstance(g, NamedGate)]
     index = rnd.choice(named)
     gate = gates[index]
@@ -273,7 +310,7 @@ def _duplicate_control(rnd, gates, top):
     return gates
 
 
-def _drop_term(rnd, gates, top):
+def _drop_term(rnd, inputs, gates, top):
     terms = [i for i, g in enumerate(gates) if isinstance(g, Term)]
     if not terms:
         return None
@@ -281,7 +318,15 @@ def _drop_term(rnd, gates, top):
     return gates
 
 
-CORRUPTIONS = (_renumber_wire, _duplicate_control, _drop_term)
+CORRUPTIONS = (_renumber_wire, _duplicate_control, _drop_term,
+               _reinit_live_wire, _term_a_bit, _term_dead_wire)
+
+#: The one verdict each ``Init``/``Term`` corruption must reach.
+_INIT_TERM_VERDICTS = {
+    "_reinit_live_wire": "CloningError",
+    "_term_a_bit": "WireTypeError",
+    "_term_dead_wire": "DeadWireError",
+}
 
 
 def _seeded_inputs():
@@ -299,7 +344,7 @@ def _seeded_inputs():
                   for w, _ in g.wires_in() + g.wires_out())
         cases.append(("clean", inputs, gates, outputs))
         for corrupt in CORRUPTIONS:
-            broken = corrupt(rnd, list(gates), top)
+            broken = corrupt(rnd, inputs, list(gates), top)
             if broken is not None:
                 cases.append((corrupt.__name__, inputs, broken, outputs))
     return cases
@@ -314,6 +359,7 @@ def test_in_place_path_matches_general_path():
         fast = _walk(track_gate, inputs, gates, outputs, {})
         general = _walk(_track_wires, inputs, gates, outputs, {})
         assert fast == general, (kind, gates)
+        assert fast[0] == _INIT_TERM_VERDICTS.get(kind, fast[0]), kind
         if fast[0] == "ok":
             assert Circuit(inputs, gates, outputs).check() == fast[1]
         else:
@@ -339,4 +385,5 @@ def test_builder_circuits_agree_on_both_paths(seed):
                  circuit.outputs, bc.namespace)
     general = _walk(_track_wires, circuit.inputs, circuit.gates,
                     circuit.outputs, bc.namespace)
-    assert fast == general == ("ok", bc.check())
+    assert fast == general
+    assert fast[:2] == ("ok", bc.check())

@@ -154,12 +154,14 @@ class TestSpanNesting:
             program.ascii()
             program.dumps()
             program.qasm()
-        consumers = {s.attrs["consumer"] for s in rec.spans
-                     if s.name == "replay"}
-        assert consumers == {
-            "StreamingCounter", "StreamingDepth", "StreamingResources",
-            "AsciiStreamWriter", "QasmStreamWriter",
+        consumers = [s.attrs["consumer"] for s in rec.spans
+                     if s.name == "replay"]
+        assert set(consumers) == {
+            "StreamingSummary", "AsciiStreamWriter", "QasmStreamWriter",
         }
+        # One summary walk, one T-depth walk: depth() and resources()
+        # read the hierarchy's memo.
+        assert consumers.count("StreamingSummary") == 2
 
     def test_stream_transformer_stages_report_body_counters(self):
         program = _boxed_program()

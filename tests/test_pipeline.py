@@ -991,7 +991,7 @@ class TestLoweringByShape:
             inputs = tuple((w, QUANTUM) for w in range(n))
             top = _max_wire_id(Circuit(inputs, gates))
             for corrupt in CORRUPTIONS:
-                broken = corrupt(rnd, list(gates), top)
+                broken = corrupt(rnd, inputs, list(gates), top)
                 if broken is not None:
                     cases.append((inputs, broken))
         raised = 0
