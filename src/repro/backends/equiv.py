@@ -193,9 +193,7 @@ def _final_state(bc: BCircuit, in_values: dict[int, bool],
     measurement draws align on equivalent circuits."""
     sim = StateVector(rng=np.random.default_rng(seed))
     sim.load_inputs(bc.circuit.inputs, in_values)
-    for gate in bc.circuit.gates:
-        if not isinstance(gate, Comment):
-            sim.execute(gate)
+    sim.run(bc.circuit.gates)
     return sim
 
 

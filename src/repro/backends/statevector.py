@@ -2,7 +2,10 @@
 
 Wraps :mod:`repro.sim.state` as the registry's ``"statevector"`` backend.
 Every run loads its inputs into a batch-1 state
-(:meth:`~repro.sim.state.StateVector.load_inputs`).  Then:
+(:meth:`~repro.sim.state.StateVector.load_inputs`) and executes gates
+through :meth:`~repro.sim.state.StateVector.run`, which gathers each run
+of basis permutations (X, CNOT, Toffoli, swap, Fredkin) on a state past
+one block at once.  Then:
 
 * ``shots=None`` streams the whole hierarchy lazily through that state
   (no materialized gate list, so arbitrarily deep hierarchies work) and
@@ -20,8 +23,9 @@ Every run loads its inputs into a batch-1 state
   Measurement randomness is pre-drawn shot-major, which keeps seeded
   counts bit-identical to per-shot replays.  The batch size comes from
   the ``batch=`` backend option (``Program.run(..., batch=N)``),
-  defaulting to the largest ``B`` with ``B * 2**peak <= 2**16``, *peak*
-  being the most qubits the suffix ever holds live at once.
+  defaulting to the largest ``B`` with ``B * 2**peak <= 2**16`` (one
+  block, so a fork never fuses), *peak* being the most qubits the suffix
+  ever holds live at once.
 """
 
 from __future__ import annotations
@@ -33,19 +37,11 @@ from ..core.gates import Comment, Discard, Gate, Init, Measure, Term
 from ..core.stream import StreamConsumer
 from ..core.wires import QUANTUM
 from ..obs import core as _obs
+from ..sim.kernels import BLOCK_AMPLITUDES
 from ..sim.state import StateVector
 from ..transform.inline import compile_flat, iter_flat_gates
 from .base import Backend, BackendError, RunResult, outcome_key
 from .registry import register_backend
-
-#: Auto-sized fork batches target this many amplitudes in flight (one
-#: MiB of complex128), sized from the suffix's peak qubit liveness.
-#: Batching multiplies throughput where per-dispatch overhead
-#: dominates (a compact post-Term state replaying a stochastic suffix)
-#: and is memory-bound where it does not (a full-width dense suffix), so
-#: the auto size backs off to per-shot forking as the live state grows.
-#: ``batch=`` overrides it in either direction.
-_AUTO_BATCH_AMPLITUDES = 1 << 16
 
 
 def suffix_peak_and_events(live: int, suffix: list[Gate]) -> tuple[int, int]:
@@ -123,8 +119,7 @@ class StatevectorBackend(Backend):
         if shots is None:
             # Single pass: stream the hierarchy lazily (no materialized
             # gate list, so arbitrarily deep/repeated hierarchies work).
-            for gate in iter_flat_gates(bc):
-                sim.execute(gate)
+            sim.run(iter_flat_gates(bc))
             return _state_result(self.name, sim)
         # Sampling may replay a suffix, so it consumes the compiled
         # stream.  Trailing measurements commute with basis-state
@@ -141,8 +136,7 @@ class StatevectorBackend(Backend):
                 "run.shots.forked" if split < tail else "run.shots.batched",
                 shots,
             )
-        for gate in gates[:split]:
-            sim.execute(gate)
+        sim.run(gates[:split])
         if split == tail:
             measured = frozenset(g.wire for g in gates[tail:])
             counts = draw_counts(sim, bc.circuit.outputs, shots, rng, measured)
@@ -167,10 +161,18 @@ class StatevectorBackend(Backend):
         a 16-qubit circuit that uncomputes down to a 3-qubit measured
         core, or a teleportation chain that allocates two qubits per hop
         and measures two, batches thousands of shots per dispatch.
+
+        The auto size keeps one block (:data:`~repro.sim.kernels.
+        BLOCK_AMPLITUDES`, one MiB of complex128) in flight: batching
+        multiplies throughput where per-dispatch overhead dominates (a
+        compact post-Term state replaying a stochastic suffix) and is
+        memory-bound where it does not (a full-width dense suffix), so it
+        backs off to per-shot forking as the live state grows.
+        ``batch=`` overrides it in either direction.
         """
         if self.batch is not None:
             return max(1, min(self.batch, shots))
-        return max(1, min(shots, _AUTO_BATCH_AMPLITUDES >> peak))
+        return max(1, min(shots, BLOCK_AMPLITUDES >> peak))
 
     def _fork(self, base: StateVector, suffix: list[Gate], outputs,
               shots: int, rng) -> tuple[dict[str, int], int]:
@@ -178,12 +180,12 @@ class StatevectorBackend(Backend):
 
         The state is broadcast into batches of up to the fork batch size
         and the suffix advances each whole batch in lockstep, one kernel
-        dispatch per gate.  Seeded counts stay bit-identical to
-        sequential per-shot replays: each batch pre-draws its measurement
-        randomness *shot-major* with one ``rng.random((b, events))`` call
-        -- which consumes the rng stream exactly as ``b`` sequential
-        simulations would -- and the batched state then serves stochastic
-        event j from column j.  ``events`` is static: one per suffix
+        dispatch per gate (or per fused run, past one block).  Seeded
+        counts stay bit-identical to sequential per-shot replays: each
+        batch pre-draws its measurement randomness *shot-major* with one
+        ``rng.random((b, events))`` call -- which consumes the rng stream
+        exactly as ``b`` sequential simulations would -- and the batched
+        state then serves stochastic event j from column j.  ``events`` is static: one per suffix
         ``Measure``/``Discard`` plus one per quantum output measured at
         readout.
         """
@@ -200,8 +202,7 @@ class StatevectorBackend(Backend):
             if _obs.ENABLED:
                 _obs.add("sim.batch.forks")
                 _obs.observe("sim.batch.occupancy", b)
-            for gate in suffix:
-                fork.execute(gate)
+            fork.run(suffix)
             columns = [
                 fork.measure_qubit(w) if t == QUANTUM else fork.bits[w]
                 for w, t in outputs

@@ -33,7 +33,7 @@ import warnings
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
-from .circuit import BCircuit, Circuit, Subroutine, body_widths, track_gate
+from .circuit import BCircuit, BodyWidths, Circuit, Subroutine, track_gate
 from .errors import (
     BoxError,
     DanglingWiresError,
@@ -123,7 +123,7 @@ class Circ:
         self._max_live = 0
         #: Body widths for box calls, shared with scratch sub-builders:
         #: a build only ever adds names, so its memo cannot go stale.
-        self._widths = body_widths(self.namespace)
+        self._widths = BodyWidths(self.namespace)
         #: Optional hook enabling dynamic lifting (set by the QRAM executor).
         self.lifting_handler: Callable[["Circ", Bit], bool] | None = None
 

@@ -28,7 +28,7 @@ def track_gate(live: dict[int, str], gate: Gate,
     pipeline stages and the hierarchy summary.  Returns the width
     reached, a box call's transient width included: *widths* maps a
     subroutine name to its body width, usually the walk's
-    :func:`body_widths` memo.  Three gates are read in place: a named
+    :class:`BodyWidths` memo.  Three gates are read in place: a named
     gate whose wires are live, typed right and distinct changes nothing
     (its outputs are its inputs), an ``Init`` of a dead wire makes it a
     live qubit, and a ``Term`` of a live qubit kills it.  Anything else,
@@ -155,7 +155,10 @@ class SubroutineMemo(dict):
     callees filled first, in :func:`callees_first` order, so a fact that
     reads its callees' entries finds them all and never recurses, however
     deep the chain of boxes.  Raises :class:`~repro.core.errors.BoxError`
-    on an undefined or recursive subroutine.
+    on an undefined or recursive subroutine.  A fact that reads this memo
+    is a method of a subclass, which is handed the memo as ``self``: a
+    closure over the memo, or a bound method of it, stored as its fact
+    would keep it in a reference cycle.
 
     A memo belongs to the one walk that asks -- a check, a build, a
     transform, a stream consumer -- and is dropped with it; nothing is
@@ -164,10 +167,11 @@ class SubroutineMemo(dict):
     """
 
     def __init__(self, namespace: dict[str, "Subroutine"],
-                 fact: Callable[["Subroutine"], object]):
+                 fact: Callable[["Subroutine"], object] | None = None):
         super().__init__()
         self.namespace = namespace
-        self.fact = fact
+        if fact is not None:
+            self.fact = fact
 
     def __missing__(self, name: str):
         namespace = self.namespace
@@ -193,14 +197,13 @@ class RewrittenBodies(SubroutineMemo):
     def __init__(self, namespace: dict[str, "Subroutine"],
                  rewrite: Callable[["Subroutine"], "Subroutine"],
                  into: dict[str, "Subroutine"]):
-        # A closure, not a bound method: the memo stays out of a
-        # reference cycle, so a call's rewrite state is freed with it.
-        def write(sub: "Subroutine") -> "Subroutine":
-            new = into[sub.name] = rewrite(sub)
-            return new
-
-        super().__init__(namespace, write)
+        super().__init__(namespace)
+        self.rewrite = rewrite
         self.into = into
+
+    def fact(self, sub: "Subroutine") -> "Subroutine":
+        new = self.into[sub.name] = self.rewrite(sub)
+        return new
 
     def fill(self) -> None:
         """Rewrite every body, called or not; order *into* as the source."""
@@ -228,14 +231,15 @@ def check_outputs(outputs: tuple[tuple[int, str], ...],
         )
 
 
-def body_widths(namespace: dict[str, "Subroutine"]) -> SubroutineMemo:
+class BodyWidths(SubroutineMemo):
     """A width memo over *namespace* for :func:`track_gate`.
 
     ``widths[name]`` validates the body of subroutine *name* and gives
     its width, as :meth:`Circuit.check` would.
     """
-    widths = SubroutineMemo(namespace, lambda sub: sub.circuit._check(widths))
-    return widths
+
+    def fact(self, sub: "Subroutine") -> int:
+        return sub.circuit._check(self)
 
 
 @dataclass
@@ -272,7 +276,7 @@ class Circuit:
         wires, counting the transient internal wires of boxed subroutine
         calls.
         """
-        return self._check(body_widths(namespace or {}))
+        return self._check(BodyWidths(namespace or {}))
 
     def _check(self, widths: dict[str, int]) -> int:
         """:meth:`check`, reading box-call widths from *widths*."""
@@ -320,7 +324,7 @@ class BCircuit:
 
         Every body is validated, called or not, each once.
         """
-        widths = body_widths(self.namespace)
+        widths = BodyWidths(self.namespace)
         for name in self.namespace:
             widths[name]
         return self.circuit._check(widths)

@@ -36,11 +36,19 @@ Quantum controls are handled by kernel-level index masking: control axes
 are pinned to their required bit value in the index tuple, so every kernel
 runs on the control-satisfied subspace view directly instead of copying it
 out and back via fancy-index slice assignment.
+
+A run of basis permutations -- permutation kernels with unit phases under
+quantum controls: X, CNOT, Toffoli, swap, Fredkin -- can instead move
+every amplitude once: :func:`gather_permutations` composes the run on a
+small table of offsets, by applying the permutation kernel to the table,
+and gathers the state block by block through it.  Reversible arithmetic
+(the paper's lifted classical oracles) is mostly such runs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +63,22 @@ DENSE = "dense"
 PHASE = "phase"
 
 _ATOL = 1e-12
+
+#: Amplitudes, across the batch, in one block.  A state this small runs
+#: gate by gate, and a fused permutation run gathers at most this many
+#: amplitudes at a time (:func:`gather_permutations`); the backend also
+#: sizes auto fork batches to it.
+BLOCK_AMPLITUDES = 1 << 16
+
+#: The gather's preferred block: index, block and temporary together
+#: stay inside a 2 MiB L2 cache (see ``docs/performance.md``).
+GATHER_AMPLITUDES = 1 << 14
+
+#: A run is gathered only when its gates, one by one, would move at least
+#: this many states' worth of amplitudes, as many as the gather moves
+#: (each gate moves the share of its control subspace that its
+#: permutation does not fix: 1/4 of the state for a Toffoli).
+GATHER_MIN_MOVED = 1.0
 
 
 class Kernel(NamedTuple):
@@ -121,6 +145,20 @@ def _pattern_bits(pattern: int, arity: int) -> tuple[int, ...]:
     return tuple((pattern >> (arity - 1 - i)) & 1 for i in range(arity))
 
 
+def _slots(
+    ndim: int,
+    target_axes: tuple[int, ...],
+    ctrl: tuple[tuple[int, int], ...] = (),
+) -> list[tuple]:
+    """The :func:`_subindex` of every target-bit pattern, in pattern
+    order, with the control axes pinned."""
+    arity = len(target_axes)
+    return [
+        _subindex(ndim, ctrl + tuple(zip(target_axes, _pattern_bits(j, arity))))
+        for j in range(1 << arity)
+    ]
+
+
 def apply_kernel(
     view: np.ndarray,
     kernel: Kernel,
@@ -140,14 +178,7 @@ def apply_kernel(
     if kernel.kind == PHASE:
         view[_subindex(view.ndim, ctrl)] *= kernel.data[0]
         return
-    arity = kernel.arity
-    slots = [
-        _subindex(
-            view.ndim,
-            ctrl + tuple(zip(target_axes, _pattern_bits(j, arity))),
-        )
-        for j in range(1 << arity)
-    ]
+    slots = _slots(view.ndim, target_axes, ctrl)
     if kernel.kind == DIAGONAL:
         for slot, entry in zip(slots, kernel.data):
             if entry != 1.0:
@@ -189,6 +220,91 @@ def _apply_permutation(view, slots, perm, phases) -> None:
             )
             phase = phases[pattern]
             view[slots[pattern]] = source if phase == 1.0 else source * phase
+
+
+def _offsets(strides) -> np.ndarray:
+    """The flat offset of every bit pattern over axes of these strides,
+    the first axis most significant (C order)."""
+    table = np.zeros(1, dtype=np.intp)
+    for stride in strides:
+        table = np.add.outer(table, (0, stride)).ravel()
+    return table
+
+
+def gather_permutations(data: np.ndarray, steps) -> bool:
+    """Apply a run of basis permutations to ``data`` as one gather per block.
+
+    ``data`` is the ``(B, 2**n)`` buffer.  Each step is ``(perm, targets,
+    ctrl)``: the permutation of a ``PERMUTE`` kernel whose phases are all
+    one, its target axes and its quantum controls as ``(axis, bit)``
+    pairs, axes counted from the outermost qubit (no batch axis).
+
+    Blocks span the innermost axes, at least every axis a step flips, so
+    the outer axes pick a block and no amplitude leaves its block.  The
+    run's permutation is composed by :func:`_apply_permutation` itself on
+    a small table of offsets over the block axes the run touches (a
+    composed gather of gathers is the gather of the run); a control on an
+    outer axis selects which steps enter the table of the blocks it
+    picks.  Each block with a non-identity table is then gathered
+    through one reusable block-sized temporary and written back.
+
+    Returns False, having changed nothing, when the run should go gate
+    by gate: a flipped axis lies outside a block of
+    :data:`BLOCK_AMPLITUDES`, or the run moves less than
+    :data:`GATHER_MIN_MOVED` states' worth of amplitudes.
+    """
+    batch, size = data.shape
+    n = size.bit_length() - 1
+    first = min(axis for _, targets, _ in steps for axis in targets)
+    if batch << (n - first) > BLOCK_AMPLITUDES:
+        return False
+    moved = sum(
+        sum(j != p for j, p in enumerate(perm)) / len(perm) / (1 << len(ctrl))
+        for perm, _, ctrl in steps
+    )
+    if moved < GATHER_MIN_MOVED:
+        return False
+    inner = max(n - first, (GATHER_AMPLITUDES // batch).bit_length() - 1)
+    outer = n - inner
+    touched = sorted(
+        {axis for _, targets, _ in steps for axis in targets}
+        | {axis for _, _, ctrl in steps for axis, _ in ctrl if axis >= outer}
+    )
+    selectors = sorted(
+        {axis for _, _, ctrl in steps for axis, _ in ctrl if axis < outer}
+    )
+    position = {axis: i for i, axis in enumerate(touched)}
+    stride = [1 << (n - 1 - axis) for axis in range(n)]
+    identity = _offsets([stride[a] for a in touched])
+    untouched = [a for a in range(outer, n) if a not in position]
+    rest = _offsets([stride[a] for a in untouched]).reshape(
+        [1 if a in position else 2 for a in range(outer, n)]
+    )
+    table_shape = [2 if a in position else 1 for a in range(outer, n)]
+    starts = _offsets([stride[a] for a in range(outer) if a not in selectors])
+    length = 1 << inner
+    temporary = np.empty((batch, length), dtype=data.dtype)
+    for bits in product((0, 1), repeat=len(selectors)):
+        chosen = dict(zip(selectors, bits))
+        table = identity.reshape((2,) * len(touched)).copy()
+        for perm, targets, ctrl in steps:
+            if any(chosen.get(axis, bit) != bit for axis, bit in ctrl):
+                continue
+            slots = _slots(
+                table.ndim,
+                tuple(position[t] for t in targets),
+                tuple((position[a], bit) for a, bit in ctrl if a >= outer),
+            )
+            _apply_permutation(table, slots, perm, (1,) * len(perm))
+        if np.array_equal(table.ravel(), identity):
+            continue
+        index = (table.reshape(table_shape) + rest).ravel()
+        base = sum(stride[axis] for axis, bit in chosen.items() if bit)
+        for start in (base + starts).tolist():
+            block = data[:, start:start + length]
+            np.take(block, index, axis=1, out=temporary)
+            block[...] = temporary
+    return True
 
 
 def _apply_dense(view, slots, matrix) -> None:

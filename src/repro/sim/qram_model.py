@@ -45,9 +45,10 @@ class QRAMExecutor:
         """Execute all gates generated since the last flush."""
         pending = self.qc.gates[self.position:]
         self.position = len(self.qc.gates)
-        for gate in pending:
-            for flat in _expand(gate, (), self.qc.namespace, self.source):
-                self.sim.execute(flat)
+        self.sim.run(
+            flat for gate in pending
+            for flat in _expand(gate, (), self.qc.namespace, self.source)
+        )
 
     def _lift(self, qc: Circ, bitwire: Bit) -> bool:
         self.flush()

@@ -14,10 +14,14 @@ per live qubit after the batch axis.  Gates mutate strided sub-views of
 the buffer in place through the specialized kernels of
 :mod:`repro.sim.kernels` -- diagonal gates touch half of every member
 with a single elementwise multiply, bit flips are slice exchanges, and
-only the residual dense cases combine slices per a matrix.  Kernels never
-index the batch axis, so ONE dispatch advances all ``B`` members: the
-per-gate Python/numpy dispatch overhead that dominates at moderate qubit
-counts is paid once per batch instead of once per shot.  ``batch=1`` (the
+only the residual dense cases combine slices per a matrix.
+:meth:`StateVector.run` executes a gate sequence, and past one block of
+amplitudes it applies each run of basis permutations (the X, CNOT and
+Toffoli runs of reversible arithmetic) as one gather per block, with the
+bytes the gates one by one give.  Kernels never index the batch axis, so
+ONE dispatch advances all ``B`` members: the per-gate Python/numpy
+dispatch overhead that dominates at moderate qubit counts is paid once
+per batch instead of once per shot.  ``batch=1`` (the
 default) is no special case: it is the same code over a one-row buffer,
 and it keeps the amplitudes, bits and seeded draws of the scalar engine
 this replaced byte for byte, since a ``(1, N)`` row reduces in the flat
@@ -67,11 +71,14 @@ from ..core.gates import (
 from ..core.wires import QUANTUM
 from ..obs import core as _obs
 from .kernels import (
+    BLOCK_AMPLITUDES,
+    PERMUTE,
     _apply_dense,
-    _pattern_bits,
+    _slots,
     _subindex,
     apply_kernel,
     gate_kernel,
+    gather_permutations,
 )
 from .classical import _CLASSICAL_FUNCTIONS
 from .matrices import gate_matrix
@@ -361,14 +368,7 @@ class StateVector:
             view[_subindex(view.ndim, ctrl)] *= matrix[0, 0]
             return
         target_axes = tuple(self.axes[t] + 1 for t in targets)
-        slots = [
-            _subindex(
-                view.ndim,
-                ctrl + tuple(zip(target_axes, _pattern_bits(j, len(targets)))),
-            )
-            for j in range(1 << len(targets))
-        ]
-        _apply_dense(view, slots, matrix)
+        _apply_dense(view, _slots(view.ndim, target_axes, ctrl), matrix)
 
     # -- gate dispatch -----------------------------------------------------
 
@@ -380,6 +380,55 @@ class StateVector:
         if _obs.ENABLED and self.batch > 1:
             _obs.add("sim.batch.gates")
         handler(self, gate)
+
+    def run(self, gates) -> None:
+        """Execute *gates* in order, with the results of :meth:`execute`.
+
+        Once the state holds more than :data:`~repro.sim.kernels.
+        BLOCK_AMPLITUDES` amplitudes, each maximal run of two or more
+        basis permutations (X, CNOT, Toffoli, swap, Fredkin: see
+        :func:`_moves_only`) goes to :func:`~repro.sim.kernels.
+        gather_permutations` as one gather per block, and gate by gate
+        when that declines.  Amplitudes only move, so every amplitude,
+        bit and draw is what the gates one by one give.
+        """
+        execute = self.execute
+        pending: list[NamedGate] = []
+        for gate in gates:
+            if (type(gate) is NamedGate and self.data.size > BLOCK_AMPLITUDES
+                    and _moves_only(gate)):
+                pending.append(gate)
+                continue
+            if pending:
+                self._run_permutations(pending)
+                pending = []
+            execute(gate)
+        if pending:
+            self._run_permutations(pending)
+
+    def _run_permutations(self, gates: list[NamedGate]) -> None:
+        """One run of :func:`_moves_only` gates: gathered, or one by one."""
+        if len(gates) > 1:
+            steps = [
+                (
+                    gate_kernel(g.name, g.param, g.inverted).data[0],
+                    tuple(self.axes[t] for t in g.targets),
+                    tuple(
+                        (self.axes[c.wire], 1 if c.positive else 0)
+                        for c in g.controls
+                    ),
+                )
+                for g in gates
+            ]
+            if gather_permutations(self.data, steps):
+                if _obs.ENABLED:
+                    _obs.add("sim.kernel.fused")
+                    _obs.add("sim.fused.gates", len(gates))
+                    if self.batch > 1:
+                        _obs.add("sim.batch.gates", len(gates))
+                return
+        for gate in gates:
+            self.execute(gate)
 
     def _exec_named(self, gate: NamedGate) -> None:
         resolved = self._split_controls(gate.controls)
@@ -481,6 +530,19 @@ class StateVector:
             if p > 1e-12:
                 result[idx] = p
         return result
+
+
+def _moves_only(gate: NamedGate) -> bool:
+    """Whether *gate* only moves amplitudes: a ``PERMUTE`` kernel of
+    matching arity with unit phases, under quantum controls alone."""
+    if any(c.wire_type != QUANTUM for c in gate.controls):
+        return False
+    kernel = gate_kernel(gate.name, gate.param, gate.inverted)
+    return (
+        kernel.kind == PERMUTE
+        and kernel.arity == len(gate.targets)
+        and all(phase == 1 for phase in kernel.data[1])
+    )
 
 
 #: Precomputed type-dispatch table replacing the per-gate isinstance chain.
@@ -688,6 +750,5 @@ def simulate(bc: BCircuit, in_values: dict[int, bool] | None = None,
 
     sim = StateVector(rng=rng, batch=batch)
     sim.load_inputs(bc.circuit.inputs, in_values or {})
-    for gate in iter_flat_gates(bc):
-        sim.execute(gate)
+    sim.run(iter_flat_gates(bc))
     return sim

@@ -36,8 +36,8 @@ import dataclasses
 from typing import Callable
 
 from ..core.builder import Circ
-from ..core.circuit import (BCircuit, Circuit, RewrittenBodies, Subroutine,
-                            _in_place, body_widths)
+from ..core.circuit import (BCircuit, BodyWidths, Circuit, RewrittenBodies,
+                            Subroutine, _in_place)
 from ..core.gates import BoxCall, Control, Gate, NamedGate, map_gate_wires
 from ..core.stream import StreamConsumer, StreamingCirc
 from ..obs import core as _obs
@@ -250,7 +250,7 @@ class _Chain:
     def __init__(self, rules: tuple[Rule, ...]):
         self.rules = rules
         self.namespace: dict[str, Subroutine] = {}
-        self.widths = body_widths(self.namespace)
+        self.widths = BodyWidths(self.namespace)
         self.shapes: dict[tuple, _Template | None] | None = (
             {} if all(rule in _BASE_RULES for rule in rules) else None
         )

@@ -15,8 +15,8 @@ import dataclasses
 from typing import Callable, Optional
 
 from ..core.builder import Circ
-from ..core.circuit import (BCircuit, Circuit, RewrittenBodies, Subroutine,
-                            body_widths)
+from ..core.circuit import (BCircuit, BodyWidths, Circuit, RewrittenBodies,
+                            Subroutine)
 from ..core.gates import Gate
 from .inline import _max_wire_id
 
@@ -53,7 +53,7 @@ def _legacy_transform_bcircuit(bc: BCircuit, rule: Rule) -> BCircuit:
     namespace even when the rule touches nothing.
     """
     namespace: dict[str, Subroutine] = {}
-    widths = body_widths(namespace)
+    widths = BodyWidths(namespace)
 
     def rewrite(sub: Subroutine) -> Subroutine:
         circuit = _rewrite_circuit(sub.circuit, rule, namespace, widths)

@@ -149,3 +149,8 @@ SIMULATE = {
     **{f"teleport-h{h}": teleport(h) for h in range(2, 9)},
     **{f"cl-w{w}": cl(w) for w in range(3, 7)},
 }
+
+#: The ``sim_wide`` entries past 16 qubits (20 and 21 at their widest),
+#: whose reversible arithmetic holds long runs of X, CNOT and Toffoli
+#: gates on states of 2**17 amplitudes and more.
+SIMULATE_WIDE = {"bwt-n3": bwt(3), "tf-mul-l2": tf("mul", 2)}

@@ -30,7 +30,7 @@ from repro.backends.base import BackendError, outcome_key
 from repro.backends.statevector import suffix_peak_and_events
 from repro.core.circuit import BCircuit, Circuit
 from repro.core.gates import (CGate, CNot, Control, Discard, Init, Measure,
-                              NamedGate)
+                              NamedGate, Term)
 from repro.core.errors import SimulationError
 from repro.core.wires import CLASSICAL, QUANTUM
 from repro.obs import core as obs_core
@@ -38,8 +38,8 @@ from repro.sim import run_generic, run_with_lifting
 from repro.sim.kernels import DENSE, DIAGONAL, PERMUTE, PHASE, gate_kernel
 from repro.sim.matrices import gate_matrix_cached
 from repro.sim.state import LegacyStateVector, StateVector, simulate
-from repro.transform.inline import CompiledCircuit
-from families import SIMULATE
+from repro.transform.inline import CompiledCircuit, compile_flat
+from families import SIMULATE, SIMULATE_WIDE
 from strategies import (
     PARAMETRIZED as _PARAMETRIZED,
     VOCABULARY as _VOCABULARY,
@@ -595,6 +595,20 @@ def _random_stochastic_circuit(trial):
     ))
 
 
+def _unmeasured(bc):
+    """*bc* inlined, its trailing ``Measure`` gates dropped: the outputs
+    they measured stay qubits, so a B=1 run returns their amplitudes."""
+    gates = compile_flat(bc).gates
+    tail = len(gates)
+    while tail and isinstance(gates[tail - 1], Measure):
+        tail -= 1
+    measured = {g.wire for g in gates[tail:]}
+    outputs = tuple(
+        (w, QUANTUM if w in measured else t) for w, t in bc.circuit.outputs
+    )
+    return BCircuit(Circuit(bc.circuit.inputs, list(gates[:tail]), outputs))
+
+
 class TestPinnedResults:
     """Seeded results of the statevector engine, pinned by SHA-256.
 
@@ -626,6 +640,35 @@ class TestPinnedResults:
         ]
         assert _digest(records) == (
             "8988098f3f9e912900e3565b5a6c4186c315a270904e24bade70825c7bf2d380"
+        )
+
+    def test_wide_catalogue(self):
+        # Seeded counts and B=1 states of the entries past 16 qubits,
+        # whose runs of X/CNOT/Toffoli gates act on states of 2**17 to
+        # 2**21 amplitudes.  bwt-n3 is also pinned before its trailing
+        # measurements, and tf-mul-l2 (a classical reversible circuit)
+        # on seeded basis inputs, so every amplitude the runs move shows.
+        records = []
+        for entry, make in SIMULATE_WIDE.items():
+            for seed in (1, 2):
+                records.append([entry, seed, _sample_record(
+                    make().run(shots=1024, seed=seed)
+                )])
+            records.append([entry, _state_record(make().run(seed=1))])
+        backend = get_backend("statevector")
+        bwt = SIMULATE_WIDE["bwt-n3"]().bcircuit
+        records.append(["bwt-n3", "unmeasured", _state_record(
+            backend.run(_unmeasured(bwt), seed=1)
+        )])
+        tf = SIMULATE_WIDE["tf-mul-l2"]().bcircuit
+        for seed in (1, 2):
+            rnd = random.Random(seed)
+            in_values = {w: rnd.random() < 0.5 for w, _ in tf.circuit.inputs}
+            records.append(["tf-mul-l2", seed, _state_record(
+                backend.run(tf, in_values=in_values, seed=seed)
+            )])
+        assert _digest(records) == (
+            "d31c700b05420234177271abf64b2650c89990871774ffac4ca4a1dea64270af"
         )
 
     def test_random_stochastic_circuits(self):
@@ -693,3 +736,126 @@ class TestPinnedResults:
             assert streamed.counts == program.run(shots=64, seed=1).counts
             if program is bwt:
                 assert "replays" not in streamed.metadata
+
+
+#: The basis permutations a run may fuse, as (name, targets, controls):
+#: X, CNOT, Toffoli, swap and Fredkin.
+_MOVES = (("not", 1, 0), ("not", 1, 1), ("not", 1, 2), ("swap", 2, 0),
+          ("swap", 2, 1))
+
+
+def _permutation_circuit(rnd, n):
+    """Seeded runs of basis permutations over an ``n``-qubit superposition.
+
+    Runs of 2-12 moves (either control sign, often controlled on wire 0,
+    which no move flips unless a run is drawn to) alternate with an H, T,
+    Y, a classically controlled X, or an ancilla's Init or Term; an
+    ancilla is only a control until its Term, and a measured ancilla
+    gives the classical control a bit that differs between members.
+    """
+    gates = list(_superpose(n))
+    gates += [Init(n, False), NamedGate("H", (n,)), Measure(n)]
+    ancilla = None
+    for _ in range(10):
+        flips_outermost = rnd.random() < 0.2
+        live = list(range(n)) + ([ancilla[0]] if ancilla else [])
+        for _ in range(rnd.randint(2, 12)):
+            name, arity, controls = rnd.choice(_MOVES)
+            targets = rnd.sample(range(4, n), arity)
+            if flips_outermost:
+                targets[0], flips_outermost = 0, False
+            pool = [w for w in live if w not in targets]
+            wires = rnd.sample(pool, controls)
+            if 0 in pool and 0 not in wires and rnd.random() < 0.5:
+                wires.append(0)
+            gates.append(NamedGate(name, tuple(targets), tuple(
+                Control(w, rnd.random() < 0.5) for w in wires
+            )))
+        roll = rnd.randrange(6)
+        wire = rnd.randrange(n)
+        if roll == 0:
+            gates.append(NamedGate("H", (wire,)))
+        elif roll == 1:
+            gates.append(NamedGate("T", (wire,)))
+        elif roll == 2:
+            gates.append(NamedGate("Y", (wire,)))
+        elif roll == 3:
+            gates.append(NamedGate(
+                "not", (wire,), (Control(n, rnd.random() < 0.5, CLASSICAL),)
+            ))
+        elif ancilla is None:
+            ancilla = (n + 1 + rnd.randrange(100), rnd.random() < 0.5)
+            gates.append(Init(*ancilla))
+        else:
+            gates.append(Term(*ancilla))
+            ancilla = None
+    return gates
+
+
+def _prepared(n, batch):
+    sim = StateVector(rng=np.random.default_rng(7), batch=batch)
+    for w in range(n):
+        sim.add_qubit(w, False)
+    return sim
+
+
+def _assert_same_state(fused, reference):
+    assert fused.axes == reference.axes
+    assert fused.data.tobytes() == reference.data.tobytes()
+    assert fused.bits.keys() == reference.bits.keys()
+    for wire, bits in reference.bits.items():
+        assert np.array_equal(fused.bits[wire], bits)
+
+
+class TestFusedRuns:
+    """``StateVector.run`` against ``execute`` gate by gate, byte for byte.
+
+    ``run`` gathers each run of two or more basis permutations once the
+    state exceeds one block; amplitudes only move, so the state, wire
+    axes and bits must be the bytes of the per-gate path.
+    """
+
+    @pytest.mark.parametrize("batch,n", [(1, 18), (3, 17)])
+    def test_runs_equal_gates_one_by_one(self, batch, n):
+        fused_runs = 0
+        for trial in range(4):
+            gates = _permutation_circuit(random.Random(8800 + trial), n)
+            fused, reference = _prepared(n, batch), _prepared(n, batch)
+            with obs_core.capture() as rec:
+                fused.run(gates)
+            for gate in gates:
+                reference.execute(gate)
+            _assert_same_state(fused, reference)
+            fused_runs += rec.counters.get("sim.kernel.fused", 0)
+            assert rec.counters.get("sim.fused.gates", 0) >= (
+                2 * rec.counters.get("sim.kernel.fused", 0)
+            )
+        assert fused_runs > 0
+
+    def test_outermost_axis(self):
+        # bwt-n3's runs are controlled on the outermost axis: it picks
+        # each block's table, and the run is gathered.  A run that flips
+        # the outermost axis goes gate by gate.
+        n = 17
+        controlled = [
+            NamedGate("not", (5,), (Control(0, True), Control(9, False))),
+            NamedGate("not", (12,), (Control(0, False),)),
+            NamedGate("swap", (3, 14), (Control(0, True),)),
+            NamedGate("not", (16,), (Control(0, True), Control(2, True))),
+            NamedGate("not", (8,)),
+        ]
+        flipping = [NamedGate("not", (0,), (Control(7, True),))] + controlled
+        for gates, runs in ((controlled, 1), (flipping, 0)):
+            fused, reference = _prepared(n, 1), _prepared(n, 1)
+            for sim in (fused, reference):
+                for gate in _superpose(n):
+                    sim.execute(gate)
+            with obs_core.capture() as rec:
+                fused.run(gates)
+            for gate in gates:
+                reference.execute(gate)
+            _assert_same_state(fused, reference)
+            assert rec.counters.get("sim.kernel.fused", 0) == runs
+            assert rec.counters.get("sim.kernel.permute", 0) == (
+                0 if runs else len(gates)
+            )

@@ -650,6 +650,33 @@ class TestWidthMemoization:
         bc1.check()  # memoizes widths in bc1 only
         assert bc1.namespace["sub"] == bc2.namespace["sub"]
 
+    def test_checks_leave_no_memo_for_the_cycle_collector(self):
+        # Each check's width memo is freed by reference counting alone:
+        # its fact is handed the memo, not a closure over it.
+        import gc
+
+        from families import ESTIMATE_CATALOGUE, SIMULATE
+        from repro.core.circuit import SubroutineMemo
+
+        def memos():
+            return sum(isinstance(o, SubroutineMemo) for o in gc.get_objects())
+
+        make, base = ESTIMATE_CATALOGUE["bwt-n4"]
+        lowered = make().transform(base).bcircuit
+        program = SIMULATE["cl-w4"]()
+        program.run(shots=16, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            before = memos()
+            for _ in range(5):
+                assert lowered.check() > 0
+            for seed in range(3):
+                program.run(shots=16, seed=seed)
+            assert memos() == before
+        finally:
+            gc.enable()
+
 
 class TestGoldenQasm:
     """Pin the exact QASM text for every algorithm family.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -34,6 +35,7 @@ from repro.core.gates import (
     CGate,
     CInit,
     Control,
+    Discard,
     Init,
     Measure,
     NamedGate,
@@ -336,8 +338,10 @@ def _seeded_inputs():
     for seed in range(250):
         rnd = random.Random(f"liveness/{seed}")
         n = rnd.randint(3, 6)
+        # gate, ancilla and CInit shares 0.6 + 0.2 + 0.1 leave 0.1 to
+        # mid-circuit Measure/Discard.
         gates = random_gates(rnd, n, steps=rnd.randint(10, 40),
-                             ancilla_p=0.2)
+                             gate_p=0.6, ancilla_p=0.2)
         inputs = tuple((w, QUANTUM) for w in range(n))
         outputs = _end_state(inputs, gates)
         top = max(w for g in gates
@@ -354,6 +358,11 @@ def test_in_place_path_matches_general_path():
     cases = _seeded_inputs()
     kinds = {kind for kind, *_ in cases}
     assert sum(kind != "clean" for kind, *_ in cases) >= 500
+    clean = Counter(
+        type(g) for kind, _, gates, _ in cases if kind == "clean"
+        for g in gates
+    )
+    assert clean[Measure] and clean[Discard], clean
     verdicts = set()
     for kind, inputs, gates, outputs in cases:
         fast = _walk(track_gate, inputs, gates, outputs, {})
