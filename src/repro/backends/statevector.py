@@ -2,10 +2,12 @@
 
 Wraps :mod:`repro.sim.state` as the registry's ``"statevector"`` backend.
 Every run loads its inputs into a batch-1 state
-(:meth:`~repro.sim.state.StateVector.load_inputs`) and executes gates
-through :meth:`~repro.sim.state.StateVector.run`, which gathers each run
-of basis permutations (X, CNOT, Toffoli, swap, Fredkin) on a state past
-one block at once.  Then:
+(:meth:`~repro.sim.state.StateVector.load_inputs`, one allocation) and
+executes gates through :meth:`~repro.sim.state.StateVector.run`, which
+allocates each run of ``Init`` gates at once, terminates each run of
+``Term`` gates in one pass over the state, and gathers each run of basis
+permutations (X, CNOT, Toffoli, swap, Fredkin) on a state past one block
+at once.  Then:
 
 * ``shots=None`` streams the whole hierarchy lazily through that state
   (no materialized gate list, so arbitrarily deep hierarchies work) and
@@ -261,7 +263,9 @@ class StatevectorFeed(StreamConsumer):
     emitted gate is executed the moment it arrives (boxed calls expanded
     on the fly through the lazy inliner), so circuits are simulated while
     they are being *generated*, without a gate list or a BCircuit ever
-    existing.  A run of ``Measure`` gates is held until a later gate
+    existing.  Gates run one at a time, so a run of ``Init`` or ``Term``
+    gates is not grouped as :meth:`~repro.sim.state.StateVector.run`
+    groups it.  A run of ``Measure`` gates is held until a later gate
     arrives, so a stream whose only measurements are trailing ones ends
     holding them (their wires are ``measured``).  ``stochastic`` records
     whether an executed ``Measure``/``Discard`` consumed randomness --

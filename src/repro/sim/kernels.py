@@ -43,6 +43,10 @@ every amplitude once: :func:`gather_permutations` composes the run on a
 small table of offsets, by applying the permutation kernel to the table,
 and gathers the state block by block through it.  Reversible arithmetic
 (the paper's lifted classical oracles) is mostly such runs.
+
+A run of ``Term`` gates (the uncomputed ancillas of ``with_computed``)
+checks every assertion from one reduction: :func:`pattern_weights` gives
+each member's weight on every pattern of the terminated wires' bits.
 """
 
 from __future__ import annotations
@@ -79,6 +83,12 @@ GATHER_AMPLITUDES = 1 << 14
 #: (each gate moves the share of its control subspace that its
 #: permutation does not fix: 1/4 of the state for a Toffoli).
 GATHER_MIN_MOVED = 1.0
+
+#: The most innermost qubit axes :func:`pattern_weights` keeps whole as
+#: one output dimension: 2**13 floats with the real/imaginary pair, past
+#: which the block costs more than summing the axes it would hold
+#: (``docs/performance.md``).
+WEIGHT_BLOCK_AXES = 12
 
 
 class Kernel(NamedTuple):
@@ -305,6 +315,76 @@ def gather_permutations(data: np.ndarray, steps) -> bool:
             np.take(block, index, axis=1, out=temporary)
             block[...] = temporary
     return True
+
+
+def pattern_weights(data: np.ndarray, axes) -> np.ndarray:
+    """Each member's squared amplitude mass on every pattern of the bits
+    on *axes*, in one reduction over ``data``.
+
+    ``data`` is the ``(B, 2**n)`` buffer and *axes* are distinct qubit
+    axes counted from the outermost (no batch axis).  Returns a ``(B,) +
+    (2,) * k`` array whose axis ``j + 1`` is the bit of ``axes[j]``.
+
+    One ``einsum`` reads the buffer as floats, real and imaginary parts
+    side by side, and sums their squares with no temporary
+    (:func:`_weights_plan` lays it out).
+    """
+    batch, size = data.shape
+    shape, operand, output, block, summed, transpose = _weights_plan(
+        batch, size.bit_length() - 1, tuple(axes)
+    )
+    floats = data.view(np.float64).reshape(shape)
+    weights = np.einsum(floats, operand, floats, operand, output)
+    if summed:
+        weights = weights.reshape(block).sum(axis=summed)
+    return weights.transpose(transpose) if transpose else weights
+
+
+@lru_cache(maxsize=1024)
+def _weights_plan(batch: int, n: int, axes: tuple[int, ...]):
+    """How :func:`pattern_weights` reduces *axes* of a ``(batch, 2**n)``
+    buffer: the float view's shape, the ``einsum`` operand and output
+    subscripts, the block's split shape and summed axes, and the
+    transpose into the order of *axes* (empty when already in order).
+
+    The innermost axes, down to the outermost of *axes* that lies within
+    :data:`WEIGHT_BLOCK_AXES` of the end and at least three, stay whole
+    with the real/imaginary pair as one output dimension, summed after;
+    each axis outside that block is an output dimension of its own.  So
+    the innermost loop runs over at least 16 floats, whichever the axes.
+    """
+    order = sorted(axes)
+    spans = [n - a for a in order if n - a <= WEIGHT_BLOCK_AXES]
+    inner = min(n, max(spans + [3])) if spans else 0  # the block's axes
+    # (B, A0, 2, A1, 2, ..., rest): one 2 per axis outside the block.
+    shape, operand, output = [batch], [0], [0]
+    start = 0
+    for axis in order:
+        if axis >= n - inner:
+            break
+        shape += [1 << (axis - start), 2]
+        operand += [len(shape) - 2, len(shape) - 1]
+        output.append(len(shape) - 1)
+        start = axis + 1
+    block, summed = (), ()
+    if inner:
+        shape += [1 << (n - inner - start), 2 << inner]
+        operand += [len(shape) - 2, len(shape) - 1]
+        output.append(len(shape) - 1)
+        block = (batch,) + (2,) * (len(output) - 2 + inner + 1)
+        summed = tuple(
+            len(output) - 1 + i
+            for i, axis in enumerate(range(n - inner, n + 1))
+            if axis not in axes
+        )
+    else:
+        shape.append(2 << (n - start))
+        operand.append(len(shape) - 1)
+    transpose = ()
+    if order != list(axes):
+        transpose = (0,) + tuple(1 + order.index(a) for a in axes)
+    return (tuple(shape), tuple(operand), tuple(output), block, summed,
+            transpose)
 
 
 def _apply_dense(view, slots, matrix) -> None:

@@ -15,7 +15,11 @@ the buffer in place through the specialized kernels of
 :mod:`repro.sim.kernels` -- diagonal gates touch half of every member
 with a single elementwise multiply, bit flips are slice exchanges, and
 only the residual dense cases combine slices per a matrix.
-:meth:`StateVector.run` executes a gate sequence, and past one block of
+:meth:`StateVector.run` executes a gate sequence.  It allocates each run
+of ``Init`` gates with one buffer (:meth:`StateVector.add_qubits`) and
+terminates each run of ``Term`` gates with one reduction and one gather
+(:meth:`StateVector.remove_qubits_asserted`): ``with_computed`` blocks
+allocate and uncompute their ancillas in such runs.  Past one block of
 amplitudes it applies each run of basis permutations (the X, CNOT and
 Toffoli runs of reversible arithmetic) as one gather per block, with the
 bytes the gates one by one give.  Kernels never index the batch axis, so
@@ -43,6 +47,7 @@ and the throughput benchmarks measure the flat engine's speedup over it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import NoReturn
 
 import numpy as np
@@ -79,6 +84,7 @@ from .kernels import (
     apply_kernel,
     gate_kernel,
     gather_permutations,
+    pattern_weights,
 )
 from .classical import _CLASSICAL_FUNCTIONS
 from .matrices import gate_matrix
@@ -194,33 +200,47 @@ class StateVector:
 
     def load_inputs(self, inputs, in_values: dict[int, bool]) -> None:
         """Allocate each ``(wire, type)`` of *inputs* in its basis value
-        from *in_values* (default False): a qubit axis or a bit."""
+        from *in_values* (default False): the qubits as one
+        :meth:`add_qubits` run, in input order, and the bits."""
+        self.add_qubits([
+            (wire, in_values.get(wire, False))
+            for wire, wtype in inputs if wtype == QUANTUM
+        ])
         for wire, wtype in inputs:
-            value = in_values.get(wire, False)
-            if wtype == QUANTUM:
-                self.add_qubit(wire, value)
-            else:
-                self.set_bit(wire, value)
+            if wtype != QUANTUM:
+                self.set_bit(wire, in_values.get(wire, False))
 
     def add_qubit(self, wire: int, value: bool) -> None:
-        if wire in self.axes:
-            raise SimulationError(f"qubit {wire} already allocated")
-        # Appending an axis in C order interleaves: new[2*i + bit] = old[i]
-        # member by member.
-        grown = np.zeros((self.batch, self.data.shape[1] * 2), dtype=complex)
-        grown[:, int(value)::2] = self.data
-        self.data = grown
-        self.axes[wire] = len(self.axes)
+        self.add_qubits(((wire, value),))
 
-    def _remove_axis(self, wire: int, keep_index: int) -> None:
-        """Collapse *wire* to the same basis state in every member."""
-        axis = self.axes.pop(wire)
-        view = self.data.reshape((self.batch,) + (2,) * (len(self.axes) + 1))
-        kept = view[_subindex(view.ndim, ((axis + 1, keep_index),))]
-        self.data = np.ascontiguousarray(kept).reshape(self.batch, -1)
-        for other, other_axis in self.axes.items():
-            if other_axis > axis:
-                self.axes[other] = other_axis - 1
+    def add_qubits(self, pairs) -> None:
+        """Allocate each ``(wire, value)`` of *pairs*, in order, as a new
+        innermost axis in its basis state: what as many ``Init`` gates
+        give, byte for byte, from one allocation.
+
+        Appending k axes in C order spreads the state out: ``new[2**k * i
+        + slot] = old[i]`` member by member, where the k values, first
+        most significant, spell ``slot``, and every other amplitude is
+        zero.  A wire already live, or twice in *pairs*, raises after the
+        wires before it are allocated, as the gates one by one would.
+        """
+        slot = 0
+        for j, (wire, value) in enumerate(pairs):
+            if wire in self.axes:
+                # Allocate the wires before it, then refuse, as one by one.
+                for earlier, _ in pairs[:j]:
+                    del self.axes[earlier]
+                self.add_qubits(pairs[:j])
+                raise SimulationError(f"qubit {wire} already allocated")
+            self.axes[wire] = len(self.axes)
+            slot = slot << 1 | bool(value)
+        if not pairs:
+            return
+        spread = 1 << len(pairs)
+        grown = np.zeros((self.batch, self.data.shape[1] * spread),
+                         dtype=complex)
+        grown[:, slot::spread] = self.data
+        self.data = grown
 
     def _remove_axis_members(self, wire: int, outcomes: np.ndarray) -> None:
         """Collapse *wire* to a per-member basis state (batched measure).
@@ -249,17 +269,67 @@ class StateVector:
         ]
         return (abs(half) ** 2).reshape(self.batch, -1).sum(axis=1)
 
-    def remove_qubit_asserted(self, wire: int, value: bool) -> None:
-        """Project onto |value> after checking the assertion holds for
-        every member."""
-        wrong = float(self._axis_weights(wire, 1 - int(value)).max())
-        if math.sqrt(wrong) > 1e-6:
-            raise AssertionFailedError(
-                f"qubit {wire} terminated with assertion |{int(value)}> "
-                "but has nonzero amplitude in the other basis state"
-            )
-        self._remove_axis(wire, int(value))
-        self._renormalize()
+    def remove_qubits_asserted(self, pairs) -> None:
+        """Project onto each ``(wire, value)`` of *pairs* in turn, each
+        assertion checked for every member: what as many ``Term`` gates
+        give, to rounding, from one reduction and one gather.
+
+        :func:`~repro.sim.kernels.pattern_weights` gives each member's
+        weight on every pattern of the wires' bits.  From those, Term j
+        fails when the weight of its wrong value given the earlier wires
+        kept (relative to the weight they kept, as the state the earlier
+        Terms leave is normalized) exceeds amplitude 1e-6, naming its
+        wire, and a member whose kept share falls under the norm
+        tolerance is a collapse, both checked in the Terms' order and
+        before the state changes.  The kept block is then gathered once
+        and scaled by one over the square root of its weight, unless that
+        weight is exactly 1.  A wire not live, or twice in *pairs*,
+        raises once the wires before it are terminated, so an earlier
+        Term's failure is raised first.
+        """
+        axes = []
+        for j, (wire, _) in enumerate(pairs):
+            axis = self.axes.get(wire)
+            if axis is None or axis in axes:
+                self.remove_qubits_asserted(pairs[:j])
+                raise SimulationError(f"qubit {wire} is not allocated")
+            axes.append(axis)
+        if not pairs:
+            return
+        n = len(self.axes)
+        weights = pattern_weights(self.data, axes)
+        held = None  # each member's weight the earlier Terms kept
+        for wire, value in pairs:
+            bit = int(value)
+            both = weights  # this wire's two values, the earlier kept
+            if both.ndim > 2:
+                both = both.reshape(self.batch, 2, -1).sum(axis=2)
+            wrong, kept = both[:, 1 - bit], both[:, bit]
+            share = kept
+            if held is not None:
+                wrong, share = wrong / held, kept / held
+            if math.sqrt(float(wrong.max())) > 1e-6:
+                raise AssertionFailedError(
+                    f"qubit {wire} terminated with assertion |{bit}> "
+                    "but has nonzero amplitude in the other basis state"
+                )
+            if math.sqrt(float(share.min())) < _TOLERANCE:
+                raise SimulationError("a batch member collapsed to zero norm")
+            held = kept
+            weights = weights[:, bit]
+        view = self.data.reshape((self.batch,) + (2,) * n)
+        kept_block = view[_subindex(n + 1, tuple(
+            (axis + 1, int(value)) for axis, (_, value) in zip(axes, pairs)
+        ))]
+        self.data = np.ascontiguousarray(kept_block).reshape(self.batch, -1)
+        if (held != 1.0).any():
+            floats = self.data.view(np.float64)
+            floats *= (1.0 / np.sqrt(held))[:, None]
+        gone = sorted(axes)
+        for wire, _ in pairs:
+            del self.axes[wire]
+        for other, axis in self.axes.items():
+            self.axes[other] = axis - bisect_left(gone, axis)
 
     def measure_qubit(self, wire: int):
         """Measure *wire*, collapsing each member to its own outcome.
@@ -384,27 +454,56 @@ class StateVector:
     def run(self, gates) -> None:
         """Execute *gates* in order, with the results of :meth:`execute`.
 
-        Once the state holds more than :data:`~repro.sim.kernels.
-        BLOCK_AMPLITUDES` amplitudes, each maximal run of two or more
-        basis permutations (X, CNOT, Toffoli, swap, Fredkin: see
-        :func:`_moves_only`) goes to :func:`~repro.sim.kernels.
-        gather_permutations` as one gather per block, and gate by gate
-        when that declines.  Amplitudes only move, so every amplitude,
-        bit and draw is what the gates one by one give.
+        Each maximal run of consecutive ``Init`` gates is one
+        :meth:`add_qubits` call (the bytes the gates one by one give), and
+        each maximal run of consecutive ``Term`` gates one
+        :meth:`remove_qubits_asserted` call (the same checks and errors,
+        amplitudes to rounding).  Once the state holds more than
+        :data:`~repro.sim.kernels.BLOCK_AMPLITUDES` amplitudes, each
+        maximal run of two or more basis permutations (X, CNOT, Toffoli,
+        swap, Fredkin: see :func:`_moves_only`) goes to
+        :func:`~repro.sim.kernels.gather_permutations` as one gather per
+        block, and gate by gate when that declines; amplitudes only move.
         """
         execute = self.execute
-        pending: list[NamedGate] = []
+        pending: list[Gate] = []  # a run of gates of one type
         for gate in gates:
-            if (type(gate) is NamedGate and self.data.size > BLOCK_AMPLITUDES
-                    and _moves_only(gate)):
+            kind = type(gate)
+            if pending and kind is not type(pending[0]):
+                self._run_pending(pending)
+                pending = []
+            if kind is NamedGate:
+                if self.data.size > BLOCK_AMPLITUDES and _moves_only(gate):
+                    pending.append(gate)
+                    continue
+                if pending:
+                    self._run_pending(pending)
+                    pending = []
+            elif kind is Init or kind is Term:
                 pending.append(gate)
                 continue
-            if pending:
-                self._run_permutations(pending)
-                pending = []
             execute(gate)
         if pending:
-            self._run_permutations(pending)
+            self._run_pending(pending)
+
+    def _run_pending(self, gates: list[Gate]) -> None:
+        """One run of gates of one type, as :meth:`run` groups them."""
+        kind = type(gates[0])
+        if kind is NamedGate:
+            self._run_permutations(gates)
+            return
+        if len(gates) == 1:
+            self.execute(gates[0])
+            return
+        pairs = [(gate.wire, gate.value) for gate in gates]
+        if kind is Init:
+            self.add_qubits(pairs)
+        else:
+            self.remove_qubits_asserted(pairs)
+        if _obs.ENABLED:
+            _obs.add("sim.init.runs" if kind is Init else "sim.term.runs")
+            if self.batch > 1:
+                _obs.add("sim.batch.gates", len(gates))
 
     def _run_permutations(self, gates: list[NamedGate]) -> None:
         """One run of :func:`_moves_only` gates: gathered, or one by one."""
@@ -456,10 +555,10 @@ class StateVector:
         return
 
     def _exec_init(self, gate: Init) -> None:
-        self.add_qubit(gate.wire, gate.value)
+        self.add_qubits(((gate.wire, gate.value),))
 
     def _exec_term(self, gate: Term) -> None:
-        self.remove_qubit_asserted(gate.wire, gate.value)
+        self.remove_qubits_asserted(((gate.wire, gate.value),))
 
     def _exec_discard(self, gate: Discard) -> None:
         self.measure_qubit(gate.wire)  # trace out by sampling
@@ -710,15 +809,10 @@ class LegacyStateVector:
                 self.bits[gate.target] = value
             return
         if isinstance(gate, CNot):
-            satisfied = all(
-                (
-                    self.bits[c.wire] == c.positive
-                    if c.wire_type != QUANTUM
-                    else _refuse_qubit_control()
-                )
-                for c in gate.controls
-            )
-            if satisfied:
+            # A qubit control is refused whatever the bits read.
+            if any(c.wire_type == QUANTUM for c in gate.controls):
+                _refuse_qubit_control()
+            if all(self.bits[c.wire] == c.positive for c in gate.controls):
                 self.bits[gate.wire] = not self.bits[gate.wire]
             return
         if isinstance(gate, BoxCall):

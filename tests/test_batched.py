@@ -31,11 +31,12 @@ from repro.backends.statevector import suffix_peak_and_events
 from repro.core.circuit import BCircuit, Circuit
 from repro.core.gates import (CGate, CNot, Control, Discard, Init, Measure,
                               NamedGate, Term)
-from repro.core.errors import SimulationError
+from repro.core.errors import AssertionFailedError, SimulationError
 from repro.core.wires import CLASSICAL, QUANTUM
 from repro.obs import core as obs_core
 from repro.sim import run_generic, run_with_lifting
-from repro.sim.kernels import DENSE, DIAGONAL, PERMUTE, PHASE, gate_kernel
+from repro.sim.kernels import (DENSE, DIAGONAL, PERMUTE, PHASE, gate_kernel,
+                                pattern_weights)
 from repro.sim.matrices import gate_matrix_cached
 from repro.sim.state import LegacyStateVector, StateVector, simulate
 from repro.transform.inline import CompiledCircuit, compile_flat
@@ -543,6 +544,14 @@ class TestClassicalGatesAcrossBatchSizes:
                 sim.set_bit(8, value)
                 with pytest.raises(SimulationError, match="qubit"):
                     sim.execute(gate)
+        # The reference engine refuses it too, also when the classical
+        # control, read first, is False.
+        for value in (False, True):
+            legacy = LegacyStateVector()
+            legacy.add_qubit(0, False)
+            legacy.bits.update({7: False, 8: value})
+            with pytest.raises(SimulationError, match="qubit"):
+                legacy.execute(gate)
 
 
 def _pin_program(entry, seed):
@@ -687,8 +696,34 @@ class TestPinnedResults:
             )))
             records.append(row)
         assert forked >= 50
+        # Re-recorded when a Term run began rescaling by its own kept
+        # weight: 29 of the 60 states moved, by at most 4.5e-16, and no
+        # sample record did (test_random_stochastic_counts).
         assert _digest(records) == (
-            "e0fcf22182bb8903807fa8001532ade7f5fa1b8b05f2b8f03a6014aff4757d89"
+            "05ed2b504ba9475a2e3a7005bd4fb1d5436206fa2170f73f1725d18b61208b02"
+        )
+
+    def test_random_stochastic_counts(self):
+        # What test_random_stochastic_circuits pins except the amplitude
+        # bytes: seeded counts at three batch settings, and the single
+        # run's wire order and bits.  A Term in superposition rescales by
+        # its own kept weight, so amplitudes may move by rounding; no
+        # count, wire or bit may.
+        records = []
+        for trial in range(60):
+            bc = _random_stochastic_circuit(trial)
+            row = [trial]
+            for batch in (None, 1, 3):
+                row.append(_sample_record(get_backend(
+                    "statevector", batch=batch
+                ).run(bc, shots=32, seed=trial)))
+            single = get_backend("statevector").run(bc, seed=trial)
+            row.append([list(single.statevector_wires), sorted(
+                (w, bool(v)) for w, v in single.bits.items()
+            )])
+            records.append(row)
+        assert _digest(records) == (
+            "70f244c3aea6268504bc17e41995e4ac4e8aa512ebf74e0e94e748aef6c1dd85"
         )
 
     def test_scalar_surface(self):
@@ -799,9 +834,15 @@ def _prepared(n, batch):
     return sim
 
 
-def _assert_same_state(fused, reference):
+def _assert_same_state(fused, reference, atol=None):
+    """Same axes and bits, and the same amplitude bytes (or amplitudes
+    within *atol*)."""
     assert fused.axes == reference.axes
-    assert fused.data.tobytes() == reference.data.tobytes()
+    if atol is None:
+        assert fused.data.tobytes() == reference.data.tobytes()
+    else:
+        np.testing.assert_allclose(fused.data, reference.data, rtol=0,
+                                   atol=atol)
     assert fused.bits.keys() == reference.bits.keys()
     for wire, bits in reference.bits.items():
         assert np.array_equal(fused.bits[wire], bits)
@@ -859,3 +900,216 @@ class TestFusedRuns:
             assert rec.counters.get("sim.kernel.permute", 0) == (
                 0 if runs else len(gates)
             )
+
+
+#: Wrong-value weight an almost-reset ancilla keeps: under the Term
+#: threshold (amplitude 1e-6, weight 1e-12) alone, over it twice.
+_NEARLY_RESET = 0.6e-12
+
+
+def _ancilla_circuit(rnd, n):
+    """Seeded runs of Init and Term gates over an ``n``-qubit register.
+
+    After a preamble that superposes the register and measures a fresh
+    qubit (a bit that differs between members), each round allocates two
+    Init runs of 1-7 wires, either value, each followed by a CNOT or a
+    Toffoli from the register into every ancilla; adds T phases and
+    uncomputes.  Two of the first run's ancillas are then rotated by a
+    weight of :data:`_NEARLY_RESET` each, so their run keeps a weight
+    short of 1 by more than rounding.  The first run is terminated in a
+    random order, on middle axes (the second run lies inside it), and the
+    second last in, first out on the innermost axes; half the time the
+    two Term runs touch and are one run.  Rounds alternate with H, T,
+    CNOT, Toffoli and a classically controlled X on the register.
+    """
+    tilt = 2 * np.arcsin(np.sqrt(_NEARLY_RESET))
+    gates = list(_superpose(n))
+    gates += [Init(n, False), NamedGate("H", (n,)), Measure(n)]
+    fresh = n + 1
+    for _ in range(3):
+        runs, compute = [], []
+        for _ in range(2):
+            run = [(fresh + i, rnd.random() < 0.5)
+                   for i in range(rnd.randint(1, 7))]
+            fresh += len(run)
+            gates += [Init(w, v) for w, v in run]
+            runs.append(run)
+            for w, _ in run:
+                compute.append(NamedGate("not", (w,), tuple(
+                    Control(c, rnd.random() < 0.5)
+                    for c in rnd.sample(range(n), rnd.randint(1, 2))
+                )))
+                gates.append(compute[-1])
+        gates += [NamedGate("T", (w,)) for w, _ in runs[0] + runs[1]
+                  if rnd.random() < 0.5]
+        gates += compute[::-1]
+        first, second = runs
+        for w, _ in rnd.sample(first, min(2, len(first))):
+            gates.append(NamedGate("Ry", (w,), param=tilt))
+        gates += [Term(w, v) for w, v in rnd.sample(first, len(first))]
+        if rnd.random() < 0.5:
+            gates.append(NamedGate("T", (rnd.randrange(n),)))
+        gates += [Term(w, v) for w, v in reversed(second)]
+        a, b, c = rnd.sample(range(n), 3)
+        gates += [
+            NamedGate("H", (a,)), NamedGate("T", (b,)),
+            NamedGate("not", (c,), (Control(a, True),)),
+            NamedGate("not", (a,), (Control(b, True), Control(c, False))),
+            NamedGate("not", (b,), (Control(n, rnd.random() < 0.5, CLASSICAL),)),
+        ]
+    return gates
+
+
+def _raised(sim, gates, one_by_one):
+    """The error that running *gates* raises, as its type and message."""
+    with pytest.raises((AssertionFailedError, SimulationError)) as caught:
+        if one_by_one:
+            for gate in gates:
+                sim.execute(gate)
+        else:
+            sim.run(gates)
+    return type(caught.value), str(caught.value)
+
+
+class TestInitTermRuns:
+    """``StateVector.run`` against ``execute`` gate by gate on Init and
+    Term runs.
+
+    ``run`` allocates each run of Inits with one ``add_qubits`` and
+    terminates each run of Terms with one ``remove_qubits_asserted``.
+    An Init run gives the bytes of the gates one by one; a Term run
+    checks every assertion as the gates would, in order, and rescales
+    the kept block by its own weight, so amplitudes agree to rounding,
+    also with :class:`LegacyStateVector`, which renormalizes after every
+    Term.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_runs_equal_gates_one_by_one(self, batch):
+        n = 5
+        for trial in range(6):
+            gates = _ancilla_circuit(random.Random(9300 + trial), n)
+            first_term = next(
+                i for i, g in enumerate(gates) if isinstance(g, Term)
+            )
+            grouped, reference = _prepared(n, batch), _prepared(n, batch)
+            grouped.run(gates[:first_term])
+            for gate in gates[:first_term]:
+                reference.execute(gate)
+            _assert_same_state(grouped, reference)
+            grouped.run(gates[first_term:])
+            for gate in gates[first_term:]:
+                reference.execute(gate)
+            _assert_same_state(grouped, reference, atol=1e-14)
+            if batch == 1:
+                # The reference engine renormalizes after every Term.
+                legacy = LegacyStateVector(rng=np.random.default_rng(7))
+                for gate in [Init(w, False) for w in range(n)] + gates:
+                    legacy.execute(gate)
+                assert legacy.axes == grouped.axes
+                assert legacy.bits == _member_bits(grouped, 0)
+                np.testing.assert_allclose(
+                    grouped.data.ravel(), legacy.state.ravel(), rtol=0,
+                    atol=1e-14,
+                )
+
+    def test_every_run_is_counted_once(self):
+        gates = [Init(10, True), Init(11, False), Init(12, True),
+                 NamedGate("H", (0,)), Init(13, False),
+                 NamedGate("H", (0,)), Term(13, False), Term(11, False),
+                 Term(10, True), NamedGate("T", (1,)), Term(12, True)]
+        counts = {}
+        for batch in (1, 3):
+            for grouped in (True, False):
+                sim = _prepared(3, batch)
+                with obs_core.capture() as rec:
+                    if grouped:
+                        sim.run(gates)
+                    else:
+                        for gate in gates:
+                            sim.execute(gate)
+                counts[batch, grouped] = rec.counters
+        def kernel(counters):
+            return {k: v for k, v in counters.items()
+                    if k.startswith("sim.kernel.")}
+
+        for batch in (1, 3):
+            runs = counts[batch, True]
+            assert runs.get("sim.init.runs") == 1
+            assert runs.get("sim.term.runs") == 1
+            assert "sim.init.runs" not in counts[batch, False]
+            # No run is a kernel dispatch (the benchmark sums sim.kernel.*).
+            assert kernel(runs) == kernel(counts[batch, False])
+        assert counts[3, True]["sim.batch.gates"] == len(gates)
+        assert counts[3, False]["sim.batch.gates"] == len(gates)
+        assert "sim.batch.gates" not in counts[1, True]
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_failed_assertion_names_the_same_wire(self, batch):
+        # Term j of a run fails, the Terms before it pass: the run
+        # raises what the gate that fails raises, one by one.
+        n, k = 4, 5
+        tilt = 2 * np.arcsin(np.sqrt(_NEARLY_RESET))
+        for j in range(k):
+            for value in (False, True):
+                ancillas = [n + i for i in range(k)]
+                setup = list(_superpose(n))
+                setup += [Init(w, value) for w in ancillas]
+                setup += [NamedGate("Ry", (w,), param=tilt)
+                          for w in ancillas[:j]]
+                setup.append(NamedGate("H", (ancillas[j],)))
+                terms = [Term(w, value) for w in ancillas]
+                raised = []
+                for one_by_one in (True, False):
+                    sim = _prepared(n, batch)
+                    sim.run(setup)
+                    raised.append(_raised(sim, terms, one_by_one))
+                assert raised[0] == raised[1]
+                assert raised[0][0] is AssertionFailedError
+                assert f"qubit {ancillas[j]} " in raised[0][1]
+
+    def test_nearly_reset_wires_pass_one_at_a_time(self):
+        # Each wire's wrong weight is under the threshold, their sum over
+        # it: the run checks each Term, not the run's total.
+        tilt = 2 * np.arcsin(np.sqrt(_NEARLY_RESET))
+        setup = [Init(w, False) for w in (4, 5, 6)] + [
+            NamedGate("Ry", (w,), param=tilt) for w in (4, 5, 6)
+        ]
+        terms = [Term(w, False) for w in (6, 5, 4)]
+        for batch in (1, 3):
+            grouped, reference = _prepared(4, batch), _prepared(4, batch)
+            grouped.run(setup + terms)
+            for gate in setup + terms:
+                reference.execute(gate)
+            _assert_same_state(grouped, reference, atol=1e-14)
+
+    def test_pattern_weights_sum_the_squares(self):
+        # Every layout of the reduction: axes kept in the innermost block,
+        # axes outside it, and none within WEIGHT_BLOCK_AXES of the end.
+        rnd = random.Random(9400)
+        rng = np.random.default_rng(9400)
+        for _ in range(300):
+            n = rnd.randint(1, 15)
+            batch = rnd.choice((1, 3))
+            axes = rnd.sample(range(n), rnd.randint(1, min(n, 4)))
+            data = (rng.standard_normal((batch, 1 << n))
+                    + 1j * rng.standard_normal((batch, 1 << n)))
+            squares = (abs(data) ** 2).reshape((batch,) + (2,) * n)
+            expected = squares.sum(
+                axis=tuple(1 + a for a in range(n) if a not in axes)
+            ).transpose((0,) + tuple(1 + sorted(axes).index(a) for a in axes))
+            np.testing.assert_allclose(pattern_weights(data, axes), expected,
+                                       rtol=1e-12)
+
+    def test_live_and_dead_wires_raise_as_one_by_one(self):
+        cases = [
+            [Init(7, False), Init(8, True), Init(7, True)],
+            [Init(7, False), Init(2, True)],
+            [Init(7, True), Init(8, False), Term(8, False), Term(9, False)],
+            [Init(7, True), Init(8, False), Term(8, False), Term(8, False)],
+        ]
+        for gates in cases:
+            raised = [_raised(_prepared(3, 3), gates, one_by_one)
+                      for one_by_one in (True, False)]
+            assert raised[0] == raised[1]
+            assert raised[0][0] is SimulationError
