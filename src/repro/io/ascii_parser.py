@@ -294,8 +294,19 @@ def encode_shape(shape: object) -> str:
     raise AsciiParseError(f"cannot encode shape component {shape!r}")
 
 
+#: The most brackets and ``!`` markers a ``Shape:`` component may sit
+#: inside.  The shapes :func:`repro.io.dumps` writes nest a few levels
+#: deep (registers inside an argument tuple).  This reader,
+#: :func:`encode_shape` and the walks of :mod:`repro.core.qdata` recurse
+#: once or twice per level, so the bound keeps all of them far inside
+#: Python's default limit of 1,000 frames, and a line nested deeper is
+#: refused as malformed instead of overflowing the stack.
+MAX_SHAPE_DEPTH = 100
+
+
 class _ShapeReader:
-    """Recursive-descent reader for :func:`encode_shape` strings."""
+    """Recursive-descent reader for :func:`encode_shape` strings, at most
+    :data:`MAX_SHAPE_DEPTH` levels deep."""
 
     def __init__(self, text: str):
         self.text = text
@@ -312,7 +323,12 @@ class _ShapeReader:
             )
         self.pos += 1
 
-    def read(self):
+    def read(self, depth: int = 0):
+        if depth > MAX_SHAPE_DEPTH:
+            raise AsciiParseError(
+                f"shape nested deeper than {MAX_SHAPE_DEPTH} levels at "
+                f"character {self.pos}"
+            )
         char = self.peek()
         if char == "?":
             self.pos += 1
@@ -328,34 +344,34 @@ class _ShapeReader:
             return self._read_param()
         if char == "!":
             self.pos += 1
-            return self.read()
+            return self.read(depth + 1)
         if char == "(":
-            return tuple(self._read_group("(", ")"))
+            return tuple(self._read_group("(", ")", depth + 1))
         if char == "[":
-            return list(self._read_group("[", "]"))
+            return list(self._read_group("[", "]", depth + 1))
         if char == "{":
-            return self._read_dict()
+            return self._read_dict(depth + 1)
         raise AsciiParseError(
             f"bad shape syntax at {self.pos} in {self.text!r}"
         )
 
-    def _read_group(self, open_: str, close: str) -> list:
+    def _read_group(self, open_: str, close: str, depth: int) -> list:
         self.expect(open_)
         items = []
         while self.peek() != close:
-            items.append(self.read())
+            items.append(self.read(depth))
             if self.peek() == ",":
                 self.pos += 1
         self.expect(close)
         return items
 
-    def _read_dict(self) -> dict:
+    def _read_dict(self, depth: int) -> dict:
         self.expect("{")
         result = {}
         while self.peek() != "}":
             key = ast.literal_eval(self._scan_until(":"))
             self.expect(":")
-            result[key] = self.read()
+            result[key] = self.read(depth)
             if self.peek() == ",":
                 self.pos += 1
         self.expect("}")

@@ -37,6 +37,11 @@ are pinned to their required bit value in the index tuple, so every kernel
 runs on the control-satisfied subspace view directly instead of copying it
 out and back via fancy-index slice assignment.
 
+A gate is thus classified once per ``(name, param, inverted)`` and gets
+its slots once per ``(ndim, targets, controls)``: :func:`_slots` keeps
+the index tuples of each gate shape (LRU), since a circuit meets few
+shapes many times.
+
 A run of basis permutations -- permutation kernels with unit phases under
 quantum controls: X, CNOT, Toffoli, swap, Fredkin -- can instead move
 every amplitude once: :func:`gather_permutations` composes the run on a
@@ -155,18 +160,30 @@ def _pattern_bits(pattern: int, arity: int) -> tuple[int, ...]:
     return tuple((pattern >> (arity - 1 - i)) & 1 for i in range(arity))
 
 
+@lru_cache(maxsize=4096)
 def _slots(
     ndim: int,
     target_axes: tuple[int, ...],
-    ctrl: tuple[tuple[int, int], ...] = (),
-) -> list[tuple]:
+    ctrl: tuple[tuple[int, int], ...],
+) -> tuple[tuple, ...]:
     """The :func:`_subindex` of every target-bit pattern, in pattern
-    order, with the control axes pinned."""
+    order, with the control axes pinned (cached per shape).
+
+    A circuit applies few distinct ``(ndim, target_axes, ctrl)`` shapes
+    many times each, so every kernel, the offset tables of
+    :func:`gather_permutations` and ``StateVector``'s explicit matrices
+    read their index tuples from this one memo.  The table is a tuple of
+    tuples, so no caller can change what another reads.  With no
+    targets it is one slot, the control subspace.
+    """
     arity = len(target_axes)
-    return [
+    return tuple(
         _subindex(ndim, ctrl + tuple(zip(target_axes, _pattern_bits(j, arity))))
         for j in range(1 << arity)
-    ]
+    )
+
+
+_obs.register_cache("sim.slots", _slots)
 
 
 def apply_kernel(
@@ -186,7 +203,7 @@ def apply_kernel(
         if ctrl:
             _obs.add("sim.kernel.controlled")
     if kernel.kind == PHASE:
-        view[_subindex(view.ndim, ctrl)] *= kernel.data[0]
+        view[_slots(view.ndim, (), ctrl)[0]] *= kernel.data[0]
         return
     slots = _slots(view.ndim, target_axes, ctrl)
     if kernel.kind == DIAGONAL:

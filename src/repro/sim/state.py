@@ -435,7 +435,7 @@ class StateVector:
 
     def _apply_matrix(self, view, matrix, targets, ctrl) -> None:
         if not targets:  # global phase on the control subspace
-            view[_subindex(view.ndim, ctrl)] *= matrix[0, 0]
+            view[_slots(view.ndim, (), ctrl)[0]] *= matrix[0, 0]
             return
         target_axes = tuple(self.axes[t] + 1 for t in targets)
         _apply_dense(view, _slots(view.ndim, target_axes, ctrl), matrix)

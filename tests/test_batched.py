@@ -34,7 +34,8 @@ from repro.core.gates import (CGate, CNot, Control, Discard, Init, Measure,
 from repro.core.errors import AssertionFailedError, SimulationError
 from repro.core.wires import CLASSICAL, QUANTUM
 from repro.obs import core as obs_core
-from repro.sim import run_generic, run_with_lifting
+from repro.sim import kernels as sim_kernels, run_generic, run_with_lifting
+from repro.sim import state as sim_state
 from repro.sim.kernels import (DENSE, DIAGONAL, PERMUTE, PHASE, gate_kernel,
                                 pattern_weights)
 from repro.sim.matrices import gate_matrix_cached
@@ -1113,3 +1114,110 @@ class TestInitTermRuns:
                       for one_by_one in (True, False)]
             assert raised[0] == raised[1]
             assert raised[0][0] is SimulationError
+
+
+def _memo_circuit(rnd, n):
+    """A seeded :func:`random_gates` circuit that also grows and shrinks.
+
+    Fresh qubits (``Init``), ancilla triples (``Init``, a T controlled
+    by the ancilla, ``Term``) and mid-circuit ``Measure``/``Discard``
+    change the state's rank between gates, so one gate shape recurs at
+    another ``ndim``; measured wires become classical controls that
+    select some members of a batch and not others.
+    """
+    return random_gates(rnd, n, steps=60, gate_p=0.6, ancilla_p=0.1,
+                        cinit_p=0.1, fresh_p=0.1)
+
+
+def _memo_run(gates, n, batch, seed):
+    """Run *gates* on a fresh ``n``-qubit state; the state and counters."""
+    sim = StateVector(rng=np.random.default_rng(seed), batch=batch)
+    sim.add_qubits([(w, False) for w in range(n)])
+    with obs_core.capture() as rec:
+        sim.run(gates)
+    counters = {k: v for k, v in rec.counters.items()
+                if k.startswith("sim.kernel.") or k == "sim.batch.gates"}
+    return sim, counters
+
+
+class TestSlotMemo:
+    """``_slots``, memoized per ``(ndim, target_axes, ctrl)``, against its
+    undecorated function.
+
+    Each seeded circuit runs through ``StateVector.run`` with the memo and
+    again with ``_slots`` replaced by the function it wraps (in
+    :mod:`repro.sim.kernels` and :mod:`repro.sim.state`); the two runs
+    give the same amplitude bytes, axes, bits, draws and kernel
+    counters.  The circuits meet every kernel kind, both control signs,
+    classical controls that select some members, a shape met again at a
+    lower ``ndim`` and one met again with a control's bit flipped: a memo
+    keyed on less than the whole shape would hand out a wrong table.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_memo_equals_fresh_tables(self, batch, monkeypatch):
+        fresh = sim_kernels._slots.__wrapped__
+        keys = []  # every slot table the reference run builds, in order
+        partial = []  # classical masks that select some members only
+
+        def recorded(ndim, target_axes, ctrl):
+            keys.append((ndim, target_axes, ctrl))
+            return fresh(ndim, target_axes, ctrl)
+
+        split = StateVector._split_controls
+
+        def split_recorded(sim, controls):
+            resolved = split(sim, controls)
+            if resolved is not None and resolved[1] is not None:
+                partial.append(controls)
+            return resolved
+
+        kinds = set()
+        for trial in range(24):
+            rnd = random.Random(9600 + trial)
+            n = 3 + trial % 6
+            gates = _memo_circuit(rnd, n)
+            memo, memo_counters = _memo_run(gates, n, batch, trial)
+            with monkeypatch.context() as patch:
+                patch.setattr(sim_kernels, "_slots", recorded)
+                patch.setattr(sim_state, "_slots", recorded)
+                patch.setattr(StateVector, "_split_controls", split_recorded)
+                reference, counters = _memo_run(gates, n, batch, trial)
+            _assert_same_state(memo, reference)
+            assert memo.rng.bit_generator.state == (
+                reference.rng.bit_generator.state
+            )
+            assert memo_counters == counters
+            for gate in gates:
+                if isinstance(gate, NamedGate):
+                    kernel = gate_kernel(gate.name, gate.param, gate.inverted)
+                    unit = kernel.kind != PERMUTE or all(
+                        phase == 1 for phase in kernel.data[1])
+                    kinds.add((kernel.kind, kernel.arity, unit))
+        assert {(PHASE, 0, True), (DIAGONAL, 1, True), (DIAGONAL, 2, True),
+                (PERMUTE, 1, True), (PERMUTE, 1, False), (PERMUTE, 2, True),
+                (DENSE, 1, True), (DENSE, 2, True)} <= kinds
+        assert {bit for _, _, ctrl in keys for _, bit in ctrl} == {0, 1}
+        if batch > 1:
+            assert partial
+        # A shape met again at a lower rank, and again under the other
+        # bit of one of its controls.
+        first_rank, lower, signs = {}, False, {}
+        for ndim, targets, ctrl in keys:
+            first_rank.setdefault((targets, ctrl), ndim)
+            lower |= ndim < first_rank[targets, ctrl]
+            axes = tuple(axis for axis, _ in ctrl)
+            signs.setdefault((ndim, targets, axes), set()).add(ctrl)
+        assert lower
+        assert any(len(ctrls) > 1 for ctrls in signs.values())
+
+    def test_tables_are_shared_tuples(self):
+        table = sim_kernels._slots(5, (1, 3), ((2, 0),))
+        assert type(table) is tuple
+        assert all(type(slot) is tuple for slot in table)
+        assert sim_kernels._slots(5, (1, 3), ((2, 0),)) is table
+        assert len(table) == 4 and table[2] == (
+            slice(None), 1, 0, 0, slice(None))
+        # The no-target table is the control subspace alone.
+        assert sim_kernels._slots(4, (), ((1, 1), (3, 0)))[0] == (
+            sim_kernels._subindex(4, ((1, 1), (3, 0))))

@@ -75,6 +75,31 @@ class TestQasmInputCli:
         assert ": error: line 4: angle expression" in lines[0]
 
 
+class TestAsciiInputCli:
+    def test_deeply_nested_shape_exits_2_with_one_line(self, tmp_path,
+                                                       capsys):
+        # A Shape: line nested 5,000 deep once overflowed the recursive
+        # shape reader: exit 1 and a traceback thousands of lines long.
+        from repro.algorithms.tf.main import part_program
+        from repro.io import dumps
+
+        lines = dumps(part_program("mul", 2, 3, 2, "orthodox").bcircuit)
+        lines = lines.splitlines()
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith("Shape: "))
+        deep = "(" * 5000 + "q0" + ")" * 5000
+        lines[first] = f"Shape: {deep} -> {deep}"
+        source = tmp_path / "deep.quip"
+        source.write_text("\n".join(lines) + "\n")
+        status = bwt_main(["-i", str(source), "-f", "gatecount"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "Traceback" not in captured.err
+        lines = [line for line in captured.err.splitlines() if line]
+        assert len(lines) == 1
+        assert ": error: shape nested deeper than" in lines[0]
+
+
 class TestBinaryBaseCli:
     def test_unlowerable_gate_exits_2_with_one_line(self, tmp_path, capsys):
         # The binary base has no rule for a quantum-controlled two-target

@@ -36,7 +36,7 @@ from repro.core.gates import (
 )
 from repro.core.wires import CLASSICAL, QUANTUM
 from repro.io import AsciiParseError, dumps, load, loads
-from repro.io.ascii_parser import decode_shape, encode_shape
+from repro.io.ascii_parser import MAX_SHAPE_DEPTH, decode_shape, encode_shape
 from repro.output.ascii import format_bcircuit
 
 from families import COMPILE
@@ -426,6 +426,54 @@ class TestParserErrors:
         of escaping as a bare ``ValueError`` from ``int()``."""
         with pytest.raises(AsciiParseError, match=re.escape(offending)):
             loads(text)
+
+
+def _nested(depth: int, leaf: str = "q0") -> str:
+    """A shape component inside *depth* brackets: tuples, lists and
+    dicts in turn."""
+    opens, closes = ("(", "[", "{'k':"), (")", "]", "}")
+    return ("".join(opens[i % 3] for i in range(depth)) + leaf
+            + "".join(closes[i % 3] for i in reversed(range(depth))))
+
+
+class TestDeepShapes:
+    """The shape reader refuses nesting past ``MAX_SHAPE_DEPTH``, and
+    every shape it accepts survives the recursive walks it meets later."""
+
+    def test_deepest_accepted_shape_passes_the_qdata_walks(self):
+        from repro.core.qdata import (qdata_leaves, qdata_rebuild,
+                                      shape_signature)
+        from repro.core.wires import Qubit
+
+        text = _nested(MAX_SHAPE_DEPTH)
+        shape = decode_shape(text)
+        leaves = qdata_leaves(shape)
+        assert leaves == [Qubit(0)]
+        assert qdata_rebuild(shape, leaves) == shape
+        assert shape_signature(shape).count("[") == MAX_SHAPE_DEPTH // 3
+        assert encode_shape(shape) == text
+        bc = TestBoxedRoundTrip._boxed_circuit()
+        lines = dumps(bc).splitlines()
+        shape_line = next(i for i, line in enumerate(lines)
+                          if line.startswith("Shape: "))
+        lines[shape_line] = f"Shape: {text} -> {text}"
+        deep = loads("\n".join(lines) + "\n")
+        assert dumps(deep).splitlines()[shape_line] == lines[shape_line]
+
+    @pytest.mark.parametrize("component", [
+        _nested(MAX_SHAPE_DEPTH + 1), _nested(900), _nested(5000),
+        "(" * 5000 + "q0" + ")" * 5000, "!" * 5000 + "q0",
+    ], ids=["one-past", "900", "5000", "5000-tuples", "5000-markers"])
+    def test_deeper_shapes_are_parse_errors(self, component):
+        text = (f"Shape: {component} -> q0\n"
+                "Inputs: 0:Qubit\nOutputs: 0:Qubit\n")
+        start = time.perf_counter()
+        with pytest.raises(AsciiParseError,
+                           match=f"deeper than {MAX_SHAPE_DEPTH} levels"):
+            loads(text)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(AsciiParseError):
+            decode_shape(component)
 
 
 #: Characters a corruption substitutes: wire-number syntax, punctuation

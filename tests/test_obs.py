@@ -107,6 +107,23 @@ class TestRecorderMath:
         assert rec2.counters.get("cache.compiled_stream.hits") == 1
         assert "cache.compiled_stream.misses" not in rec2.counters
 
+    def test_slot_memo_reports_deltas(self):
+        def twice(qc, a, b):
+            qc.hadamard(a)
+            qc.qnot(b, controls=a)
+            qc.hadamard(a)  # the first H's slot table, read again
+            return qc.measure((a, b))
+
+        program = Program.capture(twice, qubit, qubit, name="twice")
+        with obs.capture() as rec:
+            program.run(shots=8, seed=1)
+        assert rec.counters.get("cache.sim.slots.hits", 0) >= 1
+        # A second run meets only shapes the first one tabled.
+        with obs.capture() as rec2:
+            program.run(shots=8, seed=1)
+        assert rec2.counters.get("cache.sim.slots.hits", 0) >= 3
+        assert rec2.counters.get("cache.sim.slots.misses", 0) == 0
+
 
 class TestSpanNesting:
     """Span paths reflect lexical nesting, across threads and stages."""

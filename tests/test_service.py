@@ -354,6 +354,29 @@ class TestHttpEndpoints:
         assert status == 400
         assert "AsciiParseError" in message and "'>'" in message
 
+    def test_deeply_nested_shape_is_a_client_error(self):
+        """A submitted circuit whose Shape: line nests 5,000 deep is
+        refused by the reader (400), not a stack overflow (500)."""
+        deep = "(" * 5000 + "q0" + ")" * 5000
+        circuit = (f"Shape: {deep} -> q0\n"
+                   "Inputs: 0:Qubit\nOutputs: 0:Qubit\n")
+
+        async def scenario():
+            async with service() as server:
+                def work():
+                    with client_for(server) as svc:
+                        try:
+                            svc.query(circuit=circuit, action="count")
+                        except ServiceClientError as exc:
+                            return exc.status, str(exc)
+                    return None
+                return await in_thread(work)
+
+        status, message = asyncio.run(scenario())
+        assert status == 400
+        assert "AsciiParseError" in message
+        assert "nested deeper than" in message
+
     def test_unlowerable_gate_is_a_client_error(self):
         """A submitted circuit that the requested gate base cannot lower
         is the client's fault (400); counted as submitted, it is fine."""
