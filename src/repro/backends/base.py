@@ -14,12 +14,14 @@ without knowing anything about the engine behind the name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
 from ..core.circuit import BCircuit
 from ..core.errors import QuipperError
+from ..obs import core as _obs
 
 
 class BackendError(QuipperError):
@@ -104,9 +106,28 @@ class Backend:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
+@lru_cache(maxsize=4096)
+def code_key(code: int, width: int) -> str:
+    """The counts-dictionary key of outcome *code* over *width* outputs:
+    its binary digits, the first output the most significant.
+
+    Every sampler builds its keys here, so the counts of every run share
+    one string per outcome: a process that keeps many results (a service,
+    a benchmark awaiting its checks) holds each key once, within the
+    memo's fixed bound.
+    """
+    return format(code, f"0{width}b") if width else ""
+
+
+_obs.register_cache("counts.keys", code_key)
+
+
 def outcome_key(bits: list[bool]) -> str:
     """Render one sampled outcome as a counts-dictionary key."""
-    return "".join("1" if b else "0" for b in bits)
+    code = 0
+    for bit in bits:
+        code = code << 1 | bool(bit)
+    return code_key(code, len(bits))
 
 
 def marginal_counts(result: RunResult, bc: BCircuit,

@@ -21,13 +21,16 @@ at once.  Then:
   shot is drawn from the prefix's final state with one multinomial draw
   -- the cost of 1024 shots is the cost of one simulation.
 * Otherwise the prefix state is *broadcast* into batches of shots and
-  the stochastic suffix advances a whole batch per kernel dispatch.
-  Measurement randomness is pre-drawn shot-major, which keeps seeded
-  counts bit-identical to per-shot replays.  The batch size comes from
-  the ``batch=`` backend option (``Program.run(..., batch=N)``),
-  defaulting to the largest ``B`` with ``B * 2**peak <= 2**16`` (one
-  block, so a fork never fuses), *peak* being the most qubits the suffix
-  ever holds live at once.
+  the stochastic suffix advances a whole batch per kernel dispatch.  A
+  fork holds one state row per distinct measurement history (a row
+  splits only into the outcomes its shots drew), plus a map from each
+  shot to its row.  Measurement randomness is pre-drawn shot-major,
+  which keeps seeded counts bit-identical to per-shot replays.  The
+  batch size counts shots and comes from the ``batch=`` backend option
+  (``Program.run(..., batch=N)``), defaulting to the largest ``B`` with
+  ``B * 2**peak <= 2**16`` (one block, so a fork never fuses), *peak*
+  being the most qubits the suffix ever holds live at once; a batch's
+  rows never outnumber its shots.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from ..obs import core as _obs
 from ..sim.kernels import BLOCK_AMPLITUDES
 from ..sim.state import StateVector
 from ..transform.inline import compile_flat, iter_flat_gates
-from .base import Backend, BackendError, RunResult, outcome_key
+from .base import Backend, BackendError, RunResult, code_key, outcome_key
 from .registry import register_backend
 
 
@@ -169,7 +172,9 @@ class StatevectorBackend(Backend):
         multiplies throughput where per-dispatch overhead dominates (a
         compact post-Term state replaying a stochastic suffix) and is
         memory-bound where it does not (a full-width dense suffix), so it
-        backs off to per-shot forking as the live state grows.
+        backs off to per-shot forking as the live state grows.  The size
+        counts shots; the batch's rows (one per measurement history) are
+        at most that many, so the bound holds for them too.
         ``batch=`` overrides it in either direction.
         """
         if self.batch is not None:
@@ -180,20 +185,27 @@ class StatevectorBackend(Backend):
               shots: int, rng) -> tuple[dict[str, int], int]:
         """Sample the stochastic *suffix* from the prefix state *base*.
 
-        The state is broadcast into batches of up to the fork batch size
-        and the suffix advances each whole batch in lockstep, one kernel
-        dispatch per gate (or per fused run, past one block).  Seeded
-        counts stay bit-identical to sequential per-shot replays: each
-        batch pre-draws its measurement randomness *shot-major* with one
-        ``rng.random((b, events))`` call -- which consumes the rng stream
-        exactly as ``b`` sequential simulations would -- and the batched
-        state then serves stochastic event j from column j.  ``events`` is static: one per suffix
-        ``Measure``/``Discard`` plus one per quantum output measured at
-        readout.
+        Each batch of up to the fork batch size shots starts as one row
+        standing for all of them (:meth:`~repro.sim.state.StateVector.
+        broadcast`), and the suffix advances the batch's rows in lockstep,
+        one kernel dispatch per gate (or per fused run, past one block):
+        a measurement splits a row only into the outcomes its shots drew,
+        so after j measurements the batch holds at most ``2**j`` rows.  Seeded counts stay bit-identical to sequential per-shot
+        replays: each batch pre-draws its measurement randomness
+        *shot-major* with one ``rng.random((b, events))`` call -- which
+        consumes the rng stream exactly as ``b`` sequential simulations
+        would -- and shot s compares its draw for event j with the
+        probability of the row its history reached.  ``events`` is
+        static: one per suffix ``Measure``/``Discard`` plus one per
+        quantum output measured at readout.  Outputs are read per row,
+        packed into one integer code per row (:func:`_row_codes`), read
+        per shot through the shot map and tallied; each distinct code's
+        key comes from the shared :func:`~repro.backends.base.code_key`.
         """
         peak, events = suffix_peak_and_events(base.num_qubits, suffix)
         batch_size = self._fork_batch(shots, peak)
         events += sum(1 for _, t in outputs if t == QUANTUM)
+        width = len(outputs)
         counts: dict[str, int] = {}
         done = 0
         while done < shots:
@@ -205,21 +217,32 @@ class StatevectorBackend(Backend):
                 _obs.add("sim.batch.forks")
                 _obs.observe("sim.batch.occupancy", b)
             fork.run(suffix)
-            columns = [
-                fork.measure_qubit(w) if t == QUANTUM else fork.bits[w]
-                for w, t in outputs
-            ]
-            if columns:
-                rows = np.stack(columns, axis=1)
-                uniques, reps = np.unique(rows, axis=0, return_counts=True)
-                for row, n in zip(uniques, reps):
-                    key = outcome_key(row)
-                    counts[key] = counts.get(key, 0) + int(n)
-            else:
-                key = outcome_key([])
-                counts[key] = counts.get(key, 0) + b
+            if _obs.ENABLED:
+                _obs.observe("sim.fork.rows", fork.batch)
+            # A readout is kept as a bit, so later splits carry it along.
+            for w, t in outputs:
+                if t == QUANTUM:
+                    fork.bits[w] = fork.measure_qubit(w)
+            codes = fork.per_shot(_row_codes(np.array(
+                [fork.bits[w] for w, _ in outputs], dtype=bool
+            ).reshape(width, fork.batch)))
+            values, reps = np.unique(codes, return_counts=True)
+            for code, n in zip(values.tolist(), reps.tolist()):
+                key = code_key(code, width)
+                counts[key] = counts.get(key, 0) + n
             done += b
         return counts, batch_size
+
+
+def _row_codes(columns: np.ndarray) -> np.ndarray:
+    """One integer per state row from a ``(width, rows)`` bool matrix of
+    output values, the first output the most significant bit (so codes
+    sort as the outputs' bit strings do): int64 up to 63 outputs, Python
+    ints (an object array) past that, so no code overflows."""
+    width = len(columns)
+    dtype = np.int64 if width < 64 else object
+    weights = np.array([1 << k for k in reversed(range(width))], dtype=dtype)
+    return weights @ columns.astype(dtype)
 
 
 def draw_counts(sim: StateVector, outputs, shots: int, rng,

@@ -369,7 +369,19 @@ class _ShapeReader:
         self.expect("{")
         result = {}
         while self.peek() != "}":
-            key = ast.literal_eval(self._scan_until(":"))
+            start = self.pos
+            literal = self._scan_until(":")
+            try:
+                key = ast.literal_eval(literal)
+                hash(key)
+            except (ValueError, SyntaxError, TypeError) as exc:
+                raise AsciiParseError(
+                    f"bad shape dict key {literal!r} at {start}"
+                ) from exc
+            if key in result:
+                raise AsciiParseError(
+                    f"duplicate shape dict key {literal!r} at {start}"
+                )
             self.expect(":")
             result[key] = self.read(depth)
             if self.peek() == ",":

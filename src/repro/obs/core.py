@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable
@@ -152,10 +153,20 @@ class Recorder:
     :mod:`repro.obs.sinks` (summary table, JSONL, Chrome trace) and
     directly by tests and benchmarks (``rec.counters``, ``rec.spans``,
     ``rec.peak_memory``).
+
+    Each closing span updates its path's exact aggregate
+    (:meth:`span_totals`).  ``spans`` keeps every :class:`SpanRecord`,
+    or, with *max_spans*, only the most recent that many (a ring for the
+    Chrome-trace sink), so a session that lives as long as a server
+    holds a fixed number of records however many spans close.
     """
 
-    def __init__(self):
-        self.spans: list[SpanRecord] = []
+    def __init__(self, max_spans: int | None = None):
+        self.spans: list[SpanRecord] | deque[SpanRecord] = (
+            [] if max_spans is None else deque(maxlen=max_spans)
+        )
+        self._totals: dict[str, list] = {}
+        self._lock = threading.Lock()
         self.counters: dict[str, int] = {}
         self.histograms: dict[str, Histogram] = {}
         self.t0 = time.perf_counter()
@@ -204,19 +215,26 @@ class Recorder:
             return None
         return hits / (hits + misses)
 
+    def record(self, closed: SpanRecord) -> None:
+        """Keep one completed span and fold it into its path's totals."""
+        with self._lock:
+            self.spans.append(closed)
+            total = self._totals.get(closed.path)
+            if total is None:
+                total = self._totals[closed.path] = [0, 0.0, 0]
+            total[0] += 1
+            total[1] += closed.dur_us
+            total[2] += closed.rss_kb
+
     def span_totals(self) -> dict[str, tuple[int, float, int]]:
-        """Per-path aggregates: ``path -> (calls, total_us, rss_kb)``.
+        """Per-path aggregates: ``path -> (calls, total_us, rss_kb)``,
+        over every span the session closed (kept in ``spans`` or not).
 
         Paths keep their first-recorded order, which reads as the
         pipeline's execution order in the summary table.
         """
-        totals: dict[str, tuple[int, float, int]] = {}
-        for record in self.spans:
-            calls, dur, rss = totals.get(record.path, (0, 0.0, 0))
-            totals[record.path] = (
-                calls + 1, dur + record.dur_us, rss + record.rss_kb
-            )
-        return totals
+        with self._lock:
+            return {path: tuple(total) for path, total in self._totals.items()}
 
     def __repr__(self) -> str:
         return (
@@ -275,7 +293,7 @@ class _Span:
         _stack.reset(self._token)
         rec = _recorder
         if rec is not None:
-            rec.spans.append(SpanRecord(
+            rec.record(SpanRecord(
                 name=self.name,
                 path=self._path,
                 start_us=(self._start - rec.t0) * 1e6,
@@ -338,7 +356,7 @@ def current_recorder() -> Recorder | None:
 
 
 @contextmanager
-def capture(memory: bool = False):
+def capture(memory: bool = False, max_spans: int | None = None):
     """Enable telemetry for a ``with`` block; yields the :class:`Recorder`.
 
     Re-entrant: a nested capture installs its own recorder and restores
@@ -346,12 +364,14 @@ def capture(memory: bool = False):
     the inner recorder only).  With *memory*, tracemalloc runs across the
     block and the session high-water mark lands in
     :attr:`Recorder.peak_memory` -- the replacement for ad-hoc
-    ``tracemalloc.start()`` bracketing in memory-ceiling tests.
+    ``tracemalloc.start()`` bracketing in memory-ceiling tests.  With
+    *max_spans*, the recorder keeps only that many recent span records
+    (see :class:`Recorder`); its span totals stay exact.
     """
     global ENABLED, _recorder
     import tracemalloc
 
-    rec = Recorder()
+    rec = Recorder(max_spans)
     prev_enabled, prev_recorder = ENABLED, _recorder
     started_tracing = False
     if memory:

@@ -49,6 +49,10 @@ MAX_BODY = 8 * 1024 * 1024
 #: Response bodies past this size stream out in chunks of this size.
 CHUNK_SIZE = 64 * 1024
 
+#: Span records the lifetime telemetry session keeps, the most recent
+#: ones; ``/v1/profile`` reads the exact per-path totals instead.
+LIFETIME_SPANS = 1024
+
 
 class ServiceServer:
     """The assembled service: cache + pool + jobs behind an HTTP front.
@@ -56,8 +60,10 @@ class ServiceServer:
     ``port=0`` binds an ephemeral port (tests); the bound address is on
     :attr:`host` / :attr:`port` after :meth:`start`.  Unless *telemetry*
     is off, the server's whole lifetime runs inside one
-    :func:`repro.obs.capture` session, so ``GET /v1/profile`` (and a
-    shutdown trace export) see every pipeline span the traffic caused.
+    :func:`repro.obs.capture` session, so ``GET /v1/profile`` totals
+    every pipeline span the traffic caused.  The session keeps the last
+    :data:`LIFETIME_SPANS` span records (for a trace export) and per-path
+    totals, so its memory stays bounded however many jobs it serves.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -113,7 +119,7 @@ class ServiceServer:
     async def start(self) -> None:
         """Bind and start serving (returns once listening)."""
         if self.telemetry and self._capture is None:
-            self._capture = _obs.capture()
+            self._capture = _obs.capture(max_spans=LIFETIME_SPANS)
             self.recorder = self._capture.__enter__()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
@@ -419,7 +425,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-telemetry", action="store_true",
                         help="skip the lifetime obs capture session")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write a Chrome trace of the session on exit")
+                        help="write a Chrome trace of the session's last "
+                        "spans on exit")
     parser.add_argument("--inject", action="append", default=[],
                         metavar="SPEC",
                         help="inject faults: point:mode@rate[,...] "

@@ -8,13 +8,15 @@ Term shrinks it *and checks the programmer's assertion*), measurement,
 classical wires, and classically-controlled gates.
 
 The state is ONE flat contiguous complex buffer of shape ``(B, 2**n)``:
-``B`` independent simulations (shots, or parameter bindings) advancing in
-lockstep, with ``reshape((B,) + (2,) * n)`` a free view carrying one axis
-per live qubit after the batch axis.  Gates mutate strided sub-views of
-the buffer in place through the specialized kernels of
-:mod:`repro.sim.kernels` -- diagonal gates touch half of every member
-with a single elementwise multiply, bit flips are slice exchanges, and
-only the residual dense cases combine slices per a matrix.
+``B`` rows advancing in lockstep, with ``reshape((B,) + (2,) * n)`` a
+free view carrying one axis per live qubit after the row axis.  A row is
+one simulation (a shot, or a parameter binding); the shot sampler's
+forks also let one row stand for every shot that drew the same
+measurement outcomes so far (see :meth:`StateVector.broadcast`).  Gates
+mutate strided sub-views of the buffer in place through the specialized
+kernels of :mod:`repro.sim.kernels` -- diagonal gates touch half of every
+row with a single elementwise multiply, bit flips are slice exchanges,
+and only the residual dense cases combine slices per a matrix.
 :meth:`StateVector.run` executes a gate sequence.  It allocates each run
 of ``Init`` gates with one buffer (:meth:`StateVector.add_qubits`) and
 terminates each run of ``Term`` gates with one reduction and one gather
@@ -22,21 +24,23 @@ terminates each run of ``Term`` gates with one reduction and one gather
 allocate and uncompute their ancillas in such runs.  Past one block of
 amplitudes it applies each run of basis permutations (the X, CNOT and
 Toffoli runs of reversible arithmetic) as one gather per block, with the
-bytes the gates one by one give.  Kernels never index the batch axis, so
-ONE dispatch advances all ``B`` members: the per-gate Python/numpy
+bytes the gates one by one give.  Kernels never index the row axis, so
+ONE dispatch advances all ``B`` rows: the per-gate Python/numpy
 dispatch overhead that dominates at moderate qubit counts is paid once
 per batch instead of once per shot.  ``batch=1`` (the
 default) is no special case: it is the same code over a one-row buffer,
 and it keeps the amplitudes, bits and seeded draws of the scalar engine
 this replaced byte for byte, since a ``(1, N)`` row reduces in the flat
 array's order and ``rng.random(1)`` draws what ``rng.random()`` draws.
-Across batch sizes, measurement randomness, outcomes, and seeded counts
-are bit-identical (see :meth:`StateVector.preload_randoms`) and
-amplitudes agree to machine rounding -- numpy's SIMD loops may round a
-strided batch column one ULP differently than a lone element.
+Across batch sizes, and whether or not shots share rows, measurement
+randomness, outcomes, and seeded counts are bit-identical (see
+:meth:`StateVector.preload_randoms`) and amplitudes agree to machine
+rounding -- numpy's SIMD loops may round a strided batch column one ULP
+differently than a lone element.
 
 Buffers are numpy arrays.  Classical wires live in a plain dict of
-numpy bool arrays of shape ``(B,)`` at every batch size.
+numpy bool arrays of shape ``(B,)``, one value per row, at every batch
+size.
 
 :class:`LegacyStateVector` preserves the original moveaxis + reshape +
 matmul engine verbatim as the reference implementation: the randomized
@@ -112,27 +116,32 @@ def _refuse_qubit_control() -> NoReturn:
 
 class StateVector:
     """A resizable flat statevector with named qubit axes, a classical
-    store, and a leading batch axis.
+    store, and a leading row axis.
 
     ``data`` has shape ``(batch, 2**n)`` and every classical bit is a
-    ``(batch,)`` bool array, at every batch size.  Every member
-    advances through the same gate sequence in one kernel dispatch, and
-    measurement collapses each member to its own outcome
-    (:meth:`measure_qubit` returns the ``(batch,)`` outcomes).  Only the
-    read-only ``state`` view drops the batch axis at ``batch=1``.
-    ``axes`` maps wire ids to *qubit* axis indices (batch axis excluded);
-    kernels see those indices shifted by one.
+    ``(batch,)`` bool array, one value per row, at every batch size.
+    Every row advances through the same gate sequence in one kernel
+    dispatch.  The state stands for ``shots`` shots: row i is shot i
+    (``shot_rows`` is None) unless the state was :meth:`broadcast`, in
+    which case ``shot_rows`` maps each shot to its row, and measurement
+    splits a row only into the outcomes its shots drew
+    (:meth:`measure_qubit`).  Only the read-only ``state`` view drops
+    the row axis at ``batch=1``.  ``axes`` maps wire ids to *qubit* axis
+    indices (row axis excluded); kernels see those indices shifted by
+    one.
     """
 
-    __slots__ = ("data", "axes", "bits", "rng", "batch", "_presampled")
+    __slots__ = ("data", "axes", "bits", "rng", "batch", "shots",
+                 "shot_rows", "_presampled")
 
     def __init__(
         self, rng: np.random.Generator | None = None, batch: int = 1
     ):
         if batch < 1:
             raise SimulationError("batch size must be >= 1")
-        self.batch = int(batch)
-        # zero qubits: every member is the scalar amplitude 1
+        self.batch = self.shots = int(batch)
+        self.shot_rows: np.ndarray | None = None
+        # zero qubits: every row is the scalar amplitude 1
         self.data = np.ones((self.batch, 1), dtype=complex)
         self.axes: dict[int, int] = {}  # wire id -> qubit axis index
         self.bits: dict[int, np.ndarray] = {}
@@ -148,7 +157,7 @@ class StateVector:
     @property
     def state(self) -> np.ndarray:
         """The ``(2,) * n`` tensor layout (a free view of ``data``),
-        with a leading batch axis when ``batch > 1``."""
+        with a leading row axis when ``batch > 1``."""
         shape = (2,) * self.num_qubits
         if self.batch == 1:
             return self.data.reshape(shape)
@@ -160,12 +169,16 @@ class StateVector:
     def copy(self) -> "StateVector":
         """An independent fork of the simulated state.
 
-        Amplitudes and classical bits are copied; the random generator is
-        *shared*, so a sequence of forks consumes one random stream exactly
-        as repeated fresh simulations would (shot sampling relies on this).
+        Amplitudes, classical bits and the shot map are copied; the
+        random generator is *shared*, so a sequence of forks consumes one
+        random stream exactly as repeated fresh simulations would (shot
+        sampling relies on this).
         """
         clone = StateVector.__new__(StateVector)
         clone.batch = self.batch
+        clone.shots = self.shots
+        clone.shot_rows = (None if self.shot_rows is None
+                           else self.shot_rows.copy())
         clone.data = self.data.copy()
         clone.axes = dict(self.axes)
         clone.bits = {w: v.copy() for w, v in self.bits.items()}
@@ -173,29 +186,33 @@ class StateVector:
         clone._presampled = self._presampled
         return clone
 
-    def broadcast(self, batch: int) -> "StateVector":
-        """Fork this batch-1 state into *batch* lockstep members.
+    def broadcast(self, shots: int) -> "StateVector":
+        """Fork this batch-1 state into one row that stands for *shots*
+        shots.
 
-        Every member starts as an exact copy of this state; the random
-        generator is shared, as in :meth:`copy`.  This is how the shot
-        sampler turns one simulated deterministic prefix into a whole
-        batch of stochastic suffix replays.
+        The row is a copy of this state, and every shot maps to it; the
+        random generator is shared, as in :meth:`copy`.  This is how the
+        shot sampler turns one simulated deterministic prefix into a whole
+        batch of stochastic suffix replays: each measurement then splits
+        a row only into the outcomes its shots drew, so the fork holds one
+        row per distinct measurement history, never more rows than shots.
         """
         if self.batch != 1:
             raise SimulationError("only a batch-1 state can broadcast")
-        if batch < 1:
+        if shots < 1:
             raise SimulationError("batch size must be >= 1")
-        clone = StateVector.__new__(StateVector)
-        clone.batch = int(batch)
-        clone.data = np.repeat(self.data, batch, axis=0)
-        clone.bits = {w: v.repeat(batch) for w, v in self.bits.items()}
-        clone.axes = dict(self.axes)
-        clone.rng = self.rng
+        clone = self.copy()
+        clone.shots = int(shots)
+        clone.shot_rows = None if shots == 1 else np.zeros(shots, np.intp)
         clone._presampled = None
         return clone
 
+    def per_shot(self, values: np.ndarray) -> np.ndarray:
+        """Per-row *values* (a ``(batch, ...)`` array) read per shot."""
+        return values if self.shot_rows is None else values[self.shot_rows]
+
     def set_bit(self, wire: int, value: bool) -> None:
-        """Set classical wire *wire* to *value* on every member."""
+        """Set classical wire *wire* to *value* on every row."""
         self.bits[wire] = np.full(self.batch, bool(value))
 
     def load_inputs(self, inputs, in_values: dict[int, bool]) -> None:
@@ -219,7 +236,7 @@ class StateVector:
         give, byte for byte, from one allocation.
 
         Appending k axes in C order spreads the state out: ``new[2**k * i
-        + slot] = old[i]`` member by member, where the k values, first
+        + slot] = old[i]`` row by row, where the k values, first
         most significant, spell ``slot``, and every other amplitude is
         zero.  A wire already live, or twice in *pairs*, raises after the
         wires before it are allocated, as the gates one by one would.
@@ -242,28 +259,50 @@ class StateVector:
         grown[:, slot::spread] = self.data
         self.data = grown
 
-    def _remove_axis_members(self, wire: int, outcomes: np.ndarray) -> None:
-        """Collapse *wire* to a per-member basis state (batched measure).
+    def _split(self, wire: int, drawn: np.ndarray) -> np.ndarray:
+        """Remove *wire*'s axis, each shot keeping the value it *drew*.
 
-        ``outcomes`` is a bool array of shape ``(batch,)``; member i
-        keeps the slice where the wire's bit equals ``outcomes[i]``,
-        gathered in one advanced-index read that returns a fresh
-        C-contiguous ``(batch, left, right)`` array.
+        ``drawn`` holds one bool per shot.  When row i is shot i, row i
+        keeps its slice where the wire reads ``drawn[i]``.  Otherwise each
+        row keeps one slice per value its shots drew: the kept ``(row,
+        value)`` pairs, in row order and zero first, become the new rows,
+        carrying their source rows' bits, and the shot map is re-pointed
+        at them (a row whose shots all drew one value keeps its place).
+        Either way one advanced-index read gathers the slices into a fresh
+        C-contiguous array.  Returns each new row's value.
         """
+        rows = self.shot_rows
+        source = None  # the source row of each new row, when rows split
+        if rows is None:
+            values = drawn
+        else:
+            codes = 2 * rows + drawn
+            kept = np.zeros(2 * self.batch, dtype=bool)
+            kept[codes] = True
+            pairs = np.flatnonzero(kept)
+            values = (pairs & 1).astype(bool)
+            if len(pairs) > self.batch:
+                source = pairs >> 1
+                self.shot_rows = (np.cumsum(kept) - 1)[codes]
         axis = self.axes.pop(wire)
         n = len(self.axes) + 1
         view = self.data.reshape(
             self.batch, 1 << axis, 2, 1 << (n - 1 - axis)
         )
-        picks = outcomes.astype(np.intp)
-        kept = view[np.arange(self.batch), :, picks, :]
-        self.data = kept.reshape(self.batch, -1)
+        taken = np.arange(self.batch) if source is None else source
+        self.data = view[taken, :, values.astype(np.intp), :].reshape(
+            len(taken), -1
+        )
+        if source is not None:
+            self.batch = len(source)
+            self.bits = {w: v[source] for w, v in self.bits.items()}
         for other, other_axis in self.axes.items():
             if other_axis > axis:
                 self.axes[other] = other_axis - 1
+        return values
 
     def _axis_weights(self, wire: int, value: int) -> np.ndarray:
-        """Per-member squared amplitude mass where *wire* is *value*."""
+        """Per-row squared amplitude mass where *wire* is *value*."""
         half = self._view()[
             _subindex(len(self.axes) + 1, ((self.axes[wire] + 1, value),))
         ]
@@ -271,15 +310,15 @@ class StateVector:
 
     def remove_qubits_asserted(self, pairs) -> None:
         """Project onto each ``(wire, value)`` of *pairs* in turn, each
-        assertion checked for every member: what as many ``Term`` gates
+        assertion checked for every row: what as many ``Term`` gates
         give, to rounding, from one reduction and one gather.
 
-        :func:`~repro.sim.kernels.pattern_weights` gives each member's
+        :func:`~repro.sim.kernels.pattern_weights` gives each row's
         weight on every pattern of the wires' bits.  From those, Term j
         fails when the weight of its wrong value given the earlier wires
         kept (relative to the weight they kept, as the state the earlier
         Terms leave is normalized) exceeds amplitude 1e-6, naming its
-        wire, and a member whose kept share falls under the norm
+        wire, and a row whose kept share falls under the norm
         tolerance is a collapse, both checked in the Terms' order and
         before the state changes.  The kept block is then gathered once
         and scaled by one over the square root of its weight, unless that
@@ -298,7 +337,7 @@ class StateVector:
             return
         n = len(self.axes)
         weights = pattern_weights(self.data, axes)
-        held = None  # each member's weight the earlier Terms kept
+        held = None  # each row's weight the earlier Terms kept
         for wire, value in pairs:
             bit = int(value)
             both = weights  # this wire's two values, the earlier kept
@@ -332,38 +371,42 @@ class StateVector:
             self.axes[other] = axis - bisect_left(gone, axis)
 
     def measure_qubit(self, wire: int):
-        """Measure *wire*, collapsing each member to its own outcome.
+        """Measure *wire*, collapsing each shot to its own outcome.
 
-        Returns the outcomes as a ``(batch,)`` bool array.  One value
-        of measurement randomness is consumed per member (from the
-        preloaded matrix when :meth:`preload_randoms` armed one, else from
-        ``rng``).
+        Each row's probability of a one is computed once, and each shot
+        compares its own value of measurement randomness with its row's
+        (one value per shot: from the preloaded matrix when
+        :meth:`preload_randoms` armed one, else from ``rng``).  A row
+        splits only into the outcomes its shots drew (:meth:`_split`).
+        Returns the outcomes per row, a ``(batch,)`` bool array: per shot
+        when row i is shot i, else read per shot with :meth:`per_shot`.
         """
         p_one = self._axis_weights(wire, 1)
         total = (abs(self.data) ** 2).sum(axis=1)
         probs = p_one / total
-        outcomes = self._draw_members() < probs
-        self._remove_axis_members(wire, outcomes)
+        drawn = self._draw_shots() < self.per_shot(probs)
+        outcomes = self._split(wire, drawn)
         self._renormalize()
         return outcomes
 
     def preload_randoms(self, draws: np.ndarray) -> None:
         """Serve measurement randomness from a pre-drawn matrix.
 
-        ``draws`` has shape ``(batch, events)``, drawn *shot-major* (one
-        row per member) in a single ``rng.random((batch, events))`` call
-        -- which consumes the underlying bit stream exactly as ``batch``
+        ``draws`` has shape ``(shots, events)``, drawn *shot-major* (one
+        row per shot) in a single ``rng.random((shots, events))`` call --
+        which consumes the underlying bit stream exactly as ``shots``
         sequential scalar simulations would, so batched sampling stays
-        bit-identical to the per-shot fork loop it replaced.  Stochastic
-        event j then consumes column j across all members.
+        bit-identical to the per-shot fork loop it replaced, however the
+        shots share rows.  Stochastic event j then consumes column j
+        across all shots.
         """
         columns = np.asarray(draws, dtype=float).T
         self._presampled = iter(columns)
 
-    def _draw_members(self) -> np.ndarray:
+    def _draw_shots(self) -> np.ndarray:
         if self._presampled is not None:
             return self._next_column()
-        return self.rng.random(self.batch)
+        return self.rng.random(self.shots)
 
     def _next_column(self) -> np.ndarray:
         column = next(self._presampled, None)
@@ -388,12 +431,12 @@ class StateVector:
         self, controls: tuple[Control, ...]
     ) -> tuple[tuple[tuple[int, int], ...], np.ndarray | None] | None:
         """Quantum controls as (view axis, required bit) masks, plus the
-        classical-control member mask.
+        classical-control row mask.
 
-        Returns None when no member satisfies the classical controls (the
+        Returns None when no row satisfies the classical controls (the
         gate is skipped entirely); otherwise ``(quantum, mask)`` where
-        ``mask`` is None when every member satisfies them, or a bool
-        array selecting the members that do.  Quantum-control axes are
+        ``mask`` is None when every row satisfies them, or a bool array
+        selecting the rows that do.  Quantum-control axes are
         already shifted past the batch axis, ready for the kernel layer.
         """
         quantum = []
@@ -544,8 +587,8 @@ class StateVector:
         if mask is None:
             apply_kernel(self._view(), kernel, target_axes, ctrl)
             return
-        # Mixed classical controls: copy out the satisfying members, run
-        # the kernel on the sub-batch, scatter the result back.
+        # Mixed classical controls: copy out the satisfying rows, run
+        # the kernel on them, scatter the result back.
         view = self._view()
         sub = view[mask]
         apply_kernel(sub, kernel, target_axes, ctrl)

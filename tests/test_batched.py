@@ -29,8 +29,8 @@ from repro import Program, build, get_backend, qubit
 from repro.backends.base import BackendError, outcome_key
 from repro.backends.statevector import suffix_peak_and_events
 from repro.core.circuit import BCircuit, Circuit
-from repro.core.gates import (CGate, CNot, Control, Discard, Init, Measure,
-                              NamedGate, Term)
+from repro.core.gates import (CGate, CInit, CNot, Control, CTerm, Discard,
+                              Init, Measure, NamedGate, Term)
 from repro.core.errors import AssertionFailedError, SimulationError
 from repro.core.wires import CLASSICAL, QUANTUM
 from repro.obs import core as obs_core
@@ -1221,3 +1221,230 @@ class TestSlotMemo:
         # The no-target table is the control subspace alone.
         assert sim_kernels._slots(4, (), ((1, 1), (3, 0)))[0] == (
             sim_kernels._subindex(4, ((1, 1), (3, 0))))
+
+
+def _shared_rows_circuit(trial):
+    """A seeded :func:`random_gates` circuit with a tail on measured bits.
+
+    The tail measures a qubit, then allocates an ancilla, flips it under
+    a classical control, puts it in superposition and measures it; runs
+    an ``Init``/controlled-T/``Term`` triple after those measurements;
+    and computes on the measured bits with a ``CGate`` and a classically
+    controlled ``CNot``.  Returns the gates, the input width and the
+    outputs: the qubits left live and every classical wire.
+    """
+    rnd = random.Random(5200 + trial)
+    n = rnd.randint(3, 5)
+    gates = random_gates(
+        rnd, n, gate_p=0.55, ancilla_p=0.12, cinit_p=0.06, fresh_p=0.1,
+        classical_control_p=0.5, measure_p=0.6,
+    )
+    sim = StateVector(rng=np.random.default_rng(trial))
+    sim.add_qubits([(w, False) for w in range(n)])
+    sim.run(gates)
+    live, bits = sorted(sim.axes), sorted(sim.bits)
+    fresh = max([*live, *bits]) + 1
+    ancilla, flag, parity = fresh, fresh + 1, fresh + 2
+    if len(live) > 1:
+        gates += [NamedGate("H", (live[0],)), Measure(live[0])]
+        bits.append(live.pop(0))
+    control = Control(bits[-1], True, CLASSICAL) if bits else None
+    gates += [
+        Init(ancilla, False),
+        NamedGate("not", (ancilla,), (control,) if control else ()),
+        NamedGate("H", (ancilla,)),
+        Measure(ancilla),
+        Init(flag, True),
+        NamedGate("T", (live[0],), (Control(flag, True),)),
+        Term(flag, True),
+        CGate("xor", parity, (ancilla, *bits[-1:])),
+        CNot(ancilla, (Control(parity, False, CLASSICAL),)),
+    ]
+    bits += [ancilla, parity]
+    outputs = tuple([(w, QUANTUM) for w in live]
+                    + [(w, CLASSICAL) for w in bits])
+    return gates, n, outputs
+
+
+def _fork_and_identity(gates, n, shots, seed):
+    """The suffix of *gates* ready to run from one prefix state, twice: as
+    one row standing for *shots* shots, and as a *shots*-row identity-map
+    state.  Also returns the suffix and how many columns of draws cover
+    its events and a readout of every qubit it leaves live."""
+    split = CompiledCircuit(gates).prefix_len
+    states = []
+    for forked in (True, False):
+        base = StateVector(rng=np.random.default_rng(seed),
+                           batch=1 if forked else shots)
+        base.add_qubits([(w, False) for w in range(n)])
+        base.run(gates[:split])
+        states.append(base.broadcast(shots) if forked else base)
+    peak, events = suffix_peak_and_events(
+        states[1].num_qubits, gates[split:])
+    return states, gates[split:], events + peak
+
+
+def _read_out(sim):
+    """Measure every live qubit of *sim* in wire order; each shot's bits."""
+    for wire in sorted(sim.axes):
+        sim.bits[wire] = sim.measure_qubit(wire)
+    return {w: sim.per_shot(v).tolist() for w, v in sim.bits.items()}
+
+
+class TestSharedRows:
+    """A forked batch keeps one state row per distinct measurement
+    history, against the identity map (row i is shot i).
+
+    Fed one pre-drawn matrix, a fork whose rows are shared gives every
+    shot the bits, outcomes and amplitudes of the identity-map run;
+    seeded counts agree at every ``batch=``; a fork's rows never exceed
+    ``min(shots, 2**j)`` after its j-th measurement; and an assertion
+    that fails on some histories, a collapse to zero norm and exhausted
+    randomness raise what the identity-map run raises.
+    """
+
+    @pytest.mark.parametrize("shots", [1, 7, 64])
+    def test_every_shot_matches_the_identity_map(self, shots):
+        splits = 0
+        for trial in range(16):
+            gates, n, _ = _shared_rows_circuit(trial)
+            (fork, identity), suffix, columns = _fork_and_identity(
+                gates, n, shots, trial)
+            draws = np.random.default_rng(600 + trial).random(
+                (shots, columns))
+            for sim in (fork, identity):
+                sim.preload_randoms(draws)
+                sim.run(suffix)
+            assert fork.batch <= identity.batch == shots
+            assert fork.axes == identity.axes
+            np.testing.assert_allclose(
+                fork.per_shot(fork.data), identity.data, rtol=0, atol=1e-12)
+            assert _read_out(fork) == _read_out(identity)
+            splits += fork.batch > 1
+            # Every row stands for at least one shot.
+            if fork.shot_rows is not None:
+                assert np.bincount(fork.shot_rows).min() >= 1
+        if shots > 1:
+            assert splits
+
+    def test_seeded_counts_agree_at_every_batch(self):
+        # 29 shots: ragged last batches at batch=3 (9 x 3 + 2) and
+        # batch=8 (3 x 8 + 5).
+        for trial in range(16):
+            gates, n, outputs = _shared_rows_circuit(trial)
+            bc = BCircuit(Circuit(
+                tuple((w, QUANTUM) for w in range(n)), gates, outputs))
+            # The identity-map reference: one state per shot, one matrix.
+            rng = np.random.default_rng(trial)
+            sim = StateVector(rng=rng, batch=29)
+            sim.add_qubits([(w, False) for w in range(n)])
+            compiled = compile_flat(bc)
+            tail = len(compiled.gates)
+            while tail and isinstance(compiled.gates[tail - 1], Measure):
+                tail -= 1
+            split = min(compiled.prefix_len, tail)
+            sim.run(compiled.gates[:split])
+            _, events = suffix_peak_and_events(
+                sim.num_qubits, compiled.gates[split:])
+            events += sum(t == QUANTUM for _, t in outputs)
+            sim.preload_randoms(rng.random((29, events)))
+            sim.run(compiled.gates[split:])
+            columns = [sim.measure_qubit(w) if t == QUANTUM else sim.bits[w]
+                       for w, t in outputs]
+            expected: dict[str, int] = {}
+            for shot in range(29):
+                key = "".join("1" if c[shot] else "0" for c in columns)
+                expected[key] = expected.get(key, 0) + 1
+            for batch in (None, 1, 3, 8):
+                result = get_backend("statevector", batch=batch).run(
+                    bc, shots=29, seed=trial)
+                assert not result.metadata["batched"]
+                assert result.counts == expected, (trial, batch)
+
+    def test_rows_never_exceed_histories(self):
+        for trial in range(16):
+            gates, n, _ = _shared_rows_circuit(trial)
+            (fork, _), suffix, columns = _fork_and_identity(
+                gates, n, 256, trial)
+            fork.preload_randoms(
+                np.random.default_rng(trial).random((256, columns)))
+            measured = 0
+            for gate in suffix:
+                fork.execute(gate)
+                measured += isinstance(gate, (Measure, Discard))
+                assert fork.batch <= min(256, 1 << measured), trial
+
+        def two_coins(qc, a, b):
+            qc.hadamard(a)
+            m = qc.measure(a)
+            qc.hadamard(b)
+            return m, qc.measure(b)
+
+        bc, _ = build(two_coins, qubit, qubit)
+        sim = StateVector(rng=np.random.default_rng(1))
+        sim.add_qubits([(0, False), (1, False)])
+        fork = sim.broadcast(1024)
+        fork.preload_randoms(np.random.default_rng(2).random((1024, 2)))
+        fork.run(compile_flat(bc).gates)
+        assert fork.batch <= 4
+        assert sorted(np.bincount(fork.shot_rows).tolist()) == sorted(
+            np.unique(fork.per_shot(np.stack(
+                [fork.bits[0], fork.bits[1]], axis=1)), axis=0,
+                return_counts=True)[1].tolist())
+
+    def test_failures_raise_what_the_identity_map_raises(self):
+        # Term asserts |0> on a qubit flipped where the measured bit is 1:
+        # it fails on those histories only.  CTerm asserts a bit that is
+        # wrong on one history.  Draws past 1.0 pick a branch of zero
+        # weight; a matrix one column short runs out.
+        term = [NamedGate("H", (0,)), Measure(0),
+                NamedGate("not", (1,), (Control(0, True, CLASSICAL),)),
+                Term(1, False)]
+        cterm = [NamedGate("H", (0,)), Measure(0), CTerm(0, False)]
+        collapse = [NamedGate("not", (0,)), Measure(0)]
+        cases = [
+            (term, np.array([[0.9], [0.9], [0.1]]), AssertionFailedError),
+            (cterm, np.array([[0.9], [0.1], [0.9]]), AssertionFailedError),
+            (collapse, np.array([[0.5], [1.5], [0.5]]), SimulationError),
+            (term, np.zeros((3, 0)), SimulationError),
+        ]
+        for gates, draws, error in cases:
+            messages = []
+            for forked in (True, False):
+                sim = StateVector(rng=np.random.default_rng(0),
+                                  batch=1 if forked else 3)
+                sim.add_qubits([(0, False), (1, False)])
+                if forked:
+                    sim = sim.broadcast(3)
+                sim.preload_randoms(draws)
+                with pytest.raises(error) as raised:
+                    sim.run(gates)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1], gates
+
+    def test_outputs_past_64_bits_pack_without_overflow(self):
+        # 69 outputs: the measured bit first (the most significant), 66
+        # classical wires (every third flipped under the measured bit)
+        # and two qubits read out last.
+        gates = [NamedGate("H", (w,)) for w in range(3)]
+        gates.append(Measure(0))
+        for k in range(66):
+            gates.append(CInit(3 + k, k % 2 == 0))
+            if k % 3 == 0:
+                gates.append(CNot(3 + k, (Control(0, True, CLASSICAL),)))
+        gates.append(NamedGate("H", (1,), (Control(0, True, CLASSICAL),)))
+        outputs = (((0, CLASSICAL),)
+                   + tuple((3 + k, CLASSICAL) for k in range(66))
+                   + ((1, QUANTUM), (2, QUANTUM)))
+        bc = BCircuit(Circuit(
+            tuple((w, QUANTUM) for w in range(3)), gates, outputs))
+        for batch in (None, 1, 3):
+            result = get_backend("statevector", batch=batch,
+                                 max_width=80).run(bc, shots=64, seed=3)
+            assert {len(key) for key in result.counts} == {69}
+            assert {key[0] for key in result.counts} == {"0", "1"}
+            # Recorded before forks shared rows (np.unique over bool rows).
+            assert hashlib.sha256(json.dumps(
+                sorted(result.counts.items())).encode()).hexdigest() == (
+                "0d3251853a6a21c1240366bd768e54d1db111360633732cbe33ca931c863179d"
+            ), batch

@@ -100,6 +100,27 @@ class TestAsciiInputCli:
         assert ": error: shape nested deeper than" in lines[0]
 
 
+    @pytest.mark.parametrize("shape, message", [
+        ("{foo:q0}", "bad shape dict key 'foo'"),
+        ("{[1]:q0}", "bad shape dict key '[1]'"),
+        ("{1:q0,1:q1}", "duplicate shape dict key '1'"),
+    ], ids=["name", "unhashable", "repeat"])
+    def test_bad_shape_dict_key_exits_2_with_one_line(self, tmp_path, capsys,
+                                                      shape, message):
+        # These keys once escaped as a bare ValueError or TypeError, or
+        # (repeated) silently dropped a wire.
+        source = tmp_path / "key.quip"
+        source.write_text(f"Shape: {shape} -> q0\n"
+                          "Inputs: 0:Qubit\nOutputs: 0:Qubit\n")
+        status = bwt_main(["-i", str(source), "-f", "gatecount"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "Traceback" not in captured.err
+        lines = [line for line in captured.err.splitlines() if line]
+        assert len(lines) == 1
+        assert f": error: {message}" in lines[0]
+
+
 class TestBinaryBaseCli:
     def test_unlowerable_gate_exits_2_with_one_line(self, tmp_path, capsys):
         # The binary base has no rule for a quantum-controlled two-target

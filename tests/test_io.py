@@ -428,6 +428,30 @@ class TestParserErrors:
             loads(text)
 
 
+class TestShapeDictKeys:
+    """A ``Shape:`` dict key that is not a literal, is unhashable or is
+    repeated is a parse error naming the key and where it starts."""
+
+    @pytest.mark.parametrize("shape, message", [
+        ("{foo:q0}", "bad shape dict key 'foo' at 1"),
+        ("{[1]:q0}", "bad shape dict key '[1]' at 1"),
+        ("{(1,[2]):q0}", "bad shape dict key '(1,[2])' at 1"),
+        ("{'a':q0,1+:q1}", "bad shape dict key '1+' at 8"),
+        ("{1:q0,1:q1}", "duplicate shape dict key '1' at 6"),
+        ("{'k':{2:q0,2:q0}}", "duplicate shape dict key '2' at 11"),
+    ], ids=["name", "list", "tuple-of-list", "syntax", "repeat", "nested"])
+    def test_bad_keys_are_parse_errors(self, shape, message):
+        with pytest.raises(AsciiParseError, match=re.escape(message)):
+            decode_shape(shape)
+        text = f"Shape: {shape} -> q0\nInputs: 0:Qubit\nOutputs: 0:Qubit\n"
+        with pytest.raises(AsciiParseError, match=re.escape(message)):
+            loads(text)
+
+    def test_distinct_keys_still_read(self):
+        assert decode_shape("{'a':?,1:(),(2,'b'):[]}") == {
+            "a": None, 1: (), (2, "b"): []}
+
+
 def _nested(depth: int, leaf: str = "q0") -> str:
     """A shape component inside *depth* brackets: tuples, lists and
     dicts in turn."""

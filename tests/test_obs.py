@@ -125,6 +125,29 @@ class TestRecorderMath:
         assert rec2.counters.get("cache.sim.slots.misses", 0) == 0
 
 
+    def test_fork_rows_histogram_counts_shared_histories(self):
+        # One coin measured mid-circuit steers a second qubit: a forked
+        # batch's shots share at most two rows, one per history.
+        def coins(qc, a, b):
+            qc.hadamard(a)
+            m = qc.measure(a)
+            qc.hadamard(b)
+            qc.qnot(b, controls=m)
+            return m, b
+
+        program = Program.capture(coins, qubit, qubit, name="coins")
+        for batch, forks in ((None, 1), (16, 16)):
+            with obs.capture() as rec:
+                result = program.run(shots=256, seed=1, batch=batch)
+            assert sum(result.counts.values()) == 256
+            rows = rec.histograms["sim.fork.rows"]
+            assert rows.count == rec.counters["sim.batch.forks"] == forks
+            assert rows.max == 2
+            assert rows.total < rec.histograms["sim.batch.occupancy"].total
+            # Gates after the measurement ran on two rows.
+            assert rec.counters["sim.batch.gates"] >= forks
+
+
 class TestSpanNesting:
     """Span paths reflect lexical nesting, across threads and stages."""
 

@@ -45,7 +45,7 @@ from repro.service.faults import FaultPlan
 from repro.service.jobs import canonical_run_options
 from repro.service.metrics import LatencyRing, ServiceMetrics, percentile
 from repro.service.registry import ServiceError, canonical_spec
-from repro.service.server import CHUNK_SIZE, ServiceServer
+from repro.service.server import CHUNK_SIZE, LIFETIME_SPANS, ServiceServer
 
 
 @asynccontextmanager
@@ -276,6 +276,26 @@ class TestHttpEndpoints:
         assert stats["service"]["latency"]["hit"]["count"] >= 1
         assert profile["counters"]["cache.compiled_stream.misses"] == 2
 
+    def test_lifetime_telemetry_stays_bounded(self):
+        """The server's lifetime obs session keeps at most
+        ``LIFETIME_SPANS`` span records however many jobs it serves, and
+        ``/v1/profile`` still counts every job."""
+        jobs = 2_000
+
+        async def scenario():
+            async with service() as server:
+                def work():
+                    with client_for(server) as svc:
+                        for _ in range(jobs):
+                            svc.query(program="bell", action="depth")
+                        return svc.profile(), len(server.recorder.spans)
+                return await in_thread(work)
+
+        profile, kept = asyncio.run(scenario())
+        assert kept == LIFETIME_SPANS
+        calls = {row["path"]: row["calls"] for row in profile["spans"]}
+        assert calls["service.job"] == jobs
+
     def test_async_job_lifecycle(self):
         async def scenario():
             async with service() as server:
@@ -376,6 +396,33 @@ class TestHttpEndpoints:
         assert status == 400
         assert "AsciiParseError" in message
         assert "nested deeper than" in message
+
+    @pytest.mark.parametrize("shape, message", [
+        ("{foo:q0}", "bad shape dict key 'foo'"),
+        ("{[1]:q0}", "bad shape dict key '[1]'"),
+        ("{1:q0,1:q1}", "duplicate shape dict key '1'"),
+    ], ids=["name", "unhashable", "repeat"])
+    def test_bad_shape_dict_key_is_a_client_error(self, shape, message):
+        """A submitted circuit whose Shape: dict key is not a literal, is
+        unhashable or is repeated is the client's fault (400), not a
+        server error (500) or a silently dropped wire."""
+        circuit = (f"Shape: {shape} -> q0\n"
+                   "Inputs: 0:Qubit\nOutputs: 0:Qubit\n")
+
+        async def scenario():
+            async with service() as server:
+                def work():
+                    with client_for(server) as svc:
+                        try:
+                            svc.query(circuit=circuit, action="count")
+                        except ServiceClientError as exc:
+                            return exc.status, str(exc)
+                    return None
+                return await in_thread(work)
+
+        status, text = asyncio.run(scenario())
+        assert status == 400
+        assert "AsciiParseError" in text and message in text
 
     def test_unlowerable_gate_is_a_client_error(self):
         """A submitted circuit that the requested gate base cannot lower
