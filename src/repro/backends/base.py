@@ -21,7 +21,9 @@ import numpy as np
 
 from ..core.circuit import BCircuit
 from ..core.errors import QuipperError
+from ..core.gates import Discard, Gate, Init, Measure, Term
 from ..obs import core as _obs
+from ..transform.inline import compile_flat, iter_flat_gates
 
 
 class BackendError(QuipperError):
@@ -104,6 +106,85 @@ class Backend:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class SuffixScan:
+    """One pass over a stochastic suffix (every gate from the first
+    ``Measure``/``Discard`` on), stored or streamed: all a sampler needs
+    before it runs any of it.  ``gates`` counts the gates, ``events``
+    the ``Measure``/``Discard`` gates (one draw each), ``peak`` is the
+    most qubits live at once above those live at the fork, and ``forks``
+    says whether any gate but a ``Measure`` follows; until one does,
+    ``measured`` holds the measured wires."""
+
+    __slots__ = ("gates", "events", "live", "peak", "forks", "measured")
+
+    def __init__(self, gates=()):
+        self.gates = self.events = self.live = self.peak = 0
+        self.forks, self.measured = False, set()
+        for gate in gates:
+            self.add(gate)
+
+    def add(self, gate: Gate) -> None:
+        """Account for the suffix's next gate."""
+        self.gates += 1
+        if isinstance(gate, Init):
+            self.live += 1
+            self.peak = max(self.peak, self.live)
+        elif isinstance(gate, (Term, Measure, Discard)):
+            self.live -= 1
+            self.events += not isinstance(gate, Term)
+        if isinstance(gate, Measure):
+            if not self.forks:
+                self.measured.add(gate.wire)
+        else:
+            self.forks = True
+
+
+class SimulatorBackend(Backend):
+    """A simulating backend: one state type and one sampler.
+
+    Subclasses build and guard a run's state (``load(inputs, in_values,
+    rng)``), run one streamed gate on it (:meth:`step`), return a single
+    run's result (``single(state)``) and draw shots
+    (``sample(base, scan, run_suffix, outputs, shots, rng)``): from the
+    state *base* left by the deterministic prefix -- every gate before
+    the first ``Measure``/``Discard``, which draws nothing -- given the
+    :class:`SuffixScan` of the rest and a callback that runs the rest on
+    a fork of *base*.  Stored circuits (:meth:`run`) and gate streams
+    (:meth:`repro.streaming.GateStream.run`) both reach that sampler.
+    """
+
+    def admit(self, bc: BCircuit) -> dict[str, Any]:
+        """Refuse *bc* if it cannot be simulated; else the metadata a
+        sampled result carries about it."""
+        return {}
+
+    def step(self, state, gate: Gate) -> None:
+        """Run one streamed gate on *state*."""
+        state.execute(gate)
+
+    def run(self, bc: BCircuit, *, shots: int | None = None,
+            in_values: dict[int, bool] | None = None,
+            seed: int | None = None) -> RunResult:
+        """Run *bc* once, streaming the hierarchy lazily, or sample it
+        from its compiled stream (inlined once, memoized on *bc*)."""
+        admitted = self.admit(bc)
+        if shots is not None and shots <= 0:
+            raise BackendError(f"shots must be positive, got {shots}")
+        rng = np.random.default_rng(seed)
+        state = self.load(bc.circuit.inputs, in_values or {}, rng)
+        if shots is None:
+            state.run(iter_flat_gates(bc))
+            return self.single(state)
+        compiled = compile_flat(bc)
+        suffix = compiled.gates[compiled.prefix_len:]
+        state.run(compiled.gates[:compiled.prefix_len])
+        result = self.sample(state, SuffixScan(suffix),
+                             lambda fork: fork.run(suffix),
+                             bc.circuit.outputs, shots, rng)
+        result.metadata.update(admitted)
+        return result
 
 
 @lru_cache(maxsize=4096)

@@ -1,4 +1,4 @@
-"""Dense statevector backend: one materialized run path.
+"""Dense statevector backend: one run path and one sampler.
 
 Wraps :mod:`repro.sim.state` as the registry's ``"statevector"`` backend.
 Every run loads its inputs into a batch-1 state
@@ -17,9 +17,9 @@ at once.  Then:
   memoized on the BCircuit) and simulates its *deterministic prefix* --
   every gate before the first ``Measure``/``Discard``, which consumes no
   randomness -- once.  Trailing measurements commute with basis-state
-  sampling and are stripped, so when no stochastic suffix remains every
-  shot is drawn from the prefix's final state with one multinomial draw
-  -- the cost of 1024 shots is the cost of one simulation.
+  sampling, so when only they follow the prefix every shot is drawn from
+  the prefix's final state with one multinomial draw -- the cost of 1024
+  shots is the cost of one simulation.
 * Otherwise the prefix state is *broadcast* into batches of shots and
   the stochastic suffix advances a whole batch per kernel dispatch.  A
   fork holds one state row per distinct measurement history (a row
@@ -31,6 +31,9 @@ at once.  Then:
   ``B * 2**peak <= 2**16`` (one block, so a fork never fuses), *peak*
   being the most qubits the suffix ever holds live at once; a batch's
   rows never outnumber its shots.
+
+Both are :meth:`StatevectorBackend.sample`, which a gate stream
+(:meth:`repro.streaming.GateStream.run`) reaches too.
 """
 
 from __future__ import annotations
@@ -38,36 +41,21 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.circuit import BCircuit
-from ..core.gates import Comment, Discard, Gate, Init, Measure, Term
-from ..core.stream import StreamConsumer
+from ..core.gates import Gate, Init
 from ..core.wires import QUANTUM
 from ..obs import core as _obs
 from ..sim.kernels import BLOCK_AMPLITUDES
 from ..sim.state import StateVector
-from ..transform.inline import compile_flat, iter_flat_gates
-from .base import Backend, BackendError, RunResult, code_key, outcome_key
+from .base import (BackendError, RunResult, SimulatorBackend, SuffixScan,
+                   code_key, outcome_key)
 from .registry import register_backend
 
 
-def suffix_peak_and_events(live: int, suffix: list[Gate]) -> tuple[int, int]:
-    """Peak qubit count and stochastic event count of a forked suffix.
-
-    Walked from the *live* qubits at the fork: an ``Init`` adds a state
-    axis, a ``Term``/``Measure``/``Discard`` removes one, and the last
-    two each consume one draw of randomness.
-    """
-    peak = live
-    events = 0
-    for gate in suffix:
-        if isinstance(gate, Init):
-            live += 1
-            peak = max(peak, live)
-        elif isinstance(gate, Term):
-            live -= 1
-        elif isinstance(gate, (Measure, Discard)):
-            live -= 1
-            events += 1
-    return peak, events
+def _width_exceeded(limit: int) -> BackendError:
+    return BackendError(
+        f"stream width exceeded the statevector limit ({limit} qubits); "
+        "use .resources() to size the circuit first"
+    )
 
 
 def _host_bits(sim: StateVector) -> dict[int, bool]:
@@ -75,19 +63,8 @@ def _host_bits(sim: StateVector) -> dict[int, bool]:
     return {w: bool(v[0]) for w, v in sim.bits.items()}
 
 
-def _state_result(name: str, sim: StateVector, **metadata) -> RunResult:
-    """The ``shots=None`` result: a batch-1 state's view, wires and bits."""
-    return RunResult(
-        backend=name,
-        statevector=sim.state,
-        statevector_wires=tuple(sorted(sim.axes, key=sim.axes.__getitem__)),
-        bits=_host_bits(sim),
-        metadata={"state": sim, **metadata},
-    )
-
-
 @register_backend
-class StatevectorBackend(Backend):
+class StatevectorBackend(SimulatorBackend):
     """Exact simulation: any circuit, exponential in qubit count."""
 
     name = "statevector"
@@ -102,70 +79,67 @@ class StatevectorBackend(Backend):
     def supports(self, bc: BCircuit) -> bool:
         return bc.check() <= self.max_width
 
-    def run(
-        self,
-        bc: BCircuit,
-        *,
-        shots: int | None = None,
-        in_values: dict[int, bool] | None = None,
-        seed: int | None = None,
-    ) -> RunResult:
+    def admit(self, bc: BCircuit) -> dict:
         width = bc.check()
         if width > self.max_width:
             raise BackendError(
                 f"circuit width {width} exceeds the statevector limit "
                 f"({self.max_width}); use the resources backend to size it"
             )
-        rng = np.random.default_rng(seed)
-        if shots is not None and shots <= 0:
-            raise BackendError(f"shots must be positive, got {shots}")
+        return {"width": width}
+
+    def load(self, inputs, in_values: dict[int, bool], rng) -> StateVector:
+        quantum = sum(1 for _, t in inputs if t == QUANTUM)
+        if quantum > self.max_width:
+            raise BackendError(
+                f"{quantum} input qubits exceed the statevector "
+                f"limit ({self.max_width}); use .resources() to size "
+                "the circuit first"
+            )
         sim = StateVector(rng=rng)
-        sim.load_inputs(bc.circuit.inputs, in_values or {})
-        if shots is None:
-            # Single pass: stream the hierarchy lazily (no materialized
-            # gate list, so arbitrarily deep/repeated hierarchies work).
-            sim.run(iter_flat_gates(bc))
-            return _state_result(self.name, sim)
-        # Sampling may replay a suffix, so it consumes the compiled
-        # stream.  Trailing measurements commute with basis-state
-        # sampling: when only they follow the prefix, every shot is
-        # drawn from the prefix's final state.
-        compiled = compile_flat(bc)
-        gates = compiled.gates
-        tail = len(gates)
-        while tail and isinstance(gates[tail - 1], Measure):
-            tail -= 1
-        split = min(compiled.prefix_len, tail)
+        sim.load_inputs(inputs, in_values)
+        return sim
+
+    def step(self, sim: StateVector, gate: Gate) -> None:
+        # Guard growth BEFORE allocating: one qubit past the cap would
+        # double the state into gigabytes before any check could fire.
+        if isinstance(gate, Init) and sim.num_qubits >= self.max_width:
+            raise _width_exceeded(self.max_width)
+        sim.execute(gate)
+
+    def single(self, sim: StateVector) -> RunResult:
+        wires = tuple(sorted(sim.axes, key=sim.axes.__getitem__))
+        return RunResult(backend=self.name, statevector=sim.state,
+                         statevector_wires=wires, bits=_host_bits(sim),
+                         metadata={"state": sim})
+
+    def sample(self, base: StateVector, scan: SuffixScan, run_suffix,
+               outputs, shots: int, rng) -> RunResult:
+        """Every shot drawn at once when only measurements follow the
+        prefix (:func:`draw_counts`), else forked in batches
+        (:meth:`_fork`)."""
         if _obs.ENABLED:
-            _obs.add(
-                "run.shots.forked" if split < tail else "run.shots.batched",
-                shots,
-            )
-        sim.run(gates[:split])
-        if split == tail:
-            measured = frozenset(g.wire for g in gates[tail:])
-            counts = draw_counts(sim, bc.circuit.outputs, shots, rng, measured)
-            metadata = {"batched": True, "width": width}
+            _obs.add("run.shots.forked" if scan.forks else "run.shots.batched",
+                     shots)
+        if not scan.forks:
+            counts = draw_counts(base, outputs, shots, rng, scan.measured)
+            metadata = {"batched": True}
         else:
-            counts, fork_batch = self._fork(
-                sim, gates[split:], bc.circuit.outputs, shots, rng
-            )
-            metadata = {"batched": False, "width": width, "batch": fork_batch}
-        return RunResult(
-            backend=self.name,
-            shots=shots,
-            counts=counts,
-            metadata=metadata,
-        )
+            counts, batch = self._fork(base, scan, run_suffix, outputs,
+                                       shots, rng)
+            metadata = {"batched": False, "batch": batch}
+        return RunResult(backend=self.name, shots=shots, counts=counts,
+                         metadata=metadata)
 
     def _fork_batch(self, shots: int, peak: int) -> int:
         """How many shots one forked batch advances in lockstep.
 
         *peak* is the most qubits the suffix holds live at once (see
-        :func:`suffix_peak_and_events`), not the circuit's overall width:
-        a 16-qubit circuit that uncomputes down to a 3-qubit measured
-        core, or a teleportation chain that allocates two qubits per hop
-        and measures two, batches thousands of shots per dispatch.
+        :class:`~repro.backends.base.SuffixScan`), not the circuit's
+        overall width: a 16-qubit circuit that uncomputes down to a
+        3-qubit measured core, or a teleportation chain that allocates
+        two qubits per hop and measures two, batches thousands of shots
+        per dispatch.
 
         The auto size keeps one block (:data:`~repro.sim.kernels.
         BLOCK_AMPLITUDES`, one MiB of complex128) in flight: batching
@@ -181,17 +155,18 @@ class StatevectorBackend(Backend):
             return max(1, min(self.batch, shots))
         return max(1, min(shots, BLOCK_AMPLITUDES >> peak))
 
-    def _fork(self, base: StateVector, suffix: list[Gate], outputs,
-              shots: int, rng) -> tuple[dict[str, int], int]:
-        """Sample the stochastic *suffix* from the prefix state *base*.
+    def _fork(self, base: StateVector, scan: SuffixScan, run_suffix,
+              outputs, shots: int, rng) -> tuple[dict[str, int], int]:
+        """Sample the stochastic suffix from the prefix state *base*.
 
         Each batch of up to the fork batch size shots starts as one row
         standing for all of them (:meth:`~repro.sim.state.StateVector.
-        broadcast`), and the suffix advances the batch's rows in lockstep,
-        one kernel dispatch per gate (or per fused run, past one block):
-        a measurement splits a row only into the outcomes its shots drew,
-        so after j measurements the batch holds at most ``2**j`` rows.  Seeded counts stay bit-identical to sequential per-shot
-        replays: each batch pre-draws its measurement randomness
+        broadcast`), and ``run_suffix`` advances the batch's rows in
+        lockstep, one kernel dispatch per gate (or per fused run, past
+        one block): a measurement splits a row only into the outcomes its
+        shots drew, so after j measurements the batch holds at most
+        ``2**j`` rows.  Seeded counts stay bit-identical to sequential
+        per-shot replays: each batch pre-draws its measurement randomness
         *shot-major* with one ``rng.random((b, events))`` call -- which
         consumes the rng stream exactly as ``b`` sequential simulations
         would -- and shot s compares its draw for event j with the
@@ -201,10 +176,15 @@ class StatevectorBackend(Backend):
         packed into one integer code per row (:func:`_row_codes`), read
         per shot through the shot map and tallied; each distinct code's
         key comes from the shared :func:`~repro.backends.base.code_key`.
+        A suffix that would grow the state past ``max_width`` (which only
+        a stream's can: a stored circuit is admitted by its width) is
+        refused before any fork is made.
         """
-        peak, events = suffix_peak_and_events(base.num_qubits, suffix)
+        peak = base.num_qubits + scan.peak
+        if peak > self.max_width:
+            raise _width_exceeded(self.max_width)
         batch_size = self._fork_batch(shots, peak)
-        events += sum(1 for _, t in outputs if t == QUANTUM)
+        events = scan.events + sum(1 for _, t in outputs if t == QUANTUM)
         width = len(outputs)
         counts: dict[str, int] = {}
         done = 0
@@ -216,7 +196,7 @@ class StatevectorBackend(Backend):
             if _obs.ENABLED:
                 _obs.add("sim.batch.forks")
                 _obs.observe("sim.batch.occupancy", b)
-            fork.run(suffix)
+            run_suffix(fork)
             if _obs.ENABLED:
                 _obs.observe("sim.fork.rows", fork.batch)
             # A readout is kept as a bit, so later splits carry it along.
@@ -246,13 +226,12 @@ def _row_codes(columns: np.ndarray) -> np.ndarray:
 
 
 def draw_counts(sim: StateVector, outputs, shots: int, rng,
-                measured: frozenset[int] = frozenset()) -> dict[str, int]:
+                measured=frozenset()) -> dict[str, int]:
     """Sample *shots* outcomes from a final state in one multinomial draw.
 
-    *measured* wires were quantum until a stripped trailing ``Measure``;
-    they are still qubit axes of the final state and get sampled.  Shared
-    by the batched backend path and the streaming feed, so streamed and
-    materialized sampling of measurement-free circuits are seed-exact.
+    *measured* wires are measured by the trailing ``Measure`` gates that
+    were never run; they are still qubit axes of the final state and get
+    sampled.
     """
     qwires = [w for w, t in outputs if t == QUANTUM or w in measured]
     cbits = _host_bits(sim)
@@ -277,95 +256,3 @@ def draw_counts(sim: StateVector, outputs, shots: int, rng,
         )
         counts[key] = counts.get(key, 0) + int(n)
     return counts
-
-
-class StatevectorFeed(StreamConsumer):
-    """Simulate a gate stream directly on the dense statevector kernels.
-
-    The streaming analogue of the backend's ``shots=None`` path: every
-    emitted gate is executed the moment it arrives (boxed calls expanded
-    on the fly through the lazy inliner), so circuits are simulated while
-    they are being *generated*, without a gate list or a BCircuit ever
-    existing.  Gates run one at a time, so a run of ``Init`` or ``Term``
-    gates is not grouped as :meth:`~repro.sim.state.StateVector.run`
-    groups it.  A run of ``Measure`` gates is held until a later gate
-    arrives, so a stream whose only measurements are trailing ones ends
-    holding them (their wires are ``measured``).  ``stochastic`` records
-    whether an executed ``Measure``/``Discard`` consumed randomness --
-    :meth:`repro.streaming.GateStream.run` draws every shot of a stream
-    that did not from the final state, trailing measurements unexecuted,
-    as the backend does, and replays one that did per shot.
-    :meth:`result` and :meth:`outcome` execute the held gates first.
-    """
-
-    name = "statevector"
-
-    def __init__(self, rng, in_values: dict[int, bool] | None = None,
-                 max_width: int = 26):
-        self.rng = rng
-        self.in_values = in_values or {}
-        self.max_width = max_width
-        self.stochastic = False
-        self._held: list[Measure] = []
-
-    def begin(self, inputs, namespace) -> None:
-        from ..transform.inline import StreamExpander
-
-        self._expander = StreamExpander(namespace)
-        self.sim = StateVector(rng=self.rng)
-        quantum = [w for w, t in inputs if t == QUANTUM]
-        if len(quantum) > self.max_width:
-            raise BackendError(
-                f"{len(quantum)} input qubits exceed the statevector "
-                f"limit ({self.max_width}); use .resources() to size "
-                "the circuit first"
-            )
-        self.sim.load_inputs(inputs, self.in_values)
-
-    def gate(self, gate: Gate) -> None:
-        for flat in self._expander.expand(gate):
-            if isinstance(flat, Measure):
-                self._held.append(flat)
-            elif not isinstance(flat, Comment):
-                self._release()
-                self._exec(flat)
-
-    def _release(self) -> None:
-        for gate in self._held:
-            self._exec(gate)
-        self._held.clear()
-
-    def _exec(self, gate: Gate) -> None:
-        if isinstance(gate, (Measure, Discard)):
-            self.stochastic = True
-        # Guard growth BEFORE allocating: one qubit past the cap would
-        # double the state into gigabytes before any check could fire.
-        if isinstance(gate, Init) and self.sim.num_qubits >= self.max_width:
-            raise BackendError(
-                f"stream width exceeded the statevector limit "
-                f"({self.max_width} qubits); use .resources() to size "
-                "the circuit first"
-            )
-        self.sim.execute(gate)
-
-    @property
-    def measured(self) -> frozenset[int]:
-        """The wires of the held trailing measurements."""
-        return frozenset(gate.wire for gate in self._held)
-
-    def finish(self, end) -> None:
-        self.outputs = end.outputs
-
-    def result(self) -> RunResult:
-        """The single-run result: the final state, nothing held."""
-        self._release()
-        return _state_result(self.name, self.sim, stochastic=self.stochastic)
-
-    def outcome(self) -> str:
-        """This run's outcome key over the outputs, nothing held."""
-        self._release()
-        sim = self.sim
-        return outcome_key([
-            bool(sim.measure_qubit(w) if t == QUANTUM else sim.bits[w])
-            for w, t in self.outputs
-        ])

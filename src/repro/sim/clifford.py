@@ -6,18 +6,20 @@ measurement are simulated in polynomial time, which is "especially useful
 in testing oracles" (Section 4.4.5) and for checking the statevector
 simulator against an independent implementation.
 
-One state, :class:`CliffordState`, serves the backend, the streaming
-feed, ``run_clifford_generic`` and the equivalence checker.  It starts
-with no wires and gives a wire the next tableau column when a qubit
-input is loaded or the wire is first initialized, so columns are
+One state, :class:`CliffordState`, serves the backend (stored and
+streamed), ``run_clifford_generic`` and the equivalence checker.  It
+starts with no wires and gives a wire the next tableau column when a
+qubit input is loaded or the wire is first initialized, so columns are
 numbered inputs first, then by first Init, and a stream of unknown
 width needs no pre-scan; the tableau keeps spare |0> columns and
 doubles when full, and a spare column never takes part in another
-column's measurement.  Term measures the qubit and checks the
-programmer's assertion.  Ids do come back (``with_computed`` re-creates
-an ancilla under its old id, a QASM import re-initializes a terminated
-column), so an Init on a column that a Term, Discard or Measure released
-measures it and flips it into the requested state.
+column's measurement.  Term checks the programmer's assertion without
+drawing: a qubit with a random outcome fails it, as a superposition
+fails it on the statevector, so a deterministic prefix draws nothing.
+Ids do come back (``with_computed`` re-creates an ancilla under its old
+id, a QASM import re-initializes a terminated column), so an Init on a
+column that a Term, Discard or Measure released measures it and flips
+it into the requested state.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ class Tableau:
         self.x[np.arange(n), np.arange(n)] = True  # destabilizers X_i
         self.z[np.arange(n, 2 * n), np.arange(n)] = True  # stabilizers Z_i
         self.rng = rng if rng is not None else np.random.default_rng()
+
+    def copy(self) -> "Tableau":
+        """An independent copy that shares the random generator."""
+        clone = Tableau.__new__(Tableau)
+        clone.n, clone.rng = self.n, self.rng
+        clone.x, clone.z, clone.r = self.x.copy(), self.z.copy(), self.r.copy()
+        return clone
 
     # -- Clifford gates ----------------------------------------------------
 
@@ -204,6 +213,14 @@ class CliffordState:
         #: a basis state that a later Init must overwrite.
         self.released: set[int] = set()
 
+    def copy(self) -> "CliffordState":
+        """An independent fork of this state that shares its random
+        generator, as :meth:`repro.sim.state.StateVector.copy` does."""
+        clone = CliffordState.__new__(CliffordState)
+        clone.index, clone.bits = dict(self.index), dict(self.bits)
+        clone.released, clone.tableau = set(self.released), self.tableau.copy()
+        return clone
+
     def _column(self, wire: int) -> int:
         """*wire*'s column, appended in |0> on first use."""
         column = self.index.get(wire)
@@ -234,6 +251,11 @@ class CliffordState:
             return self.measure_qubit(wire)
         return self.bits[wire]
 
+    def run(self, gates) -> None:
+        """Execute *gates* in order."""
+        for gate in gates:
+            self.execute(gate)
+
     def execute(self, gate: Gate) -> None:
         tab = self.tableau
         if isinstance(gate, Comment):
@@ -252,6 +274,14 @@ class CliffordState:
             return
         if isinstance(gate, (Term, Discard, Measure)):
             column = self.index[gate.wire]
+            # A Term draws nothing: a qubit with a random outcome (a
+            # stabilizer row with an X on its column) fails it.
+            if isinstance(gate, Term) and tab.x[tab.n:, column].any():
+                raise AssertionFailedError(
+                    f"qubit {gate.wire} terminated with assertion "
+                    f"|{int(gate.value)}> but has nonzero amplitude in the "
+                    "other basis state"
+                )
             outcome = tab.measure(column)
             self.released.add(column)
             if isinstance(gate, Measure):
@@ -359,15 +389,7 @@ def run_clifford(bc: BCircuit, in_values: dict[int, bool] | None = None,
     """
     from ..transform.inline import compile_flat
 
-    return run_flat(bc.circuit.inputs, compile_flat(bc).gates,
-                    in_values or {}, rng)
-
-
-def run_flat(inputs, gates: list[Gate], in_values: dict[int, bool],
-             rng) -> CliffordState:
-    """One run of the flat *gates* from basis-state *inputs*."""
     state = CliffordState(rng=rng)
-    state.load_inputs(inputs, in_values)
-    for gate in gates:
-        state.execute(gate)
+    state.load_inputs(bc.circuit.inputs, in_values or {})
+    state.run(compile_flat(bc).gates)
     return state

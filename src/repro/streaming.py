@@ -21,17 +21,21 @@ circuit's size is bounded by disk (for the writers) or by nothing at all
 Repeated boxed-subroutine calls stay *symbolic* in the counting
 consumers (the body is costed once and multiplied through its call
 sites), which is what makes million-to-billion-gate resource estimates
-finish in seconds -- the paper's headline scalability result.
+finish in seconds -- the paper's headline scalability result.  A sampled
+:meth:`GateStream.run` reaches the simulation backend's one sampler, as
+a stored circuit does: the stream is generated once for its
+deterministic prefix and once more per fork (:class:`SimulationFeed`).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .backends.base import BackendError, RunResult
-from .backends.clifford import CliffordFeed
+from .backends.base import (BackendError, RunResult, SimulatorBackend,
+                            SuffixScan)
+from .backends.registry import get_backend
 from .backends.resources import resource_report
-from .backends.statevector import StatevectorFeed, draw_counts
+from .core.gates import Comment, Discard, Gate, Measure
 from .core.stream import StreamConsumer
 from .obs import core as _obs
 from .optimize.stream import StreamOptimizer
@@ -216,71 +220,54 @@ class GateStream:
 
         return self._produce(QasmStreamWriter(fp))
 
-    # -- simulation feeds ----------------------------------------------------
+    # -- simulation ----------------------------------------------------------
 
     def run(self, backend: str = "statevector", *, shots: int | None = None,
             in_values: dict[int, bool] | None = None,
             seed: int | None = None, **options) -> RunResult:
         """Simulate the gate stream directly on a simulation backend.
 
-        With ``shots=None`` this is a single generate-and-execute pass:
-        each gate hits the statevector kernels (or the growing stabilizer
-        tableau) the moment it is emitted.  With ``shots``, circuits
-        whose stream consumed no randomness (no measurement but trailing
-        ones) are sampled with one multinomial draw from the final state
-        -- seed-exact with the materialized backend's batched path;
-        streams with genuine mid-circuit measurement are re-generated
-        once per shot (valid, but O(shots x gates): prefer the
-        materialized ``Program.run`` when the circuit fits in memory).
+        *options* configure the backend, as in :meth:`repro.program.
+        Program.run`.  With ``shots=None`` each gate hits the statevector
+        kernels (or the growing stabilizer tableau) the moment it is
+        emitted.  With ``shots``, the deterministic prefix runs once and
+        the backend's one sampler draws the shots from it, as for a
+        stored circuit, regenerating the stream to run only its suffix
+        on each fork (once per fork batch on the statevector, once per
+        shot on the Clifford tableau): the counts are ``Program.run``'s
+        at every seed, and the producer must emit the same gates every
+        time.
         """
         import numpy as np
 
-        rng = np.random.default_rng(seed)
         if shots is not None and shots <= 0:
             raise BackendError(f"shots must be positive, got {shots}")
+        engine = get_backend(backend, **options)
+        if not isinstance(engine, SimulatorBackend):
+            raise BackendError(
+                f"backend {backend!r} has no streaming feed; streaming "
+                "supports 'statevector' and 'clifford' (for cost reports "
+                "use .resources())"
+            )
+        rng = np.random.default_rng(seed)
+        feed = SimulationFeed(engine, rng, in_values,
+                              sampling=shots is not None)
+
+        def generate(fork=None):
+            feed.fork = fork
+            if _obs.ENABLED:
+                _obs.add("stream.generations")
+            self._produce(feed)
+
         with _obs.span("run." + backend, stream=self.name,
                        shots=shots if shots is not None else 1):
-            feed = self._feed(backend, rng, in_values, options)
-            self._produce(feed)
+            generate()
             if shots is None:
-                return feed.result()
-            if backend == "statevector" and not feed.stochastic:
-                if _obs.ENABLED:
-                    _obs.add("run.shots.batched", shots)
-                counts = draw_counts(
-                    feed.sim, feed.outputs, shots, rng, feed.measured
-                )
-                return RunResult(
-                    backend=backend, shots=shots, counts=counts,
-                    metadata={"batched": True, "streamed": True},
-                )
-            counts: dict[str, int] = {}
-            for shot in range(shots):
-                if shot:
-                    feed = self._feed(backend, rng, in_values, options)
-                    self._produce(feed)
-                key = feed.outcome()
-                counts[key] = counts.get(key, 0) + 1
-            if _obs.ENABLED:
-                _obs.add("run.shots.replayed", shots)
-            return RunResult(
-                backend=backend, shots=shots, counts=counts,
-                metadata={
-                    "batched": False, "streamed": True, "replays": shots,
-                },
-            )
-
-    @staticmethod
-    def _feed(backend: str, rng, in_values, options) -> StreamConsumer:
-        if backend == "statevector":
-            return StatevectorFeed(rng, in_values, **options)
-        if backend == "clifford":
-            return CliffordFeed(rng, in_values, **options)
-        raise BackendError(
-            f"backend {backend!r} has no streaming feed; streaming "
-            "supports 'statevector' and 'clifford' (for cost reports "
-            "use .resources())"
-        )
+                return engine.single(feed.state)
+            result = engine.sample(feed.state, feed.scan, generate,
+                                   feed.outputs, shots, rng)
+        result.metadata["streamed"] = True
+        return result
 
     # -- pull-based iteration ------------------------------------------------
 
@@ -374,6 +361,85 @@ class GateStream:
     def __repr__(self) -> str:
         rules = f" +{len(self._rules)} rules" if self._rules else ""
         return f"<GateStream {self.name!r}{rules}>"
+
+
+class SimulationFeed(StreamConsumer):
+    """One generation of a streamed :meth:`GateStream.run`, gate by gate
+    through the backend's :meth:`~repro.backends.base.SimulatorBackend.
+    step`.
+
+    The first generation (``fork`` is None) builds the state through the
+    backend, which owns its type and width guard, and executes the
+    ``prefix`` gates before the first ``Measure``/``Discard``; then it
+    executes the rest, or, when *sampling*, feeds it to ``scan``.  A fork
+    generation skips the prefix and executes the rest on ``fork``; if it
+    skips or runs another number of gates than the first, it raises.
+    """
+
+    def __init__(self, backend: SimulatorBackend, rng,
+                 in_values: dict[int, bool] | None, *, sampling: bool):
+        self.backend, self.rng, self.in_values = backend, rng, in_values or {}
+        self.scan = SuffixScan() if sampling else None
+        self.prefix = 0
+        self.fork = None
+
+    def begin(self, inputs, namespace) -> None:
+        """Start a generation: build the state, or arm the fork."""
+        from .transform.inline import StreamExpander
+
+        self._expander = StreamExpander(namespace)
+        self._count = 0
+        if self.fork is None:
+            self.state = self.backend.load(inputs, self.in_values, self.rng)
+        self._take = self._prefix_gate
+
+    def gate(self, gate: Gate) -> None:
+        """Take each flat gate of *gate* as this generation's phase does."""
+        for flat in self._expander.expand(gate):
+            if not isinstance(flat, Comment):
+                self._take(flat)
+
+    def _prefix_gate(self, gate: Gate) -> None:
+        if isinstance(gate, (Measure, Discard)):
+            if self.fork is not None:
+                self._agree(self._count == self.prefix)
+                self._count = 0
+                self._take = self._fork_gate
+            elif self.scan is None:
+                self._take = self._execute
+            else:
+                self._take = self.scan.add
+            self._take(gate)
+        elif self.fork is None:
+            self.prefix += 1
+            self._execute(gate)
+        else:
+            self._count += 1
+
+    def _execute(self, gate: Gate) -> None:
+        self.backend.step(self.state, gate)
+
+    def _fork_gate(self, gate: Gate) -> None:
+        self._agree(self._count < self.scan.gates)
+        self._count += 1
+        self.backend.step(self.fork, gate)
+
+    @staticmethod
+    def _agree(same: bool) -> None:
+        if not same:
+            raise BackendError(
+                "the stream generated different gates on a rerun; a "
+                "sampled stream is regenerated to run its suffix, so its "
+                "producer must emit the same gates every time"
+            )
+
+    def finish(self, end) -> None:
+        """Keep the outputs, or check a fork generation's counts."""
+        if self.fork is None:
+            self.outputs = end.outputs
+        else:
+            self._agree(self._take == self._fork_gate
+                        and self._count == self.scan.gates)
 
 
 __all__ = ["GateStream"]

@@ -28,8 +28,12 @@ import random
 
 from repro.core.builder import neg
 from repro.core.gates import (
+    CDiscard,
+    CGate,
     CInit,
+    CNot,
     Control,
+    CTerm,
     Discard,
     Init,
     Measure,
@@ -87,6 +91,7 @@ def random_gates(
     measure_p=0.5,
     fresh_p=0.0,
     max_controls=2,
+    logic_p=0.0,
 ):
     """A random gate list over the whole extended circuit model.
 
@@ -95,19 +100,24 @@ def random_gates(
     controls and inversion (probability *gate_p*), Init/controlled-T/Term
     ancilla triples (*ancilla_p*), fresh classical wires via ``CInit``
     (*cinit_p*), fresh qubits via ``Init`` that stay live until measured
-    or discarded (*fresh_p*, off by default), and otherwise mid-circuit
-    ``Measure``/``Discard`` of a live qubit.  The probabilities are the
-    knobs the historical per-suite copies differed by; the structure is
-    shared.
+    or discarded (*fresh_p*, off by default), classical logic on the
+    measured and ``CInit`` bits (*logic_p*, off by default: see
+    :func:`_logic_gate`), and otherwise mid-circuit ``Measure``/``Discard``
+    of a live qubit.  The probabilities are the knobs the historical
+    per-suite copies differed by; the structure is shared.  A knob at 0
+    draws nothing, so a suite that leaves it off draws what it drew
+    before the knob existed.
     """
     gates = list(superpose(n_qubits))
     next_wire = n_qubits
     live = list(range(n_qubits))
     classical = []
+    known = {}  # classical wire -> its value, where every shot agrees
     gate_t = gate_p
     ancilla_t = gate_p + ancilla_p
     cinit_t = gate_p + ancilla_p + cinit_p
     fresh_t = cinit_t + fresh_p
+    logic_t = fresh_t + logic_p
     for _ in range(steps):
         kind = rnd.random()
         if kind < gate_t and len(live) >= 2:
@@ -147,12 +157,17 @@ def random_gates(
             gates.append(Term(ancilla, value))
         elif kind < cinit_t:
             classical.append(next_wire)
-            gates.append(CInit(next_wire, rnd.random() < 0.5))
+            known[next_wire] = rnd.random() < 0.5
+            gates.append(CInit(next_wire, known[next_wire]))
             next_wire += 1
         elif kind < fresh_t:
             live.append(next_wire)
             gates.append(Init(next_wire, rnd.random() < 0.5))
             next_wire += 1
+        elif kind < logic_t:
+            if classical:
+                gates.append(_logic_gate(rnd, classical, known, next_wire))
+                next_wire += 1
         elif len(live) > 2:
             # Mid-circuit measurement / discard.
             victim = rnd.choice(live)
@@ -163,6 +178,53 @@ def random_gates(
             else:
                 gates.append(Discard(victim))
     return gates
+
+
+#: The classical functions of ``CGate``, each with its input count
+#: (None: one to three) and its value on known inputs.
+_CGATES = {
+    "and": (None, all),
+    "or": (None, any),
+    "xor": (None, lambda values: sum(values) % 2 == 1),
+    "not": (1, lambda values: not values[0]),
+    "eq": (2, lambda values: values[0] == values[1]),
+}
+
+
+def _logic_gate(rnd, classical, known, fresh):
+    """One classical gate over the live bits *classical*: a ``CGate``
+    into the new wire *fresh*, a ``CNot`` with classical controls only,
+    or the end of a bit: a ``CTerm`` asserting a value every shot
+    agrees on (*known*, kept up to date here), else a ``CDiscard``."""
+    roll = rnd.random()
+    if roll < 0.4:
+        name = rnd.choice(sorted(_CGATES))
+        arity, value = _CGATES[name]
+        arity = arity or rnd.randint(1, 3)
+        if arity > len(classical):
+            name, arity, value = "not", 1, _CGATES["not"][1]
+        inputs = tuple(rnd.sample(classical, arity))
+        classical.append(fresh)
+        if all(w in known for w in inputs):
+            known[fresh] = value([known[w] for w in inputs])
+        return CGate(name, fresh, inputs)
+    if roll < 0.7:
+        target = rnd.choice(classical)
+        others = [w for w in classical if w != target]
+        picked = rnd.sample(others, min(len(others), rnd.randint(0, 2)))
+        controls = tuple(Control(w, rnd.random() < 0.5, CLASSICAL)
+                         for w in picked)
+        if target in known and all(c.wire in known for c in controls):
+            known[target] ^= all(known[c.wire] == c.positive
+                                 for c in controls)
+        else:
+            known.pop(target, None)
+        return CNot(target, controls)
+    victim = rnd.choice(classical)
+    classical.remove(victim)
+    if victim in known:
+        return CTerm(victim, known.pop(victim))
+    return CDiscard(victim)
 
 
 #: Builder-level name pools (the optimizer suite's historical mix).

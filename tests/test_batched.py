@@ -26,8 +26,7 @@ import numpy as np
 import pytest
 
 from repro import Program, build, get_backend, qubit
-from repro.backends.base import BackendError, outcome_key
-from repro.backends.statevector import suffix_peak_and_events
+from repro.backends.base import BackendError, SuffixScan, outcome_key
 from repro.core.circuit import BCircuit, Circuit
 from repro.core.gates import (CGate, CInit, CNot, Control, CTerm, Discard,
                               Init, Measure, NamedGate, Term)
@@ -407,7 +406,8 @@ class TestForkBatchSizing:
             for gate in suffix:
                 sim.execute(gate)
                 widest = max(widest, sim.num_qubits)
-            peak, events = suffix_peak_and_events(fork, suffix)
+            scan = SuffixScan(suffix)
+            peak, events = fork + scan.peak, scan.events
             assert peak == widest, trial
             assert events == _stochastic_events(suffix), trial
             above_fork += widest > fork
@@ -1279,9 +1279,9 @@ def _fork_and_identity(gates, n, shots, seed):
         base.add_qubits([(w, False) for w in range(n)])
         base.run(gates[:split])
         states.append(base.broadcast(shots) if forked else base)
-    peak, events = suffix_peak_and_events(
-        states[1].num_qubits, gates[split:])
-    return states, gates[split:], events + peak
+    scan = SuffixScan(gates[split:])
+    peak = states[1].num_qubits + scan.peak
+    return states, gates[split:], scan.events + peak
 
 
 def _read_out(sim):
@@ -1344,8 +1344,7 @@ class TestSharedRows:
                 tail -= 1
             split = min(compiled.prefix_len, tail)
             sim.run(compiled.gates[:split])
-            _, events = suffix_peak_and_events(
-                sim.num_qubits, compiled.gates[split:])
+            events = SuffixScan(compiled.gates[split:]).events
             events += sum(t == QUANTUM for _, t in outputs)
             sim.preload_randoms(rng.random((29, events)))
             sim.run(compiled.gates[split:])

@@ -147,6 +147,35 @@ class TestRecorderMath:
             # Gates after the measurement ran on two rows.
             assert rec.counters["sim.batch.gates"] >= forks
 
+    def test_stream_generations_count_producer_runs(self):
+        # A streamed sample generates the stream once for the prefix and
+        # once per fork batch; the stored run generates nothing.
+        def coins(qc, a, b):
+            qc.hadamard(a)
+            m = qc.measure(a)
+            qc.hadamard(b)
+            qc.qnot(b, controls=m)
+            return m, b
+
+        program = Program.capture(coins, qubit, qubit, name="coins")
+        for batch, generations in ((None, 2), (16, 17)):
+            with obs.capture() as rec:
+                streamed = program.stream().run(shots=256, seed=1,
+                                                batch=batch)
+            assert rec.counters["stream.generations"] == generations
+            assert rec.counters["run.shots.forked"] == 256
+            assert rec.counters["sim.batch.forks"] == generations - 1
+            assert streamed.counts == program.run(
+                shots=256, seed=1, batch=batch).counts
+        with obs.capture() as rec:
+            _bell_program().stream().run(shots=64, seed=1)
+        assert rec.counters["stream.generations"] == 1
+        assert rec.counters["run.shots.batched"] == 64
+        with obs.capture() as rec:
+            program.stream().run("clifford", shots=5, seed=1)
+        assert rec.counters["stream.generations"] == 6
+        assert "run.shots.replayed" not in rec.counters
+
 
 class TestSpanNesting:
     """Span paths reflect lexical nesting, across threads and stages."""

@@ -14,15 +14,22 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from repro import Program, obs, qubit
-from repro.core.errors import QuipperError
+from repro import Program, get_backend, obs, qubit
+from repro.backends import BackendError
+from repro.core.circuit import BCircuit, Circuit
+from repro.core.errors import AssertionFailedError, QuipperError
+from repro.core.gates import CDiscard, CGate, CNot, CTerm
+from repro.core.wires import CLASSICAL, QUANTUM
 from repro.io import loads
 from repro.io.qasm import QasmExportError
+from repro.sim import StateVector
 from repro.transform import to_toffoli
+from repro.transform.inline import compile_flat
 
 from repro.algorithms.bwt.main import bwt_program
 from repro.algorithms.bf.main import hex_oracle_program
@@ -33,6 +40,9 @@ from repro.algorithms.qls.hhl import hhl_circuit
 from repro.algorithms.tf.main import part_program
 from repro.algorithms.usv.lattice import parity_kernel_matrix, planted_instance
 from repro.algorithms.usv.usv import coset_sampling_circuit
+from families import SIMULATE, teleport_chain
+from strategies import random_gates
+from test_backends import _pin_clifford_circuit
 
 
 def _usv_program() -> Program:
@@ -230,6 +240,235 @@ class TestSimulationFeeds:
         program = Program.capture(grower, qubit)
         with pytest.raises(BackendError, match="exceeded the statevector"):
             program.stream().run(max_width=4)
+
+
+def _logic_circuit(trial):
+    """A seeded :func:`~strategies.random_gates` circuit with mid-circuit
+    measurement and classical logic on the measured and ``CInit`` bits;
+    its outputs are the wires it leaves live."""
+    rnd = random.Random(8300 + trial)
+    n = rnd.randint(3, 5)
+    gates = random_gates(
+        rnd, n, gate_p=0.45, ancilla_p=0.1, cinit_p=0.08, fresh_p=0.1,
+        classical_control_p=0.5, measure_p=0.6, logic_p=0.15,
+    )
+    sim = StateVector(rng=np.random.default_rng(trial))
+    sim.add_qubits([(w, False) for w in range(n)])
+    sim.run(gates)
+    outputs = tuple([(w, QUANTUM) for w in sim.axes]
+                    + [(w, CLASSICAL) for w in sim.bits])
+    return BCircuit(Circuit(
+        tuple((w, QUANTUM) for w in range(n)), tuple(gates), outputs))
+
+
+def _replayed_counts(bc, shots, seed):
+    """The counts of simulating every shot on its own: one batch-1 copy
+    of the prefix state per shot, drawing from the shared generator as
+    the gates ask, then measuring the quantum outputs.  Only a suffix
+    that forks is sampled this way."""
+    rng = np.random.default_rng(seed)
+    base = StateVector(rng=rng)
+    base.load_inputs(bc.circuit.inputs, {})
+    compiled = compile_flat(bc)
+    base.run(compiled.gates[:compiled.prefix_len])
+    counts = {}
+    for _ in range(shots):
+        sim = base.copy()
+        sim.run(compiled.gates[compiled.prefix_len:])
+        key = "".join(
+            "1" if (sim.measure_qubit(w) if t == QUANTUM else sim.bits[w])[0]
+            else "0"
+            for w, t in bc.circuit.outputs
+        )
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _generations(run):
+    """How many times *run* generated its stream, and its result."""
+    with obs.capture() as rec:
+        result = run()
+    return rec.counters.get("stream.generations", 0), result
+
+
+class TestOneSampler:
+    """A stream is sampled by the statevector backend's one sampler.
+
+    The first generation runs the prefix once and scans the rest; each
+    fork batch regenerates the stream and runs its suffix alone.  So
+    streamed counts are ``Program.run``'s, and both are the counts of
+    simulating every shot on its own, at every ``batch=``, with the last
+    batch ragged (29 shots).
+    """
+
+    @pytest.mark.parametrize("entry", sorted(SIMULATE))
+    def test_catalogue_counts_equal_program_run(self, entry):
+        make = SIMULATE[entry]
+        bits = (False, True) if entry.startswith("teleport") else (None,)
+        for bit in bits:
+            fresh = (lambda: make(bit)) if bit is not None else make
+            for batch in (None, 1, 3):
+                stored = fresh().run(shots=29, seed=4, batch=batch)
+                streamed = fresh().stream().run(shots=29, seed=4,
+                                                batch=batch)
+                assert streamed.counts == stored.counts, (bit, batch)
+                assert streamed.metadata.get("batch") == \
+                    stored.metadata.get("batch")
+
+    def test_random_circuits_with_classical_logic(self):
+        forked = logic = 0
+        for trial in range(60):
+            bc = _logic_circuit(trial)
+            logic += any(isinstance(g, (CGate, CNot, CTerm, CDiscard))
+                         for g in bc.circuit.gates)
+            stream = Program.from_bcircuit(bc).stream()
+            for batch in (None, 1, 3):
+                stored = get_backend("statevector", batch=batch).run(
+                    bc, shots=29, seed=trial)
+                streamed = stream.run(shots=29, seed=trial, batch=batch)
+                assert streamed.counts == stored.counts, (trial, batch)
+            if not stored.metadata["batched"]:
+                forked += 1
+                assert stored.counts == _replayed_counts(bc, 29, trial), \
+                    trial
+        assert forked >= 40 and logic >= 40, (forked, logic)
+
+    def test_one_generation_per_fork_batch(self):
+        for batch, shots in ((None, 64), (1, 5), (3, 29), (8, 64)):
+            count, result = _generations(
+                lambda: teleport_chain(3, True).stream().run(
+                    shots=shots, seed=2, batch=batch))
+            b = result.metadata["batch"]
+            assert count == 1 + -(-shots // b), (batch, shots)
+        # Measured only at its end: drawn from the one prefix state.
+        count, result = _generations(
+            lambda: TestSimulationFeeds._bell().stream().run(
+                shots=64, seed=1))
+        assert count == 1 and result.metadata["batched"]
+        count, _ = _generations(lambda: teleport_chain(3).stream().run())
+        assert count == 1
+
+    @pytest.mark.parametrize("where", ["prefix", "suffix", "missing"])
+    def test_a_producer_that_changes_is_refused(self, where):
+        runs = []
+
+        def circ(qc, a, b):
+            runs.append(None)
+            again = len(runs) > 1
+            qc.hadamard(a)
+            if again and where == "prefix":
+                qc.gate_X(b)
+            m = qc.measure(a)
+            if not (again and where == "missing"):
+                qc.qnot(b, controls=m)
+            if again and where == "suffix":
+                qc.hadamard(b)
+            return m, b
+
+        program = Program.capture(circ, qubit, qubit)
+        with pytest.raises(BackendError, match="different gates on a rerun"):
+            program.stream().run(shots=8, seed=1)
+
+    def test_a_fork_past_the_width_cap_is_refused_first(self):
+        def grower(qc, a):
+            qc.hadamard(a)
+            m = qc.measure(a)
+            fresh = [qc.qinit_qubit(False) for _ in range(6)]
+            for q in fresh:
+                qc.qterm(q)
+            return m
+
+        program = Program.capture(grower, qubit)
+        with obs.capture() as rec:
+            with pytest.raises(BackendError,
+                               match="exceeded the statevector"):
+                program.stream().run(shots=8, seed=1, max_width=4)
+        assert rec.counters["stream.generations"] == 1
+        assert "sim.batch.forks" not in rec.counters
+
+
+def _clifford_teleport(hops: int, bit: bool):
+    """Teleport ``H|bit>`` along *hops* Bell pairs with Clifford gates
+    alone, then undo the ``H``: every shot reads back *bit*."""
+
+    def chain(qc):
+        src = qc.qinit_qubit(bit)
+        qc.hadamard(src)
+        for _ in range(hops):
+            half = qc.qinit_qubit(False)
+            dst = qc.qinit_qubit(False)
+            qc.hadamard(half)
+            qc.qnot(dst, controls=half)
+            qc.qnot(half, controls=src)
+            qc.hadamard(src)
+            z_bit = qc.measure(src)
+            x_bit = qc.measure(half)
+            qc.qnot(dst, controls=x_bit)
+            qc.gate_Z(dst, controls=z_bit)
+            qc.cdiscard((z_bit, x_bit))
+            src = dst
+        qc.hadamard(src)
+        return qc.measure(src)
+
+    return Program.capture(chain, name=f"clifford-teleport({hops})")
+
+
+class TestOneCliffordSampler:
+    """The Clifford backend runs the prefix once and each shot's suffix
+    on a copy of its tableau, for stored circuits and streams alike; a
+    ``Term`` is checked without drawing."""
+
+    def test_streamed_counts_equal_stored(self):
+        backend = get_backend("clifford")
+        suffixes = 0
+        for seed in range(60):
+            bc, in_values = _pin_clifford_circuit(seed)
+            stored = backend.run(bc, shots=24, seed=seed,
+                                 in_values=in_values)
+            streamed = Program.from_bcircuit(bc).stream().run(
+                "clifford", shots=24, seed=seed, in_values=in_values)
+            assert streamed.counts == stored.counts, seed
+            suffixes += compile_flat(bc).prefix_len < len(compile_flat(bc))
+        assert suffixes >= 30
+        for hops in (1, 3):
+            for bit in (False, True):
+                stored = _clifford_teleport(hops, bit).run(
+                    "clifford", shots=16, seed=hops)
+                streamed = _clifford_teleport(hops, bit).stream().run(
+                    "clifford", shots=16, seed=hops)
+                assert streamed.counts == stored.counts == {
+                    str(int(bit)): 16}
+
+    def test_one_generation_per_shot_with_a_suffix(self):
+        count, _ = _generations(
+            lambda: _clifford_teleport(2, True).stream().run(
+                "clifford", shots=7, seed=1))
+        assert count == 1 + 7
+        count, _ = _generations(
+            lambda: TestSimulationFeeds._bell().stream().run(
+                "clifford", shots=7, seed=1))
+        assert count == 1
+
+    def test_h_then_term_always_fails(self):
+        def in_prefix(qc, a, b):
+            qc.hadamard(a)
+            qc.qterm(a)
+            return b
+
+        def in_suffix(qc, a, b):
+            qc.hadamard(b)
+            m = qc.measure(b)
+            qc.hadamard(a)
+            qc.qterm(a)
+            return m
+
+        for circ in (in_prefix, in_suffix):
+            for seed in range(20):
+                for shots in (None, 1, 2, 64):
+                    program = Program.capture(circ, qubit, qubit)
+                    for run in (program.run, program.stream().run):
+                        with pytest.raises(AssertionFailedError):
+                            run("clifford", shots=shots, seed=seed)
 
 
 def _repeated_subroutine_program(repetitions: int) -> Program:
