@@ -5,9 +5,10 @@ Every run loads its inputs into a batch-1 state
 (:meth:`~repro.sim.state.StateVector.load_inputs`, one allocation) and
 executes gates through :meth:`~repro.sim.state.StateVector.run`, which
 allocates each run of ``Init`` gates at once, terminates each run of
-``Term`` gates in one pass over the state, and gathers each run of basis
+``Term`` gates in one pass over the state, gathers each run of basis
 permutations (X, CNOT, Toffoli, swap, Fredkin) on a state past one block
-at once.  Then:
+at once, and runs a ``with_computed`` window that would grow the state
+to one block from few nonzero columns on those columns alone.  Then:
 
 * ``shots=None`` streams the whole hierarchy lazily through that state
   (no materialized gate list, so arbitrarily deep hierarchies work) and

@@ -24,7 +24,12 @@ terminates each run of ``Term`` gates with one reduction and one gather
 allocate and uncompute their ancillas in such runs.  Past one block of
 amplitudes it applies each run of basis permutations (the X, CNOT and
 Toffoli runs of reversible arithmetic) as one gather per block, with the
-bytes the gates one by one give.  Kernels never index the row axis, so
+bytes the gates one by one give.  A ``with_computed`` block that would
+grow the state to one block while few of its columns hold amplitude
+runs on those columns alone (:meth:`StateVector._run_on_support`): its
+ancillas, permutations and assertions move one integer code per column,
+and one scatter writes the final buffer, as ``run_classical_generic``
+evaluates oracles on basis states.  Kernels never index the row axis, so
 ONE dispatch advances all ``B`` rows: the per-gate Python/numpy
 dispatch overhead that dominates at moderate qubit counts is paid once
 per batch instead of once per shot.  ``batch=1`` (the
@@ -52,6 +57,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import lru_cache
+from itertools import groupby
 from typing import NoReturn
 
 import numpy as np
@@ -344,16 +351,10 @@ class StateVector:
             if both.ndim > 2:
                 both = both.reshape(self.batch, 2, -1).sum(axis=2)
             wrong, kept = both[:, 1 - bit], both[:, bit]
-            share = kept
-            if held is not None:
-                wrong, share = wrong / held, kept / held
-            if math.sqrt(float(wrong.max())) > 1e-6:
-                raise AssertionFailedError(
-                    f"qubit {wire} terminated with assertion |{bit}> "
-                    "but has nonzero amplitude in the other basis state"
-                )
-            if math.sqrt(float(share.min())) < _TOLERANCE:
-                raise SimulationError("a batch member collapsed to zero norm")
+            if held is None:
+                _check_term(wire, bit, wrong, kept)
+            else:
+                _check_term(wire, bit, wrong / held, kept / held)
             held = kept
             weights = weights[:, bit]
         view = self.data.reshape((self.batch,) + (2,) * n)
@@ -361,9 +362,7 @@ class StateVector:
             (axis + 1, int(value)) for axis, (_, value) in zip(axes, pairs)
         ))]
         self.data = np.ascontiguousarray(kept_block).reshape(self.batch, -1)
-        if (held != 1.0).any():
-            floats = self.data.view(np.float64)
-            floats *= (1.0 / np.sqrt(held))[:, None]
+        _rescale(self.data, held)
         gone = sorted(axes)
         for wire, _ in pairs:
             del self.axes[wire]
@@ -507,12 +506,28 @@ class StateVector:
         swap, Fredkin: see :func:`_moves_only`) goes to
         :func:`~repro.sim.kernels.gather_permutations` as one gather per
         block, and gate by gate when that declines; amplitudes only move.
+
+        An ``Init`` run that would grow the state to one block or more
+        opens a *window*: it and every ``Init``, ``Term``, ``Comment`` and
+        basis permutation after it, up to the next other gate, run
+        together (:meth:`_run_window`), on the state's support when
+        little of the state holds amplitude.  Below one block no gate is
+        classified that the loop did not classify before.
         """
         execute = self.execute
-        pending: list[Gate] = []  # a run of gates of one type
+        pending: list[Gate] = []  # a run of gates of one type, or a window
+        window = False  # whether pending is an open window
         for gate in gates:
             kind = type(gate)
-            if pending and kind is not type(pending[0]):
+            if window:
+                if kind is Init or kind is Term or kind is Comment or (
+                    kind is NamedGate and _moves_only(gate)
+                ):
+                    pending.append(gate)
+                    continue
+                self._run_window(pending)
+                pending, window = [], False
+            elif pending and kind is not type(pending[0]):
                 self._run_pending(pending)
                 pending = []
             if kind is NamedGate:
@@ -524,10 +539,146 @@ class StateVector:
                     pending = []
             elif kind is Init or kind is Term:
                 pending.append(gate)
+                window = kind is Init and (
+                    self.batch << (len(self.axes) + len(pending))
+                ) >= BLOCK_AMPLITUDES
                 continue
             execute(gate)
         if pending:
-            self._run_pending(pending)
+            (self._run_window if window else self._run_pending)(pending)
+
+    def _run_window(self, gates: list[Gate]) -> None:
+        """One window of :meth:`run`: on the state's support when
+        :meth:`_run_on_support` takes it, else as :meth:`run` runs gates
+        outside a window (each run of one type at once, permutations
+        gathered only past one block)."""
+        if self._run_on_support(gates):
+            return
+        for kind, run in groupby(gates, type):
+            run = list(run)
+            if kind is Comment or (
+                kind is NamedGate and self.data.size <= BLOCK_AMPLITUDES
+            ):
+                for gate in run:
+                    self.execute(gate)
+            else:
+                self._run_pending(run)
+
+    def _run_on_support(self, gates: list[Gate]) -> bool:
+        """Run a window of ``Init``, ``Term``, ``Comment`` and
+        :func:`_moves_only` gates on the columns that hold amplitude, or
+        return False, having changed nothing.
+
+        The window runs here when it has two or more gates, its live-qubit
+        peak exceeds the qubits it starts with, the grown state ``B <<
+        peak`` would reach :data:`~repro.sim.kernels.BLOCK_AMPLITUDES`, and
+        its support (the columns where some row holds a nonzero byte, so
+        ``-0.0`` moves byte for byte) times its gates is at most ``B <<
+        peak``.  Each support column keeps one ``int64`` code: the wire at
+        axis ``a`` of the ``n``-qubit state is bit ``n - 1 - a``, so a
+        code starts as its column; an ``Init`` takes a free bit, set for
+        ``|1>``; a permutation flips its target bits on the codes whose
+        control bits match; a ``Term`` checks its assertion from the
+        carried weights, relative to the weight the Terms before it kept
+        (:meth:`remove_qubits_asserted`'s threshold, message and collapse
+        check), drops the other codes and clears its bit before freeing
+        it.  An ``Init`` of a live wire, a ``Term`` of a dead one, a gate
+        on a dead wire or on one wire twice returns False, so the window
+        raises (or runs) as gate by gate.  If a Term ran, the kept columns
+        are scaled once by ``1/sqrt`` of the weight they keep, unless it
+        is exactly 1; then they are scattered into one fresh buffer whose
+        axes are the dense path's: the surviving wires in axis order, then
+        the surviving ``Init`` wires in order.  Without a ``Term`` these
+        are the bytes of the gates one by one.
+        """
+        n = len(self.axes)
+        live = peak = n
+        for gate in gates:
+            if type(gate) is Init:
+                live += 1
+                peak = max(peak, live)
+            elif type(gate) is Term:
+                live -= 1
+        size = self.batch << peak
+        if (len(gates) < 2 or not n < peak <= _CODE_BITS
+                or size < BLOCK_AMPLITUDES):
+            return False
+        words = self.data.view(np.uint64)
+        columns = np.flatnonzero(np.bitwise_or.reduce(
+            words[:, 0::2] | words[:, 1::2], axis=0
+        ))
+        if len(columns) * len(gates) > size:
+            return False
+        codes = columns.astype(np.int64)
+        amps = self.data[:, columns]
+        weights = held = None  # each code's weight; the weight kept
+        bits = {wire: n - 1 - axis for wire, axis in self.axes.items()}
+        order = dict(self.axes)  # each live wire's rank among the outputs
+        free: list[int] = []
+        rank = n
+        for gate in gates:
+            kind = type(gate)
+            if kind is NamedGate:
+                if not _permute_codes(codes, gate, bits):
+                    return False
+            elif kind is Init:
+                if gate.wire in bits:
+                    return False
+                # Every bit under len(bits) is a live wire's or free.
+                bit = free.pop() if free else len(bits)
+                bits[gate.wire] = bit
+                order[gate.wire] = rank
+                rank += 1
+                if gate.value:
+                    codes |= 1 << bit
+            elif kind is Term:
+                bit = bits.pop(gate.wire, None)
+                if bit is None:
+                    return False
+                if weights is None:
+                    weights = np.square(amps.real) + np.square(amps.imag)
+                    total = weights.sum(axis=1)
+                    nothing = np.zeros(self.batch)
+                good = codes & 1 << bit != 0
+                if not gate.value:
+                    good = ~good
+                if good.all():
+                    kept, wrong = total, nothing
+                else:
+                    kept = weights[:, good].sum(axis=1)
+                    wrong = weights[:, ~good].sum(axis=1)
+                if held is None:
+                    _check_term(gate.wire, gate.value, wrong, kept)
+                else:
+                    _check_term(gate.wire, gate.value, wrong / held,
+                                kept / held)
+                held = kept
+                if kept is not total:
+                    codes, amps = codes[good], amps[:, good]
+                    weights, total = weights[:, good], kept
+                if gate.value:
+                    codes ^= 1 << bit
+                free.append(bit)
+        survivors = sorted(bits, key=order.__getitem__)
+        m = len(survivors)
+        index = codes & sum(1 << bits[w] for j, w in enumerate(survivors)
+                            if bits[w] == m - 1 - j)  # bits already in place
+        for j, wire in enumerate(survivors):
+            if bits[wire] != m - 1 - j:
+                index |= (codes >> bits[wire] & 1) << (m - 1 - j)
+        if held is not None:
+            amps = np.ascontiguousarray(amps)
+            _rescale(amps, held)
+        data = np.zeros((self.batch, 1 << m), dtype=complex)
+        data[:, index] = amps
+        self.data = data
+        self.axes = {wire: j for j, wire in enumerate(survivors)}
+        if _obs.ENABLED:
+            _obs.add("sim.kernel.support")
+            _obs.add("sim.support.gates", len(gates))
+            if self.batch > 1:
+                _obs.add("sim.batch.gates", len(gates))
+        return True
 
     def _run_pending(self, gates: list[Gate]) -> None:
         """One run of gates of one type, as :meth:`run` groups them."""
@@ -674,17 +825,110 @@ class StateVector:
         return result
 
 
+def _check_term(wire: int, value, wrong: np.ndarray,
+                share: np.ndarray) -> None:
+    """A ``Term``'s checks, given each row's weight on the wire's wrong
+    value and the share it keeps, both relative to the weight the Terms
+    before it in the same pass kept: the assertion (amplitude 1e-6),
+    then the collapse."""
+    if math.sqrt(float(wrong.max())) > 1e-6:
+        raise AssertionFailedError(
+            f"qubit {wire} terminated with assertion |{int(value)}> "
+            "but has nonzero amplitude in the other basis state"
+        )
+    if math.sqrt(float(share.min())) < _TOLERANCE:
+        raise SimulationError("a batch member collapsed to zero norm")
+
+
+def _rescale(data: np.ndarray, held: np.ndarray) -> None:
+    """Scale each row of *data* in place by one over the square root of
+    its kept weight in *held*, unless every weight is exactly 1."""
+    if (held != 1.0).any():
+        floats = data.view(np.float64)
+        floats *= (1.0 / np.sqrt(held))[:, None]
+
+
+#: Bits in a support code: one per live wire of a window, which keeps
+#: an ``int64`` code non-negative.
+_CODE_BITS = 63
+
+
+@lru_cache(maxsize=4096)
+def _unit_moves(name: str, param: float | None,
+                inverted: bool) -> tuple[int, ...] | None:
+    """For a named gate whose kernel is a permutation with unit phases,
+    the xor that takes each target pattern to its new pattern (amplitudes
+    move as ``new[j] = old[perm[j]]``), else None.
+
+    Cached per ``(name, param, inverted)``, as :func:`~repro.sim.kernels.
+    gate_kernel` is, so classifying a gate costs one lookup.
+    """
+    kernel = gate_kernel(name, param, inverted)
+    if kernel.kind != PERMUTE or any(p != 1 for p in kernel.data[1]):
+        return None
+    moves = [0] * len(kernel.data[0])
+    for new, old in enumerate(kernel.data[0]):
+        moves[old] = old ^ new
+    return tuple(moves)
+
+
+_obs.register_cache("sim.unit_moves", _unit_moves)
+
+
+def _spread(pattern: int, places: list[int]) -> int:
+    """The code bits a target pattern selects: its most significant bit
+    is the first target's."""
+    return sum(place for i, place in enumerate(reversed(places))
+               if pattern >> i & 1)
+
+
+def _permute_codes(codes: np.ndarray, gate: NamedGate,
+                   bits: dict[int, int]) -> bool:
+    """Apply a :func:`_moves_only` *gate* to support codes in place.
+
+    *bits* maps each live wire to its code bit.  The gate flips its
+    target bits on the codes whose control bits match: one masked xor
+    when every target pattern moves by the same xor (an X on each
+    flipped target), else each code's pattern is read and moved through
+    the kernel's inverse table.  Returns False, having changed nothing,
+    when a wire of the gate is not live or appears twice.
+    """
+    try:
+        places = [1 << bits[t] for t in gate.targets]  # first target first
+        controls = [1 << bits[c.wire] for c in gate.controls]
+    except KeyError:
+        return False
+    if len({*places, *controls}) < len(places) + len(controls):
+        return False
+    mask = sum(controls)
+    want = sum(bit for bit, c in zip(controls, gate.controls) if c.positive)
+    moves = _unit_moves(gate.name, gate.param, gate.inverted)
+    if moves.count(moves[0]) == len(moves):
+        flip = _spread(moves[0], places)
+        if mask:
+            np.bitwise_xor(codes, flip, out=codes, where=codes & mask == want)
+        else:
+            codes ^= flip
+        return True
+    pattern = np.zeros_like(codes)
+    for bit in places:
+        pattern <<= 1
+        pattern |= codes & bit != 0
+    flip = np.array([_spread(d, places) for d in moves])[pattern]
+    if mask:
+        flip[codes & mask != want] = 0
+    codes ^= flip
+    return True
+
+
 def _moves_only(gate: NamedGate) -> bool:
     """Whether *gate* only moves amplitudes: a ``PERMUTE`` kernel of
     matching arity with unit phases, under quantum controls alone."""
-    if any(c.wire_type != QUANTUM for c in gate.controls):
-        return False
-    kernel = gate_kernel(gate.name, gate.param, gate.inverted)
-    return (
-        kernel.kind == PERMUTE
-        and kernel.arity == len(gate.targets)
-        and all(phase == 1 for phase in kernel.data[1])
-    )
+    for control in gate.controls:
+        if control.wire_type != QUANTUM:
+            return False
+    moves = _unit_moves(gate.name, gate.param, gate.inverted)
+    return moves is not None and len(moves) == 1 << len(gate.targets)
 
 
 #: Precomputed type-dispatch table replacing the per-gate isinstance chain.
@@ -881,7 +1125,9 @@ def simulate(bc: BCircuit, in_values: dict[int, bool] | None = None,
     circuit whose inlined gate list would not fit in memory still
     simulates (the backends' shot samplers, which replay gates, go
     through the materialized :func:`~repro.transform.inline.compile_flat`
-    stream instead).
+    stream instead).  Only a window that grows the state to one block
+    (:meth:`StateVector.run`) is held until it closes, so that it can
+    run on the state's support.
     """
     from ..transform.inline import iter_flat_gates
 

@@ -372,8 +372,10 @@ class SimulationFeed(StreamConsumer):
     backend, which owns its type and width guard, and executes the
     ``prefix`` gates before the first ``Measure``/``Discard``; then it
     executes the rest, or, when *sampling*, feeds it to ``scan``.  A fork
-    generation skips the prefix and executes the rest on ``fork``; if it
-    skips or runs another number of gates than the first, it raises.
+    generation skips the prefix and executes the rest on ``fork``.  When
+    sampling, each generation folds its gates into a running hash, and
+    a fork generation whose gates differ from the first's in number or
+    in hash, in its prefix or in the rest, raises; no gate is kept.
     """
 
     def __init__(self, backend: SimulatorBackend, rng,
@@ -382,6 +384,7 @@ class SimulationFeed(StreamConsumer):
         self.scan = SuffixScan() if sampling else None
         self.prefix = 0
         self.fork = None
+        self._digests = None  # the first generation's (prefix, whole) hash
 
     def begin(self, inputs, namespace) -> None:
         """Start a generation: build the state, or arm the fork."""
@@ -389,6 +392,7 @@ class SimulationFeed(StreamConsumer):
 
         self._expander = StreamExpander(namespace)
         self._count = 0
+        self._digest = 0
         if self.fork is None:
             self.state = self.backend.load(inputs, self.in_values, self.rng)
         self._take = self._prefix_gate
@@ -397,17 +401,21 @@ class SimulationFeed(StreamConsumer):
         """Take each flat gate of *gate* as this generation's phase does."""
         for flat in self._expander.expand(gate):
             if not isinstance(flat, Comment):
+                if self.scan is not None:
+                    self._digest = hash((self._digest, flat))
                 self._take(flat)
 
     def _prefix_gate(self, gate: Gate) -> None:
         if isinstance(gate, (Measure, Discard)):
             if self.fork is not None:
-                self._agree(self._count == self.prefix)
+                self._agree(self._count == self.prefix
+                            and self._digest == self._digests[0])
                 self._count = 0
                 self._take = self._fork_gate
             elif self.scan is None:
                 self._take = self._execute
             else:
+                self._digests = (self._digest, None)
                 self._take = self.scan.add
             self._take(gate)
         elif self.fork is None:
@@ -434,12 +442,15 @@ class SimulationFeed(StreamConsumer):
             )
 
     def finish(self, end) -> None:
-        """Keep the outputs, or check a fork generation's counts."""
+        """Keep the outputs, or check a fork generation's gates."""
         if self.fork is None:
             self.outputs = end.outputs
+            if self._digests is not None:
+                self._digests = (self._digests[0], self._digest)
         else:
             self._agree(self._take == self._fork_gate
-                        and self._count == self.scan.gates)
+                        and self._count == self.scan.gates
+                        and self._digest == self._digests[1])
 
 
 __all__ = ["GateStream"]

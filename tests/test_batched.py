@@ -28,8 +28,8 @@ import pytest
 from repro import Program, build, get_backend, qubit
 from repro.backends.base import BackendError, SuffixScan, outcome_key
 from repro.core.circuit import BCircuit, Circuit
-from repro.core.gates import (CGate, CInit, CNot, Control, CTerm, Discard,
-                              Init, Measure, NamedGate, Term)
+from repro.core.gates import (CGate, CInit, CNot, Comment, Control, CTerm,
+                              Discard, Init, Measure, NamedGate, Term)
 from repro.core.errors import AssertionFailedError, SimulationError
 from repro.core.wires import CLASSICAL, QUANTUM
 from repro.obs import core as obs_core
@@ -963,7 +963,9 @@ def _ancilla_circuit(rnd, n):
 
 def _raised(sim, gates, one_by_one):
     """The error that running *gates* raises, as its type and message."""
-    with pytest.raises((AssertionFailedError, SimulationError)) as caught:
+    with pytest.raises(
+        (AssertionFailedError, SimulationError, KeyError)
+    ) as caught:
         if one_by_one:
             for gate in gates:
                 sim.execute(gate)
@@ -1045,6 +1047,39 @@ class TestInitTermRuns:
         assert counts[3, False]["sim.batch.gates"] == len(gates)
         assert "sim.batch.gates" not in counts[1, True]
 
+    def test_every_window_is_counted_once(self):
+        # An H, then one window on the support (an Init run to 16 qubits
+        # from a 12-qubit basis state, permutations, Terms) and a T after
+        # it: the window is one sim.kernel.support dispatch, its gates
+        # count once in sim.support.gates and, at B=3, every gate in
+        # sim.batch.gates.  Nothing inside it counts as an Init or Term
+        # run or as a kernel of its own.
+        n = 12
+        ancillas = [(n + i, i % 2 == 1) for i in range(4)]
+        compute = [
+            NamedGate("not", (n,), (Control(0, True), Control(1, False))),
+            NamedGate("swap", (n + 1, n + 2), (Control(n),)),
+        ]
+        window = [Init(w, v) for w, v in ancillas] + compute + [
+            Comment("uncompute")
+        ] + compute[::-1] + [Term(w, v) for w, v in ancillas]
+        gates = [NamedGate("H", (2,))] + window + [NamedGate("T", (3,))]
+        for batch in (1, 3):
+            sim = _prepared(n, batch)
+            with obs_core.capture() as rec:
+                sim.run(gates)
+            counters = rec.counters
+            assert counters["sim.kernel.support"] == 1
+            assert counters["sim.support.gates"] == len(window)
+            assert counters["sim.kernel.dense"] == 1  # the H
+            assert counters["sim.kernel.diagonal"] == 1  # the T
+            assert not {"sim.init.runs", "sim.term.runs", "sim.kernel.fused",
+                        "sim.kernel.permute"} & counters.keys()
+            if batch == 1:
+                assert "sim.batch.gates" not in counters
+            else:
+                assert counters["sim.batch.gates"] == len(gates)
+
     @pytest.mark.parametrize("batch", [1, 3])
     def test_failed_assertion_names_the_same_wire(self, batch):
         # Term j of a run fails, the Terms before it pass: the run
@@ -1114,6 +1149,265 @@ class TestInitTermRuns:
                       for one_by_one in (True, False)]
             assert raised[0] == raised[1]
             assert raised[0][0] is SimulationError
+
+
+def _sparse_start(rnd, rng, n, batch):
+    """An ``n``-qubit state of *batch* rows that holds amplitude on few
+    columns, and its constant wires.
+
+    Two or three wires vary over the support; every other wire is a
+    constant, one of them at least ``|1>``.  Each row has its own complex
+    amplitudes there, normalized.  Three more columns hold signed zeros
+    (-0.0 in the real part, the imaginary part or both): they weigh
+    nothing, but a window must move them byte for byte.
+    """
+    varying = rnd.sample(range(n), rnd.randint(2, 3))
+    constants = {w: rnd.random() < 0.5 for w in range(n) if w not in varying}
+    constants[rnd.choice(sorted(constants))] = True
+    base = sum(1 << (n - 1 - w) for w, v in constants.items() if v)
+    columns = [
+        base + sum(((j >> i) & 1) << (n - 1 - w) for i, w in enumerate(varying))
+        for j in range(1 << len(varying))
+    ]
+    sim = _prepared(n, batch)
+    sim.data[:] = 0.0
+    amps = (rng.standard_normal((batch, len(columns)))
+            + 1j * rng.standard_normal((batch, len(columns))))
+    amps /= np.sqrt((abs(amps) ** 2).sum(axis=1, keepdims=True))
+    sim.data[:, columns] = amps
+    zeros = [c for c in rnd.sample(range(1 << n), 6) if c not in columns][:3]
+    for column, zero in zip(zeros, (complex(-0.0, 0.0), complex(0.0, -0.0),
+                                    complex(-0.0, -0.0))):
+        sim.data[:, column] = zero
+    return sim, constants
+
+
+def _support_move(rnd, targets, controls):
+    """One of :data:`_MOVES` on *targets*, controlled from *controls*
+    with random signs."""
+    name, arity, count = rnd.choice(_MOVES)
+    chosen = rnd.sample(targets, arity)
+    pool = [w for w in controls if w not in chosen]
+    return NamedGate(name, tuple(chosen), tuple(
+        Control(w, rnd.random() < 0.5) for w in rnd.sample(pool, count)
+    ))
+
+
+def _support_window(rnd, n, peak, constants):
+    """A ``with_computed`` window over an ``n``-qubit register that
+    peaks at *peak* qubits, and the index of its first ``Term``.
+
+    One ``Init`` run allocates every ancilla (either value); a compute of
+    X, CNOT, Toffoli, swap and Fredkin gates writes the ancillas from
+    half of the register (one ``|1>`` constant among it) and the
+    ancillas; a body writes the other half; the compute is undone and
+    the ancillas terminated in a random order, some asserting ``|1>``.
+    Then the ``|1>`` constant is terminated, and three ancillas are
+    allocated again, the first under the id of the first ancilla: they
+    reuse freed bits, the first the bit of the ``|1>`` Term, and stay
+    live after a few more gates.
+    """
+    one = rnd.choice([w for w, v in constants.items() if v])
+    others = [w for w in range(n) if w != one]
+    read = [one] + rnd.sample(others, len(others) // 2)
+    written = [w for w in others if w not in read]
+    ancillas = [(n + 40 + i, rnd.random() < 0.5) for i in range(peak - n)]
+    wires = [w for w, _ in ancillas]
+    gates = [Init(w, v) for w, v in ancillas]
+    compute = [_support_move(rnd, wires, read + wires)
+               for _ in range(rnd.randint(8, 14))]
+    gates += compute
+    gates += [_support_move(rnd, written, read + wires)
+              for _ in range(rnd.randint(3, 6))]
+    first_term = len(gates) + len(compute)
+    gates += compute[::-1]
+    gates += [Term(w, v) for w, v in rnd.sample(ancillas, len(ancillas))]
+    gates.append(Term(one, True))
+    again = [(wires[0], False), (n + 30, rnd.random() < 0.5),
+             (n + 31, rnd.random() < 0.5)]
+    gates += [Init(w, v) for w, v in again]
+    gates += [_support_move(rnd, [w for w, _ in again], others)
+              for _ in range(3)]
+    return gates, first_term
+
+
+class TestSupportWindows:
+    """``StateVector.run``'s windows on the state's support against
+    ``execute`` gate by gate.
+
+    A window opens at an ``Init`` run that grows the state to one block
+    (2**16 amplitudes across the batch) and runs on the columns that
+    hold amplitude when they are few.  Amplitudes only move, so a window
+    without a ``Term`` gives the bytes of the gates one by one; a Term
+    rescales the kept columns once, by their own weight, so amplitudes
+    then agree to rounding.  The wire axes, the bits and every error
+    are those of the gates one by one.
+    """
+
+    @pytest.mark.parametrize("batch,peaks", [(1, (16, 18, 20)),
+                                             (3, (16, 17))])
+    def test_windows_equal_gates_one_by_one(self, batch, peaks):
+        for trial, peak in enumerate(peaks):
+            rnd = random.Random(9500 + 10 * batch + trial)
+            n = peak - rnd.randint(4, 7)
+            start, constants = _sparse_start(
+                rnd, np.random.default_rng(trial), n, batch)
+            gates, first_term = _support_window(rnd, n, peak, constants)
+            for end, atol in ((first_term, None), (len(gates), 1e-14)):
+                windowed, reference = start.copy(), start.copy()
+                with obs_core.capture() as rec:
+                    windowed.run(gates[:end])
+                for gate in gates[:end]:
+                    reference.execute(gate)
+                assert rec.counters.get("sim.kernel.support") == 1
+                assert "sim.init.runs" not in rec.counters
+                _assert_same_state(windowed, reference, atol)
+
+    def test_wide_catalogue_states(self):
+        # bwt-n3 and tf-mul-l2 (on seeded basis inputs) run by run, whose
+        # windows take the support path, against execute gate by gate.
+        backend = get_backend("statevector")
+        tf = SIMULATE_WIDE["tf-mul-l2"]().bcircuit
+        rnd = random.Random(3)
+        cases = [(SIMULATE_WIDE["bwt-n3"]().bcircuit, {}),
+                 (tf, {w: rnd.random() < 0.5 for w, _ in tf.circuit.inputs})]
+        for bc, in_values in cases:
+            compiled = compile_flat(bc)
+            gates = compiled.gates[:compiled.prefix_len]
+            windowed, reference = (
+                backend.load(bc.circuit.inputs, in_values,
+                             np.random.default_rng(1))
+                for _ in range(2)
+            )
+            with obs_core.capture() as rec:
+                windowed.run(gates)
+            for gate in gates:
+                reference.execute(gate)
+            assert rec.counters.get("sim.kernel.support", 0) >= 1
+            _assert_same_state(windowed, reference, 1e-14)
+
+    def test_errors_raise_as_one_by_one(self):
+        # A failing assertion (naming its wire) and a collapse raise from
+        # the support; an Init of a live wire, a Term of a dead one and a
+        # gate on a dead wire make the window run as runs, which raise
+        # what the gates one by one raise.
+        rnd = random.Random(9600)
+        n, peak = 12, 17
+        start, constants = _sparse_start(rnd, np.random.default_rng(5), n, 3)
+        gates, first_term = _support_window(rnd, n, peak, constants)
+        terms = [i for i, g in enumerate(gates) if isinstance(g, Term)]
+        wrong = gates[terms[2]]
+        assertion = list(gates)
+        assertion[terms[2]] = Term(wrong.wire, not wrong.value)
+        collapsed = start.copy()
+        collapsed.data[1] = 0.0
+        live = gates[0].wire
+        dead = n + 99
+        cases = [
+            (start, assertion, AssertionFailedError, f"qubit {wrong.wire} "),
+            (collapsed, gates, SimulationError, "collapsed"),
+            (start, gates[:first_term] + [Init(live, True)] + gates[first_term:],
+             SimulationError, "already allocated"),
+            (start, gates[:first_term] + [Term(dead, False)], SimulationError,
+             "not allocated"),
+            (start, gates[:first_term] + [NamedGate("not", (live,), (
+                Control(dead),))], KeyError, str(dead)),
+        ]
+        for state, case, kind, words in cases:
+            raised = []
+            for one_by_one in (True, False):
+                sim = state.copy()
+                with obs_core.capture() as rec:
+                    raised.append(_raised(sim, case, one_by_one))
+            assert raised[0] == raised[1]
+            assert raised[0][0] is kind and words in raised[0][1]
+            # From the support, or from the runs it fell back to.
+            ran_runs = "sim.init.runs" in rec.counters
+            assert ran_runs == (kind is not AssertionFailedError
+                                and words != "collapsed")
+
+    def test_a_gate_on_one_wire_twice_runs_as_one_by_one(self):
+        # A control on its own target: no error, and no support either.
+        rnd = random.Random(9700)
+        n, peak = 12, 16
+        start, constants = _sparse_start(rnd, np.random.default_rng(6), n, 1)
+        gates, first_term = _support_window(rnd, n, peak, constants)
+        ancilla = gates[0].wire
+        twice = NamedGate("not", (ancilla,), (Control(ancilla),))
+        gates[first_term:first_term] = [twice, twice]
+        windowed, reference = start.copy(), start.copy()
+        with obs_core.capture() as rec:
+            windowed.run(gates)
+        for gate in gates:
+            reference.execute(gate)
+        assert "sim.kernel.support" not in rec.counters
+        _assert_same_state(windowed, reference, 1e-14)
+
+
+def _reversible_circuit(rnd, n, peak):
+    """A seeded reversible circuit on ``n`` input wires that peaks at
+    *peak* qubits: two rounds of ``with_computed``-style blocks, each an
+    ``Init`` run of ancillas (either value), X, CNOT, Toffoli, swap and
+    Fredkin gates writing them from the inputs, a body writing the
+    outputs, the compute undone and every ancilla terminated.  The
+    second round reuses the first round's ancilla ids and bits."""
+    read = rnd.sample(range(n), n // 2)
+    written = [w for w in range(n) if w not in read]
+    gates = []
+    for _ in range(2):
+        ancillas = [(n + i, rnd.random() < 0.5) for i in range(peak - n)]
+        wires = [w for w, _ in ancillas]
+        compute = [_support_move(rnd, wires, read + wires)
+                   for _ in range(rnd.randint(10, 20))]
+        gates += [Init(w, v) for w, v in ancillas] + compute
+        gates += [_support_move(rnd, written, read + wires)
+                  for _ in range(rnd.randint(3, 8))]
+        gates += compute[::-1]
+        gates += [Term(w, v) for w, v in rnd.sample(ancillas, len(ancillas))]
+    wires = tuple((w, QUANTUM) for w in range(n))
+    return BCircuit(Circuit(wires, tuple(gates), wires))
+
+
+class TestClassicalAgreesWithStatevector:
+    """The paper's ``run_classical_generic`` against ``run_generic`` on
+    permutation circuits (Section 4.4.5): from a basis input, the
+    statevector's state is the one basis state the classical backend
+    computes, and every sampled shot reads it."""
+
+    def _agree(self, bc, in_values, shots=64):
+        classical = get_backend("classical").run(bc, in_values=in_values,
+                                                 shots=shots)
+        statevector = get_backend("statevector")
+        single = statevector.run(bc, in_values=in_values)
+        state = np.asarray(single.statevector).ravel()
+        index = 0
+        for wire in single.statevector_wires:
+            index = index << 1 | classical.bits[wire]
+        assert np.flatnonzero(state).tolist() == [index]
+        assert abs(abs(state[index]) - 1.0) < 1e-12
+        sampled = statevector.run(bc, in_values=in_values, shots=shots,
+                                  seed=len(in_values))
+        assert sampled.counts == classical.counts == {
+            next(iter(classical.counts)): shots}
+
+    def test_tf_mul_on_basis_inputs(self):
+        bc = SIMULATE_WIDE["tf-mul-l2"]().bcircuit
+        for seed in range(4):
+            rnd = random.Random(seed)
+            with obs_core.capture() as rec:
+                self._agree(bc, {w: rnd.random() < 0.5
+                                 for w, _ in bc.circuit.inputs})
+            assert rec.counters.get("sim.kernel.support", 0) >= 2
+
+    @pytest.mark.parametrize("peak", [16, 19, 22])
+    def test_seeded_reversible_circuits(self, peak):
+        for trial in range(2):
+            rnd = random.Random(9800 + peak * 10 + trial)
+            n = peak - rnd.randint(4, 8)
+            bc = _reversible_circuit(rnd, n, peak)
+            with obs_core.capture() as rec:
+                self._agree(bc, {w: rnd.random() < 0.5 for w in range(n)})
+            assert rec.counters.get("sim.kernel.support", 0) >= 2
 
 
 def _memo_circuit(rnd, n):

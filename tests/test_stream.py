@@ -369,6 +369,30 @@ class TestOneSampler:
         with pytest.raises(BackendError, match="different gates on a rerun"):
             program.stream().run(shots=8, seed=1)
 
+    @pytest.mark.parametrize("where", ["prefix", "suffix"])
+    def test_a_producer_that_swaps_a_gate_is_refused(self, where):
+        # As many gates on every run, one of them different: Z on the
+        # first run, X on the reruns.  The gate counts agree, so only
+        # the running hash of each generation's gates tells them apart.
+        runs = []
+
+        def circ(qc, a, b):
+            runs.append(None)
+            flip = qc.gate_X if len(runs) > 1 else qc.gate_Z
+            qc.hadamard(a)
+            if where == "prefix":
+                flip(b)
+            m = qc.measure(a)
+            qc.qnot(b, controls=m)
+            if where == "suffix":
+                flip(b)
+            return m, b
+
+        program = Program.capture(circ, qubit, qubit)
+        with pytest.raises(BackendError, match="different gates on a rerun"):
+            program.stream().run(shots=8, seed=1)
+        assert len(runs) == 2  # the first generation, then one rerun
+
     def test_a_fork_past_the_width_cap_is_refused_first(self):
         def grower(qc, a):
             qc.hadamard(a)
