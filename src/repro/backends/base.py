@@ -23,7 +23,8 @@ from ..core.circuit import BCircuit
 from ..core.errors import QuipperError
 from ..core.gates import Discard, Gate, Init, Measure, Term
 from ..obs import core as _obs
-from ..transform.inline import compile_flat, iter_flat_gates
+from ..transform.inline import (CompiledCircuit, compile_flat,
+                                iter_flat_gates)
 
 
 class BackendError(QuipperError):
@@ -152,7 +153,9 @@ class SimulatorBackend(Backend):
     the first ``Measure``/``Discard``, which draws nothing -- given the
     :class:`SuffixScan` of the rest and a callback that runs the rest on
     a fork of *base*.  Stored circuits (:meth:`run`) and gate streams
-    (:meth:`repro.streaming.GateStream.run`) both reach that sampler.
+    (:meth:`repro.streaming.GateStream.run`) both reach that sampler; a
+    stored circuit's prefix comes from :meth:`prefix`, which a subclass
+    may run in another form.
     """
 
     def admit(self, bc: BCircuit) -> dict[str, Any]:
@@ -164,11 +167,17 @@ class SimulatorBackend(Backend):
         """Run one streamed gate on *state*."""
         state.execute(gate)
 
+    def prefix(self, bc: BCircuit, compiled: CompiledCircuit) -> list:
+        """What a sampled run of *bc* runs before it forks: by default
+        the deterministic prefix of its compiled stream, as gates."""
+        return compiled.gates[:compiled.prefix_len]
+
     def run(self, bc: BCircuit, *, shots: int | None = None,
             in_values: dict[int, bool] | None = None,
             seed: int | None = None) -> RunResult:
         """Run *bc* once, streaming the hierarchy lazily, or sample it
-        from its compiled stream (inlined once, memoized on *bc*)."""
+        from its compiled stream (inlined once, memoized on *bc*): the
+        :meth:`prefix` once, then the rest per fork."""
         admitted = self.admit(bc)
         if shots is not None and shots <= 0:
             raise BackendError(f"shots must be positive, got {shots}")
@@ -179,7 +188,7 @@ class SimulatorBackend(Backend):
             return self.single(state)
         compiled = compile_flat(bc)
         suffix = compiled.gates[compiled.prefix_len:]
-        state.run(compiled.gates[:compiled.prefix_len])
+        state.run(self.prefix(bc, compiled))
         result = self.sample(state, SuffixScan(suffix),
                              lambda fork: fork.run(suffix),
                              bc.circuit.outputs, shots, rng)

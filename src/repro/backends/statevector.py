@@ -17,7 +17,9 @@ to one block from few nonzero columns on those columns alone.  Then:
   (:func:`~repro.transform.inline.compile_flat`, inlined once and
   memoized on the BCircuit) and simulates its *deterministic prefix* --
   every gate before the first ``Measure``/``Discard``, which consumes no
-  randomness -- once.  Trailing measurements commute with basis-state
+  randomness -- once, with each long run of small gates below one block
+  as one matrix product (:meth:`StatevectorBackend.prefix`, formed once
+  per compiled circuit).  Trailing measurements commute with basis-state
   sampling, so when only they follow the prefix every shot is drawn from
   the prefix's final state with one multinomial draw -- the cost of 1024
   shots is the cost of one simulation.
@@ -46,7 +48,7 @@ from ..core.gates import Gate, Init
 from ..core.wires import QUANTUM
 from ..obs import core as _obs
 from ..sim.kernels import BLOCK_AMPLITUDES
-from ..sim.state import StateVector
+from ..sim.state import StateVector, form_products
 from .base import (BackendError, RunResult, SimulatorBackend, SuffixScan,
                    code_key, outcome_key)
 from .registry import register_backend
@@ -100,6 +102,20 @@ class StatevectorBackend(SimulatorBackend):
         sim = StateVector(rng=rng)
         sim.load_inputs(inputs, in_values)
         return sim
+
+    def prefix(self, bc: BCircuit, compiled) -> list:
+        """The deterministic prefix with each long run of small gates
+        below one block as one product (:func:`~repro.sim.state.
+        form_products`), formed once per compiled circuit and kept in
+        :meth:`~repro.core.circuit.BCircuit.memo` next to it."""
+        memo = bc.memo()
+        prefix = memo.get("products")
+        if prefix is None:
+            live = sum(1 for _, t in bc.circuit.inputs if t == QUANTUM)
+            prefix = memo["products"] = form_products(
+                compiled.gates[:compiled.prefix_len], live
+            )
+        return prefix
 
     def step(self, sim: StateVector, gate: Gate) -> None:
         # Guard growth BEFORE allocating: one qubit past the cap would

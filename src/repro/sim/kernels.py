@@ -13,7 +13,8 @@ dispatch overhead into a single vectorized operation.
 
 Kernels use only strided views, elementwise arithmetic and slice
 assignment on the buffer they are handed; numpy itself appears below
-only to classify gate matrices.
+only to classify gate matrices, and to multiply the small matrices of
+products.
 
 Gates are classified once per ``(name, param, inverted)`` key (LRU) by the
 *structure* of their cached matrix:
@@ -52,6 +53,11 @@ and gathers the state block by block through it.  Reversible arithmetic
 A run of ``Term`` gates (the uncomputed ancillas of ``with_computed``)
 checks every assertion from one reduction: :func:`pattern_weights` gives
 each member's weight on every pattern of the terminated wires' bits.
+
+A long run of named gates on at most :data:`PRODUCT_WIRES` wires can
+instead be one :class:`Product`: its ``2**k`` matrix, composed once from
+each gate's kernel applied to an identity (:func:`_embedding`), is
+applied by one matmul over the state (:func:`apply_product`).
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..core.errors import SimulationError
 from ..obs import core as _obs
 from .matrices import gate_matrix_cached
 
@@ -94,6 +101,23 @@ GATHER_MIN_MOVED = 1.0
 #: which the block costs more than summing the axes it would hold
 #: (``docs/performance.md``).
 WEIGHT_BLOCK_AXES = 12
+
+#: The most wires (targets and quantum controls) a :class:`Product`
+#: spans, and the fewest gates it holds ("Small-gate products" in
+#: ``docs/performance.md``): a run of 16 about breaks even with its
+#: gates one by one, and four wires ran ``gse`` slower than three.
+PRODUCT_WIRES = 3
+PRODUCT_MIN_GATES = 16
+
+#: Embeddings a product multiplies per stacked step (64 KiB at three
+#: wires), which bounds its temporaries however long the run.
+PRODUCT_CHUNK = 64
+
+#: Complex multiply-adds per matrix in one matmul call of
+#: :func:`apply_product`: the state's rows go in stacks of this many
+#: over ``4**k``, as one call over every row ran up to 100x slower in
+#: the BLAS library's threaded path (``docs/performance.md``).
+PRODUCT_MATMUL_MACS = 1 << 15
 
 
 class Kernel(NamedTuple):
@@ -138,6 +162,18 @@ def gate_kernel(name: str, param: float | None, inverted: bool) -> Kernel:
 
 
 _obs.register_cache("sim.gate_kernel", gate_kernel)
+
+
+def named_kernel(name: str, param: float | None, inverted: bool,
+                 targets: int) -> Kernel:
+    """:func:`gate_kernel` of a gate on *targets* targets, refused when
+    its matrix acts on another number of them."""
+    kernel = gate_kernel(name, param, inverted)
+    if kernel.arity != targets:
+        raise SimulationError(
+            f"gate {name!r} expects {kernel.arity} target(s), got {targets}"
+        )
+    return kernel
 
 
 def _subindex(
@@ -202,6 +238,11 @@ def apply_kernel(
         _obs.add("sim.kernel." + kernel.kind)
         if ctrl:
             _obs.add("sim.kernel.controlled")
+    _apply(view, kernel, target_axes, ctrl)
+
+
+def _apply(view, kernel, target_axes, ctrl) -> None:
+    """:func:`apply_kernel` without its telemetry."""
     if kernel.kind == PHASE:
         view[_slots(view.ndim, (), ctrl)[0]] *= kernel.data[0]
         return
@@ -467,3 +508,112 @@ def _apply_dense_1q(s0, s1, matrix) -> None:
             s1 += t
     else:
         s1[...] = t if t is not None else 0.0
+
+
+class Product:
+    """A run of named gates on at most :data:`PRODUCT_WIRES` wires, run
+    as one ``2**k`` matrix on them.
+
+    ``gates`` are the run's gates in order and ``wires`` its wires in
+    slot order, slot 0 the most significant bit of a matrix index (as
+    the first target is in :mod:`repro.sim.matrices`).  The matrix is
+    composed on first use (:meth:`matrix`) and kept, so a product formed
+    once per compiled circuit composes once.
+    """
+
+    __slots__ = ("gates", "wires", "_matrix")
+
+    def __init__(self, gates, wires):
+        self.gates = tuple(gates)
+        self.wires = tuple(wires)
+        self._matrix = None
+
+    def matrix(self) -> np.ndarray:
+        """The product's matrix (composed on the first call)."""
+        if self._matrix is None:
+            self._matrix = compose_product(self.gates, self.wires)
+        return self._matrix
+
+
+@lru_cache(maxsize=1024)
+def _embedding(name: str, param: float | None, inverted: bool,
+               targets: tuple[int, ...], controls: tuple[tuple[int, int], ...],
+               k: int) -> np.ndarray:
+    """One gate's ``2**k`` matrix on a product's slots (cached, read-only).
+
+    *targets* are slots and *controls* ``(slot, bit)`` pairs.  The
+    gate's kernel is applied to the rows of an identity, so row ``j``
+    becomes what the gate makes of basis state ``j``, the matrix's
+    column ``j``: entries, control masks and skipped near-zero entries
+    are those of the kernel gate by gate.  A gate with no matrix, or on
+    the wrong number of targets, raises what it raises gate by gate.
+    """
+    kernel = named_kernel(name, param, inverted, len(targets))
+    rows = np.eye(1 << k, dtype=complex)
+    _apply(rows.reshape((1 << k,) + (2,) * k), kernel,
+           tuple(t + 1 for t in targets),
+           tuple((c + 1, bit) for c, bit in controls))
+    matrix = np.ascontiguousarray(rows.T)
+    matrix.setflags(write=False)
+    return matrix
+
+
+_obs.register_cache("sim.product.embeddings", _embedding)
+
+
+def compose_product(gates, wires) -> np.ndarray:
+    """The matrix of *gates*, in order, on *wires* (slot order).
+
+    Each distinct gate's :func:`_embedding` is looked up once.  The
+    embeddings are stacked :data:`PRODUCT_CHUNK` at a time in gate
+    order, each stack is reduced by pairwise products (the later gate on
+    the left), and the stacks' products are multiplied in order.
+    """
+    k = len(wires)
+    slot = {wire: i for i, wire in enumerate(wires)}
+    index: dict = {}
+    table = []
+    order = []
+    for gate in gates:
+        key = (gate.name, gate.param, gate.inverted, gate.targets,
+               gate.controls)
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(table)
+            table.append(_embedding(
+                gate.name, gate.param, gate.inverted,
+                tuple(slot[t] for t in gate.targets),
+                tuple((slot[c.wire], int(c.positive)) for c in gate.controls),
+                k,
+            ))
+        order.append(i)
+    table = np.stack(table)
+    order = np.array(order, dtype=np.intp)
+    product = None
+    for start in range(0, len(order), PRODUCT_CHUNK):
+        stack = table[order[start:start + PRODUCT_CHUNK]]
+        while len(stack) > 1:
+            odd = len(stack) & 1
+            pairs = stack[1::2] @ stack[:len(stack) - odd:2]
+            stack = np.concatenate((pairs, stack[-1:])) if odd else pairs
+        product = stack[0] if product is None else stack[0] @ product
+    return product
+
+
+def apply_product(data: np.ndarray, matrix: np.ndarray, axes) -> None:
+    """Apply a product's *matrix* in place on the ``(B, 2**n)`` buffer.
+
+    *axes* are the qubit axes of the product's slots, in slot order,
+    counted from the outermost qubit (no row axis).  They are made the
+    innermost axes of a view, one ``(rest, 2**k) @ matrix.T`` computes
+    every new amplitude, and the result is written back through the
+    view into ``data`` itself.  The rows are multiplied in stacks of at
+    most :data:`PRODUCT_MATMUL_MACS` over ``4**k``.
+    """
+    batch, size = data.shape
+    n = size.bit_length() - 1
+    k = len(axes)
+    view = np.moveaxis(data.reshape((batch,) + (2,) * n),
+                       [axis + 1 for axis in axes], range(n + 1 - k, n + 1))
+    rows = min(size, PRODUCT_MATMUL_MACS >> k) >> k
+    view[...] = (view.reshape(-1, rows, 1 << k) @ matrix.T).reshape(view.shape)

@@ -29,7 +29,10 @@ grow the state to one block while few of its columns hold amplitude
 runs on those columns alone (:meth:`StateVector._run_on_support`): its
 ancillas, permutations and assertions move one integer code per column,
 and one scatter writes the final buffer, as ``run_classical_generic``
-evaluates oracles on basis states.  Kernels never index the row axis, so
+evaluates oracles on basis states.  A sampled run's deterministic prefix
+may also hold :class:`~repro.sim.kernels.Product` items
+(:func:`form_products`): each long run of gates on at most three wires
+below one block, applied as one matrix.  Kernels never index the row axis, so
 ONE dispatch advances all ``B`` rows: the per-gate Python/numpy
 dispatch overhead that dominates at moderate qubit counts is paid once
 per batch instead of once per shot.  ``batch=1`` (the
@@ -89,12 +92,17 @@ from ..obs import core as _obs
 from .kernels import (
     BLOCK_AMPLITUDES,
     PERMUTE,
+    PRODUCT_MIN_GATES,
+    PRODUCT_WIRES,
+    Product,
     _apply_dense,
     _slots,
     _subindex,
     apply_kernel,
+    apply_product,
     gate_kernel,
     gather_permutations,
+    named_kernel,
     pattern_weights,
 )
 from .classical import _CLASSICAL_FUNCTIONS
@@ -512,7 +520,10 @@ class StateVector:
         basis permutation after it, up to the next other gate, run
         together (:meth:`_run_window`), on the state's support when
         little of the state holds amplitude.  Below one block no gate is
-        classified that the loop did not classify before.
+        classified that the loop did not classify before.  A
+        :class:`~repro.sim.kernels.Product` (:func:`form_products`) runs
+        as one dispatch, after the pending run before it, as any other
+        gate does.
         """
         execute = self.execute
         pending: list[Gate] = []  # a run of gates of one type, or a window
@@ -728,12 +739,8 @@ class StateVector:
         if resolved is None:
             return
         ctrl, mask = resolved
-        kernel = gate_kernel(gate.name, gate.param, gate.inverted)
-        if kernel.arity != len(gate.targets):
-            raise SimulationError(
-                f"gate {gate.name!r} expects {kernel.arity} target(s), "
-                f"got {len(gate.targets)}"
-            )
+        kernel = named_kernel(gate.name, gate.param, gate.inverted,
+                              len(gate.targets))
         target_axes = tuple(self.axes[t] + 1 for t in gate.targets)
         if mask is None:
             apply_kernel(self._view(), kernel, target_axes, ctrl)
@@ -744,6 +751,23 @@ class StateVector:
         sub = view[mask]
         apply_kernel(sub, kernel, target_axes, ctrl)
         view[mask] = sub
+
+    def _exec_product(self, product: Product) -> None:
+        """A run of small gates as one matrix (:func:`~repro.sim.kernels.
+        apply_product`); one by one, to raise as they raise, when one of
+        its wires is not live."""
+        axes = self.axes
+        if not all(wire in axes for wire in product.wires):
+            for gate in product.gates:
+                self.execute(gate)
+            return
+        apply_product(self.data, product.matrix(),
+                      [axes[wire] for wire in product.wires])
+        if _obs.ENABLED:
+            _obs.add("sim.kernel.product")
+            _obs.add("sim.product.gates", len(product.gates))
+            if self.batch > 1:  # execute counted the product once
+                _obs.add("sim.batch.gates", len(product.gates) - 1)
 
     def _exec_comment(self, gate: Comment) -> None:
         return
@@ -931,9 +955,92 @@ def _moves_only(gate: NamedGate) -> bool:
     return moves is not None and len(moves) == 1 << len(gate.targets)
 
 
+def form_products(gates: list[Gate], live: int) -> list:
+    """*gates* with each long run of small gates below one block as one
+    :class:`~repro.sim.kernels.Product`.
+
+    *gates* is a deterministic prefix (no ``Measure`` or ``Discard``)
+    that starts on *live* qubits; each ``Init`` adds one and each
+    ``Term`` removes one.  A run is a greedy maximal sequence of
+    consecutive ``NamedGate``\\ s under quantum controls alone whose wires,
+    targets and controls together, number at most
+    :data:`~repro.sim.kernels.PRODUCT_WIRES`: a gate that would add one
+    more closes the run and starts the next.  Any other gate closes it.
+    Runs form only while a one-row state is below one block (``1 <<
+    live < BLOCK_AMPLITUDES``), and a run of fewer than
+    :data:`~repro.sim.kernels.PRODUCT_MIN_GATES` gates stays gates.
+    Returns *gates* itself when no product forms.
+
+    The scan reads only each gate's class, except in stretches of
+    enough consecutive named gates below one block (:func:`_runs`).
+    """
+    runs = []  # (first, end, wires) of each run that becomes a product
+    first = 0  # the first gate of the current stretch of named gates
+    small = 1 << live < BLOCK_AMPLITUDES
+    for i, gate in enumerate(gates):
+        kind = gate.__class__
+        if kind is NamedGate and small:
+            continue
+        if i - first >= PRODUCT_MIN_GATES:
+            runs += _runs(gates, first, i)
+        first = i + 1
+        if kind is Init or kind is Term:
+            live += 1 if kind is Init else -1
+            small = 1 << live < BLOCK_AMPLITUDES
+    if len(gates) - first >= PRODUCT_MIN_GATES:
+        runs += _runs(gates, first, len(gates))
+    if not runs:
+        return gates
+    formed, done = [], 0
+    for first, end, wires in runs:
+        formed += gates[done:first]
+        formed.append(Product(gates[first:end], wires))
+        done = end
+    formed += gates[done:]
+    return formed
+
+
+def _runs(gates: list[Gate], first: int, end: int) -> list:
+    """The runs of :func:`form_products` in ``gates[first:end]``, named
+    gates all, that hold enough gates, as ``(first, end, wires)``."""
+    found = []
+    wires = ()
+    for i in range(first, end):
+        gate = gates[i]
+        own = ()  # the gate's wires, controls first; None if it closes
+        for control in gate.controls:
+            if control.wire_type != QUANTUM:
+                own = None
+                break
+            if control.wire not in own:
+                own += (control.wire,)
+        if own is not None:
+            for target in gate.targets:
+                if target not in own:
+                    own += (target,)
+            joined = wires
+            for wire in own:
+                if wire not in joined:
+                    joined += (wire,)
+            if len(joined) <= PRODUCT_WIRES:
+                wires = joined
+                continue
+            if len(own) > PRODUCT_WIRES:
+                own = None
+        if i - first >= PRODUCT_MIN_GATES:
+            found.append((first, i, wires))
+        first, wires = (i + 1, ()) if own is None else (i, own)
+        if end - first < PRODUCT_MIN_GATES:
+            return found
+    if end - first >= PRODUCT_MIN_GATES:
+        found.append((first, end, wires))
+    return found
+
+
 #: Precomputed type-dispatch table replacing the per-gate isinstance chain.
 _DISPATCH: dict[type, object] = {
     NamedGate: StateVector._exec_named,
+    Product: StateVector._exec_product,
     Comment: StateVector._exec_comment,
     Init: StateVector._exec_init,
     Term: StateVector._exec_term,

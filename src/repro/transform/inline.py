@@ -162,9 +162,19 @@ class StreamExpander:
 
 
 def iter_flat_gates(bc: BCircuit) -> Iterator[Gate]:
-    """Lazily yield the gates of the fully-inlined circuit."""
-    source = _SharedWires(_max_wire_id(bc.circuit) + 1)
+    """Lazily yield the gates of the fully-inlined circuit.
+
+    A top-level gate other than a ``BoxCall`` is yielded as itself.  The
+    fresh-wire supply of the calls' internal wires is built at the first
+    call, above every wire the main circuit names.
+    """
+    source = None
     for gate in bc.circuit.gates:
+        if not isinstance(gate, BoxCall):
+            yield gate
+            continue
+        if source is None:
+            source = _SharedWires(_max_wire_id(bc.circuit) + 1)
         yield from _expand(gate, (), bc.namespace, source)
 
 
@@ -207,7 +217,10 @@ def compile_flat(bc: BCircuit) -> CompiledCircuit:
     repeatedly -- per-shot replays, repeated ``.run`` calls -- without
     ever re-walking the box hierarchy.  It is the only compile cache:
     equal circuits held as distinct objects inline once each.  Comments
-    are dropped: they are no-ops to every executor.
+    are dropped: they are no-ops to every executor.  The statevector
+    backend keeps its sampled prefix, with small-gate products, in the
+    same memo (:meth:`~repro.backends.statevector.StatevectorBackend.
+    prefix`); the stream itself is the raw gates.
     """
     memo = bc.memo()
     cached = memo.get("compiled")

@@ -38,13 +38,15 @@ from repro.sim import state as sim_state
 from repro.sim.kernels import (DENSE, DIAGONAL, PERMUTE, PHASE, gate_kernel,
                                 pattern_weights)
 from repro.sim.matrices import gate_matrix_cached
-from repro.sim.state import LegacyStateVector, StateVector, simulate
+from repro.sim.state import (LegacyStateVector, StateVector, form_products,
+                             simulate)
 from repro.transform.inline import CompiledCircuit, compile_flat
-from families import SIMULATE, SIMULATE_WIDE
+from families import SIMULATE, SIMULATE_WIDE, gse, qls
 from strategies import (
     PARAMETRIZED as _PARAMETRIZED,
     VOCABULARY as _VOCABULARY,
     random_gates,
+    sample_param,
     superpose as _superpose,
 )
 
@@ -1080,6 +1082,34 @@ class TestInitTermRuns:
             else:
                 assert counters["sim.batch.gates"] == len(gates)
 
+    def test_every_product_is_counted_once(self):
+        # An H, one product of 20 gates on wires 0-2 and a T after it:
+        # the product is one sim.kernel.product dispatch, its gates count
+        # once in sim.product.gates and, at B=3, every gate in
+        # sim.batch.gates.  Nothing inside it counts as a kernel of its
+        # own, not even when its matrix is composed.
+        run = [NamedGate("H", (0,)), NamedGate("not", (1,), (Control(0),)),
+               NamedGate("exp(-i%Z)", (2,), (Control(1, False),), param=0.3),
+               NamedGate("S", (2,)), NamedGate("swap", (0, 2))] * 4
+        gates = [NamedGate("H", (4,)), sim_kernels.Product(run, (0, 1, 2)),
+                 NamedGate("T", (3,))]
+        sim_kernels._embedding.cache_clear()
+        for batch in (1, 3):
+            sim = _prepared(5, batch)
+            with obs_core.capture() as rec:
+                sim.run(gates)
+            counters = rec.counters
+            assert counters["sim.kernel.product"] == 1
+            assert counters["sim.product.gates"] == len(run)
+            assert counters["sim.kernel.dense"] == 1  # the H
+            assert counters["sim.kernel.diagonal"] == 1  # the T
+            assert not {"sim.kernel.permute", "sim.kernel.phase",
+                        "sim.kernel.controlled"} & counters.keys()
+            if batch == 1:
+                assert "sim.batch.gates" not in counters
+            else:
+                assert counters["sim.batch.gates"] == len(run) + 2
+
     @pytest.mark.parametrize("batch", [1, 3])
     def test_failed_assertion_names_the_same_wire(self, batch):
         # Term j of a run fails, the Terms before it pass: the run
@@ -1342,6 +1372,242 @@ class TestSupportWindows:
             reference.execute(gate)
         assert "sim.kernel.support" not in rec.counters
         _assert_same_state(windowed, reference, 1e-14)
+
+
+def _product_prefix(rnd, width):
+    """A seeded prefix from :func:`random_gates` on *width* wires (ids 0
+    up): long runs of vocabulary gates under up to two quantum controls
+    of either sign, closed now and then by an ancilla's ``Init`` (its
+    controlled T and ``Term`` follow), a ``CInit`` or a classically
+    controlled gate.  It is cut before its first ``Measure``/``Discard``,
+    as a deterministic prefix is, and ends with an ancilla that controls
+    a run on wires 0 and 1, so its ``Term`` closes that run."""
+    gates = random_gates(
+        rnd, width, steps=150, gate_p=0.97, ancilla_p=0.015, cinit_p=0.015,
+        classical_control_p=0.03,
+    )
+    cut = next((i for i, g in enumerate(gates)
+                if isinstance(g, (Measure, Discard))), len(gates))
+    ancilla, value = 99, rnd.random() < 0.5
+    fenced = [Init(ancilla, value)]
+    for _ in range(20):
+        name, targets = rnd.choice((("H", (0,)), ("Ry", (1,)), ("W", (0, 1)),
+                                    ("not", (1,)), ("exp(-i%Z)", (0,))))
+        controls = [Control(ancilla, rnd.random() < 0.5)][:rnd.randint(0, 1)]
+        if name == "not":
+            controls.append(Control(0, rnd.random() < 0.5))
+        fenced.append(NamedGate(name, targets, tuple(controls),
+                                inverted=rnd.random() < 0.3,
+                                param=sample_param(name, rnd)))
+    return gates[:cut] + fenced + [Term(ancilla, value)]
+
+
+def _product_start(rnd, width, live, batch):
+    """A state of *live* qubits: the *width* run wires (0 up) and idle
+    basis-state wires (100 up) in a seeded axis order."""
+    wires = [(w, False) for w in range(width)]
+    wires += [(100 + i, rnd.random() < 0.5) for i in range(live - width)]
+    rnd.shuffle(wires)
+    sim = StateVector(rng=np.random.default_rng(3), batch=batch)
+    sim.add_qubits(wires)
+    return sim
+
+
+def _small_run(seed, count):
+    """*count* named gates of a seeded :func:`_product_prefix` on wires
+    0-2 under quantum controls alone: one run's worth."""
+    gates = _product_prefix(random.Random(seed), 3)
+    return [g for g in gates if isinstance(g, NamedGate) and all(
+        c.wire_type == QUANTUM for c in g.controls) and {
+        *g.targets, *(c.wire for c in g.controls)} <= {0, 1, 2}][:count]
+
+
+def _run_counted(sim, gates):
+    with obs_core.capture() as rec:
+        sim.run(gates)
+    return rec.counters
+
+
+def _products(gates):
+    return [g for g in gates if isinstance(g, sim_kernels.Product)]
+
+
+class TestSmallGateProducts:
+    """Deterministic prefixes with products against ``StateVector.run``
+    on the raw prefix.
+
+    ``form_products`` replaces each run of at least
+    ``PRODUCT_MIN_GATES`` named gates under quantum controls alone on at
+    most three wires, while the one-row state is below one block, by one
+    ``Product``: one matrix, composed from each gate's kernel applied to
+    an identity, applied by one matmul.  A product rounds differently
+    from its gates one by one, so amplitudes agree within 1e-12; wire
+    axes, bits and errors are those of the raw prefix.  Every product
+    runs as one (``sim.kernel.product``), and at or above one block the
+    prefix is the raw list itself.
+    """
+
+    def test_catalogue_prefixes(self):
+        backend = get_backend("statevector")
+        expected = {"gse-p5": [96, 192, 384, 768, 1535],
+                    "gse-p6": [96, 192, 384, 768, 1536, 3072],
+                    "qls-p2": [17]}
+        for entry, make in (("gse-p5", gse(5)), ("gse-p6", gse(6)),
+                            ("qls-p2", qls(2))):
+            bc = make().bcircuit
+            compiled = compile_flat(bc)
+            raw = compiled.gates[:compiled.prefix_len]
+            formed = backend.prefix(bc, compiled)
+            assert backend.prefix(bc, compiled) is formed  # kept in the memo
+            assert sorted(len(p.gates) for p in _products(formed)) == (
+                expected[entry])
+            assert [g for item in formed for g in (
+                item.gates if isinstance(item, sim_kernels.Product)
+                else (item,))] == raw
+            states = []
+            for gates in (raw, formed):
+                sim = backend.load(bc.circuit.inputs, {},
+                                   np.random.default_rng(1))
+                counters = _run_counted(sim, gates)
+                states.append(sim)
+            assert counters["sim.kernel.product"] == len(expected[entry])
+            assert counters["sim.product.gates"] == sum(expected[entry])
+            _assert_same_state(states[1], states[0], atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("shortest", [None, 2])
+    def test_random_prefixes(self, batch, shortest, monkeypatch):
+        # At the rule's minimum, and at two gates, which puts a product
+        # boundary almost everywhere a run can close.
+        if shortest is not None:
+            monkeypatch.setattr(sim_state, "PRODUCT_MIN_GATES", shortest)
+        closers, inside, formed_any = set(), set(), 0
+        for trial in range(24):
+            rnd = random.Random(9800 + trial)
+            width = 3 + trial % 2
+            live = rnd.randint(width, 8)
+            gates = _product_prefix(rnd, width)
+            start = _product_start(rnd, width, live, batch)
+            formed = form_products(gates, live)
+            products = _products(formed)
+            formed_any += len(products)
+            reference, producted = start.copy(), start.copy()
+            reference.run(gates)
+            counters = _run_counted(producted, formed)
+            assert counters.get("sim.kernel.product", 0) == len(products)
+            _assert_same_state(producted, reference, atol=1e-12)
+            for i, item in enumerate(formed):
+                if not isinstance(item, sim_kernels.Product):
+                    continue
+                assert len(item.wires) <= sim_kernels.PRODUCT_WIRES
+                for gate in item.gates:
+                    assert all(c.wire_type == QUANTUM for c in gate.controls)
+                    inside.add("two targets" if len(gate.targets) == 2
+                               else "one target")
+                    inside.update(
+                        label for label, present in (
+                            ("negative", any(not c.positive
+                                             for c in gate.controls)),
+                            ("parametrized", gate.param is not None),
+                            ("inverted", gate.inverted)) if present)
+                after = formed[i + 1] if i + 1 < len(formed) else None
+                if isinstance(after, NamedGate):
+                    closers.add("classical" if any(
+                        c.wire_type != QUANTUM for c in after.controls)
+                        else "wires")
+                else:
+                    closers.add(type(after).__name__)
+        assert formed_any >= 8
+        assert {"two targets", "negative", "parametrized",
+                "inverted"} <= inside
+        assert {"classical", "Init", "Term"} <= closers
+
+    def test_errors_raise_as_one_by_one(self):
+        # A gate with no matrix, or on the wrong number of targets, deep
+        # in a product; and a product on a wire that is not live.
+        run = _small_run(9900, 30)
+        cases = [
+            (NamedGate("H", (0, 1)), SimulationError, "expects 1 target"),
+            (NamedGate("frob", (2,)), SimulationError, "frob"),
+            (NamedGate("not", (0,), (Control(2, False),)), KeyError, "2"),
+        ]
+        for bad, kind, words in cases:
+            gates = run[:20] + [bad] + run[20:]
+            live = 2 if kind is KeyError else 3
+            formed = form_products(gates, live)
+            assert len(_products(formed)) == 1
+            raised = []
+            for case, one_by_one in ((gates, True), (formed, False)):
+                sim = _product_start(random.Random(1), 3, 3, 1)
+                if kind is KeyError:
+                    sim.remove_qubits_asserted(((2, False),))
+                raised.append(_raised(sim, case, one_by_one))
+            assert raised[0] == raised[1]
+            assert raised[0][0] is kind and words in raised[0][1]
+
+    def test_a_gate_on_one_wire_twice(self):
+        # A control on its own target inside a run, and a gate with one
+        # control given twice that closes a run on wires 0-2 and starts
+        # one on wires 3 and 4: each product holds each wire once, and
+        # its matrix does what the gates one by one do.
+        run = _small_run(9920, 20)
+        self_control = NamedGate("not", (0,), (Control(0),))
+        twice = NamedGate("H", (3,), (Control(4, False), Control(4, False)))
+        other = [NamedGate("H", (3,)), NamedGate("not", (4,), (Control(3),)),
+                 NamedGate("S", (4,)), NamedGate(
+                     "exp(-i%Z)", (3,), (Control(4, False),), param=0.7)] * 5
+        gates = run[:10] + [self_control] + run[10:] + [twice] + other
+        formed = form_products(gates, 5)
+        assert [sorted(p.wires) for p in _products(formed)] == [
+            [0, 1, 2], [3, 4]]
+        states = []
+        for case in (gates, formed):
+            sim = _product_start(random.Random(2), 5, 5, 1)
+            sim.run([NamedGate("H", (w,)) for w in sim.axes] + case)
+            states.append(sim)
+        _assert_same_state(states[1], states[0], atol=1e-12)
+
+    def test_no_product_at_or_above_one_block(self):
+        # The same 3-wire runs on 15, 16 and 17 live qubits, and on an
+        # ancilla run that takes 15 live qubits to 16 and back: below one
+        # block they form products, at or above it the prefix is the raw
+        # list itself, and its state the raw prefix's bytes.
+        run = _small_run(9950, 24)
+        backend = get_backend("statevector")
+        for live, formed_runs in ((15, 1), (16, 0), (17, 0)):
+            inputs = tuple((w, QUANTUM) for w in range(live))
+            bc = BCircuit(Circuit(inputs, run + run[::-1], inputs))
+            compiled = compile_flat(bc)
+            raw = compiled.gates[:compiled.prefix_len]
+            formed = backend.prefix(bc, compiled)
+            assert len(_products(formed)) == formed_runs
+            if not formed_runs:
+                assert formed is raw or formed == raw
+                assert form_products(raw, live) is raw
+                states = []
+                for gates in (raw, formed):
+                    sim = backend.load(inputs, {}, np.random.default_rng(1))
+                    sim.run(gates)
+                    states.append(sim)
+                _assert_same_state(states[1], states[0])
+        ancilla = [Init(40, False)] + run + [Term(40, False)]
+        formed = form_products(run + ancilla + run, 15)
+        assert [len(p.gates) for p in _products(formed)] == [24, 24]
+        assert formed[1:len(ancilla) + 1] == ancilla
+
+    def test_pinned_counts(self):
+        # Seeded counts of the entries that form products, recorded
+        # before products existed: a product may round amplitudes
+        # differently, but no draw may move.
+        records = [
+            [entry, seed, _sample_record(make().run(shots=1024, seed=seed))]
+            for entry, make in (("gse-p5", gse(5)), ("gse-p6", gse(6)),
+                                ("qls-p2", qls(2)))
+            for seed in (1, 2)
+        ]
+        assert _digest(records) == (
+            "5029bc51137cea812e2046ce82dffc507c9e2843316d2baaac603b4f380d6df2"
+        )
 
 
 def _reversible_circuit(rnd, n, peak):

@@ -18,9 +18,15 @@ from repro import (
     total_gates,
     total_logical_gates,
 )
+from repro.core.errors import BoxError
 from repro.core.gates import BoxCall, NamedGate
 from repro.sim.state import simulate
 from repro.transform.count import count_circuit_flat
+from repro.transform.inline import (_SharedWires, _expand, _max_wire_id,
+                                    iter_flat_gates)
+from families import COMPILE, SIMULATE, SIMULATE_WIDE
+from test_depth import _random_controlled_hierarchy, _random_hierarchy
+from test_io import random_bcircuit
 
 
 def _random_circuit_fn(seed, n_qubits=4, n_gates=12, with_box=False):
@@ -236,6 +242,82 @@ class TestInline:
             assert probs_a.get(key, 0) == pytest.approx(
                 probs_b.get(key, 0), abs=1e-9
             )
+
+
+def _generator_flat_gates(bc):
+    """The inliner as it was: one ``_expand`` generator per top-level
+    gate, the fresh-wire supply built before the first gate."""
+    source = _SharedWires(_max_wire_id(bc.circuit) + 1)
+    for gate in bc.circuit.gates:
+        yield from _expand(gate, (), bc.namespace, source)
+
+
+class TestFlatGates:
+    """``iter_flat_gates`` yields a top-level gate that is no ``BoxCall``
+    as itself, and builds the fresh-wire supply at the first call: the
+    same gates, in the same objects, as one generator per gate."""
+
+    @staticmethod
+    def _hierarchies():
+        programs = {**SIMULATE, **SIMULATE_WIDE, **COMPILE}
+        for name, make in programs.items():
+            program = make(False) if name.startswith("teleport") else make()
+            yield program.bcircuit
+        for seed in range(30):
+            yield _random_hierarchy(seed)
+            yield _random_controlled_hierarchy(seed)
+
+    def test_same_gates_as_one_generator_per_gate(self):
+        calls = 0
+        for bc in self._hierarchies():
+            flat = list(iter_flat_gates(bc))
+            assert flat == list(_generator_flat_gates(bc))
+            calls += any(isinstance(g, BoxCall) for g in bc.circuit.gates)
+            if not bc.namespace:
+                assert all(a is b for a, b in zip(flat, bc.circuit.gates))
+                assert len(flat) == len(bc.circuit.gates)
+        assert calls >= 30
+
+    def test_box_free_circuits_yield_their_own_gates(self):
+        for seed in range(25):
+            bc = random_bcircuit(seed)
+            flat = list(iter_flat_gates(bc))
+            assert len(flat) == len(bc.circuit.gates)
+            assert all(a is b for a, b in zip(flat, bc.circuit.gates))
+
+    def test_fresh_wires_above_the_whole_main_circuit(self):
+        # A call after top-level gates, before a gate on a higher wire:
+        # the call's ancilla is numbered above every wire of the main
+        # circuit, the later one included.
+        def body(qc, a):
+            with qc.ancilla() as x:
+                qc.qnot(x, controls=a)
+                qc.qnot(x, controls=a)
+            return a
+
+        def circ(qc, a):
+            qc.hadamard(a)
+            qc.box("f", body, a)
+            b = qc.qinit_qubit(False)
+            qc.qnot(b, controls=a)
+            qc.qterm(b, False)
+            return a
+
+        bc, _ = build(circ, qubit)
+        highest = max(w for g in bc.circuit.gates for w, _ in g.wires_in()
+                      + g.wires_out())
+        flat = list(iter_flat_gates(bc))
+        assert flat == list(_generator_flat_gates(bc))
+        fresh = {w for g in flat for w, _ in g.wires_in() + g.wires_out()
+                 if not any(w in {v for v, _ in h.wires_in() + h.wires_out()}
+                            for h in bc.circuit.gates)}
+        assert fresh and min(fresh) == highest + 1
+
+    def test_undefined_subroutine_raises(self):
+        bc, _ = build(lambda qc, a: qc.box("f", lambda qc2, b: b, a), qubit)
+        bc.namespace.clear()
+        with pytest.raises(BoxError, match="undefined subroutine 'f'"):
+            list(iter_flat_gates(bc))
 
 
 class TestReverse:
